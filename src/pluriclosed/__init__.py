@@ -62,7 +62,6 @@ from .errors import (
 )
 from .hodge import (
     HermitianMetric,
-    adjoint,
     harmonic_space,
     hodge_star,
     identity_metric,

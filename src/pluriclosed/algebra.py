@@ -55,6 +55,7 @@ __all__ = [
     "del_matrix",
     "delbar_matrix",
     "deldelbar_matrix",
+    "block_matrix",
     "d_matrix",
     "wedge_matrix",
     "operator_matrix",
@@ -502,35 +503,43 @@ def deldelbar_matrix(model: LieModel, p: int, q: int) -> np.ndarray:
     return del_matrix(model, p, q + 1) @ delbar_matrix(model, p, q)
 
 
-def d_matrix(model: LieModel, k: int) -> np.ndarray:
-    """Block matrix of d: Lambda^k -> Lambda^{k+1} over the bidegree splitting."""
-    n = model.n
-    src = bidegrees_of_degree(n, k)
-    tgt = bidegrees_of_degree(n, k + 1)
-    tgt_offset = {}
-    pos = 0
-    for pq in tgt:
-        tgt_offset[pq] = pos
-        pos += space_dim(n, *pq)
-    rows = pos
-    cols = sum(space_dim(n, *pq) for pq in src)
-    mat = np.zeros((rows, cols), dtype=complex)
-    off = 0
-    for p, q in src:
-        w = space_dim(n, p, q)
-        if (p + 1, q) in tgt_offset:
-            r = tgt_offset[(p + 1, q)]
-            mat[r : r + space_dim(n, p + 1, q), off : off + w] = del_matrix(model, p, q)
-        if (p, q + 1) in tgt_offset:
-            r = tgt_offset[(p, q + 1)]
-            mat[r : r + space_dim(n, p, q + 1), off : off + w] = delbar_matrix(model, p, q)
-        off += w
+def block_matrix(n: int, sources, targets, parts) -> np.ndarray:
+    """Dense map between sums of bidegrees, over the concatenated canonical bases.
+
+    ``parts`` maps a bidegree shift (dp, dq) to a function (p, q) -> matrix of
+    the component Lambda^{p,q} -> Lambda^{p+dp,q+dq}; components whose target
+    is not listed are dropped.
+    """
+    row_offset = {}
+    rows = 0
+    for pq in targets:
+        row_offset[pq] = rows
+        rows += space_dim(n, *pq)
+    widths = [space_dim(n, *pq) for pq in sources]
+    mat = np.zeros((rows, sum(widths)), dtype=complex)
+    col = 0
+    for (p, q), w in zip(sources, widths):
+        for (dp, dq), block in parts.items():
+            tgt = (p + dp, q + dq)
+            if tgt in row_offset:
+                r = row_offset[tgt]
+                mat[r : r + space_dim(n, *tgt), col : col + w] = block(p, q)
+        col += w
     return mat
 
 
-def wedge_matrix(model: LieModel, w: Form, p: int, q: int) -> np.ndarray:
-    """Matrix of (w wedge .): Lambda^{p,q} -> Lambda^{p+w.p, q+w.q}."""
+def d_matrix(model: LieModel, k: int) -> np.ndarray:
+    """Block matrix of d: Lambda^k -> Lambda^{k+1} over the bidegree splitting."""
     n = model.n
+    parts = {
+        (1, 0): lambda p, q: del_matrix(model, p, q),
+        (0, 1): lambda p, q: delbar_matrix(model, p, q),
+    }
+    return block_matrix(n, bidegrees_of_degree(n, k), bidegrees_of_degree(n, k + 1), parts)
+
+
+def wedge_matrix(n: int, w: Form, p: int, q: int) -> np.ndarray:
+    """Matrix of (w wedge .): Lambda^{p,q} -> Lambda^{p+w.p, q+w.q}."""
     mat = np.zeros((space_dim(n, p + w.p, q + w.q), space_dim(n, p, q)), dtype=complex)
     for col, mi in enumerate(multiindices(n, p, q)):
         mat[:, col] = to_vector(wedge(w, basis_form(mi.holo, mi.anti)), n)
@@ -556,12 +565,6 @@ class BigradedOperator:
             raise ValueError(f"operator expects bidegree {self.sources[0]}, got {u.bidegree}")
         out = self.matrix @ to_vector(u, n)
         return from_vector(out, n, *self.targets[0])
-
-    def compose(self, other: "BigradedOperator") -> "BigradedOperator":
-        """self after other."""
-        if self.sources != other.targets:
-            raise ValueError("bidegree mismatch in composition")
-        return BigradedOperator(other.sources, self.targets, self.matrix @ other.matrix)
 
 
 def operator_matrix(model: LieModel, kind: str, p: int, q: int) -> BigradedOperator:

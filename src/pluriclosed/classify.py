@@ -173,11 +173,11 @@ def skt_class_nonzero(g: hodge.HermitianMetric, tol: float = 1e-9) -> SktNonvani
     n = g.n
     omega_norm = hodge.l2_norm(g, g.omega)
 
-    # least squares in L2 coordinates: columns of Im del + Im delbar inside (1,1)
-    columns = np.hstack([alg.del_matrix(model, 0, 1), alg.delbar_matrix(model, 1, 0)])
-    qmat = hodge._coframe_change(g, 1, 1)
+    # least squares in the unitary frame, L2-isometric up to sqrt(vol):
+    # columns of Im del + Im delbar inside (1,1)
+    columns = np.hstack([hodge.del_matrix(g, 0, 1), hodge.delbar_matrix(g, 1, 0)])
     scale = math.sqrt(g.volume)
-    sol, distance = min_norm_lstsq(scale * (qmat @ columns), scale * (qmat @ alg.to_vector(g.omega, n)))
+    sol, distance = min_norm_lstsq(scale * columns, scale * hodge.to_frame(g, g.omega))
     if distance <= tol * omega_norm:
         raise CrossCheckError(
             "omega appears del/delbar-exact; impossible for an SKT metric, "
@@ -185,8 +185,8 @@ def skt_class_nonzero(g: hodge.HermitianMetric, tol: float = 1e-9) -> SktNonvani
         )
 
     n01 = alg.space_dim(n, 0, 1)
-    u = alg.from_vector(sol[:n01], n, 0, 1)
-    v = alg.from_vector(sol[n01:], n, 1, 0)
+    u = hodge.from_frame(g, sol[:n01], 0, 1)
+    v = hodge.from_frame(g, sol[n01:], 1, 0)
     alpha = 0.5 * (u + alg.conjugate(v))  # (0,1); symmetrized so beta = conjugate(alpha)
     beta = alg.conjugate(alpha)
 
@@ -267,19 +267,13 @@ def aeppli_harmonic_check(
     if violations:
         raise PreconditionError("aeppli_harmonic_check preconditions failed", violations)
 
-    w = alg.wedge(g.omega, phi)  # (p+1, q+1)
-    wv = alg.to_vector(w, n)
-    del_adj = hodge._gram_adjoint(g, alg.del_matrix(model, p, q + 1), (p, q + 1), (p + 1, q + 1))
-    delbar_adj = hodge._gram_adjoint(g, alg.delbar_matrix(model, p + 1, q), (p + 1, q), (p + 1, q + 1))
-    lap = hodge.laplacian_a(g, p + 1, q + 1)
-
-    def norm_at(vec, bp, bq):
-        return hodge.l2_norm(g, alg.from_vector(vec, n, bp, bq))
-
+    w = hodge.to_frame(g, alg.wedge(g.omega, phi))  # (p+1, q+1)
+    root_vol = math.sqrt(g.volume)  # L2 norm of a frame vector over its 2-norm
     return AeppliHarmonicResiduals(
-        del_adjoint=norm_at(del_adj @ wv, p, q + 1),
-        delbar_adjoint=norm_at(delbar_adj @ wv, p + 1, q),
-        laplacian=norm_at(lap.matrix @ wv, p + 1, q + 1),
+        del_adjoint=root_vol * float(np.linalg.norm(hodge.del_matrix(g, p, q + 1).conj().T @ w)),
+        delbar_adjoint=root_vol
+        * float(np.linalg.norm(hodge.delbar_matrix(g, p + 1, q).conj().T @ w)),
+        laplacian=root_vol * float(np.linalg.norm(hodge.laplacian_a(g, p + 1, q + 1).matrix @ w)),
     )
 
 

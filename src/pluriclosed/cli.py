@@ -289,10 +289,10 @@ def cmd_check_lemmas(args) -> int:
         worst = 0.0
         for p in range(n):
             for q in range(n + 1):
-                lhs = hodge._del_adj(g, p, q)
+                lhs = hodge.del_matrix(g, p, q).conj().T
                 rhs = (
                     -hodge.star_matrix(g, n - q, n - p)
-                    @ alg.delbar_matrix(model, n - q, n - p - 1)
+                    @ hodge.delbar_matrix(g, n - q, n - p - 1)
                     @ hodge.star_matrix(g, p + 1, q)
                 )
                 if lhs.size:
@@ -311,13 +311,13 @@ def cmd_check_lemmas(args) -> int:
 
             constraints = np.vstack(
                 [
-                    alg.del_matrix(model, p, q),
-                    alg.delbar_matrix(model, p, q),
+                    hodge.del_matrix(g, p, q),
+                    hodge.delbar_matrix(g, p, q),
                     hodge.lambda_matrix(g, p, q),
                 ]
             )
-            for col in nullspace(constraints).T:
-                phi = alg.from_vector(col, n, p, q)
+            for col in nullspace(constraints, tol=hodge.rank_cut(g, constraints, 1)).T:
+                phi = hodge.from_frame(g, col, p, q)
                 res = cls_mod.aeppli_harmonic_check(g, phi, tol=args.tol_eq * 10)
                 worst = max(worst, *res.as_tuple())
                 tested += 1

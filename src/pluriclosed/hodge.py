@@ -1,12 +1,22 @@
-"""Hermitian metrics, Hodge star, adjoints, Laplacians and harmonic spaces.
+"""Hermitian metrics, the unitary frame, Hodge star, Laplacians and harmonic spaces.
 
 A metric is a positive definite Hermitian coefficient matrix h in the model
-coframe, with fundamental form omega = i sum h_jk phi^j wedge phibar^k.  All
-inner products come from the Cholesky factor h = L L*: the coframe
-e^a = sum_j L_ja phi^j is unitary, its basis monomials are declared
-orthonormal pointwise, and the L2 product carries the metric volume
-det(h) (the reference volume element of ``integrate_top`` has volume 1, so
-the identity metric has total volume 1).
+coframe, with fundamental form omega = i sum h_jk phi^j wedge phibar^k.  Its
+Cholesky factor h = L L* gives the unitary coframe e = L^T phi, in which
+omega = i sum e^a wedge ebar^a.  The basis monomials of e are declared
+orthonormal pointwise, and the L2 product carries the metric volume det(h)
+(the reference volume element of ``integrate_top`` has volume 1, so the
+identity metric has total volume 1).
+
+Every operator matrix of this module is written in unitary-frame
+coordinates, one complex per metric: del and delbar are the model's blocks
+conjugated once, Q del Q^{-1}, with Q the compound change of coframe on
+Lambda^{p,q}.  The Gram matrix of every Lambda^{p,q} is then vol * I, so
+every adjoint is a conjugate transpose, the star is a constant signed
+permutation, and L and Lambda are the metric-free wedge by
+i sum e^a wedge ebar^a and its conjugate transpose.  Forms stay in the model
+coframe and cross into and out of the frame only through ``to_frame`` and
+``from_frame``.
 
 The Hodge star is the complex-linear isomorphism Lambda^{p,q} ->
 Lambda^{n-q,n-p} fixed by  u wedge star(conjugate v) = <u, v> dV.  In the
@@ -15,16 +25,24 @@ unitary coframe it acts monomial by monomial,
     star(e^A wedge ebar^B) = i^{n^2} (-1)^{n|A|} eps(A) eps(B)
                              e^{comp B} wedge ebar^{comp A},
 
-with eps the shuffle sign of (A, complement A).  Adjoints are Gram adjoints;
-the classical formulas del* = -star delbar star etc. are tested invariants,
-not definitions, because their sign conventions vary across sources while
-the Gram adjoint is unambiguous.
+with eps the shuffle sign of (A, complement A).  The classical formulas
+del* = -star delbar star etc. are tested invariants, not definitions,
+because their sign conventions vary across sources while the L2 adjoint is
+unambiguous.
+
+Rank decisions on frame operators cut at max(shape) * eps * max(|M|, S^k):
+|M| is the Frobenius norm of the matrix and S the largest Frobenius norm of
+a frame del or delbar block, raised to the order k of the operator.
+Conjugation leaves blocks that vanish in exact arithmetic at 1e-50 or so
+instead of 0; a cut relative to such a block alone would count its noise as
+rank, while the floor from the whole complex does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -32,22 +50,26 @@ import numpy as np
 from . import algebra as alg
 from .algebra import BigradedOperator, Form, LieModel
 from .errors import CrossCheckError, MetricError, PreconditionError
-from .linalg import column_space, hermitian_kernel
+from .linalg import column_space, hermitian_kernel, nullspace, numeric_rank
 
 __all__ = [
     "HermitianMetric",
     "metric_from_matrix",
     "metric_from_document",
-    "metric_to_document",
     "identity_metric",
     "random_metric",
     "matrix_of_11_form",
     "form_of_hermitian_matrix",
+    "to_frame",
+    "from_frame",
     "gram_matrix",
     "inner",
     "l2_norm",
     "volume_form",
     "omega_power",
+    "del_matrix",
+    "delbar_matrix",
+    "rank_cut",
     "hodge_star",
     "star_matrix",
     "primitive_star_check",
@@ -57,8 +79,6 @@ __all__ = [
     "lambda_matrix",
     "is_primitive",
     "is_kahler",
-    "adjoint",
-    "adjoint_blocks",
     "laplacian_bc",
     "laplacian_a",
     "laplacian_delbar",
@@ -155,13 +175,6 @@ def metric_from_document(model: LieModel, doc: dict) -> HermitianMetric:
     return metric_from_matrix(model, h)
 
 
-def metric_to_document(g: HermitianMetric, name: str = "") -> dict:
-    return {
-        "name": name,
-        "h": [[[g.h[j, k].real, g.h[j, k].imag] for k in range(g.n)] for j in range(g.n)],
-    }
-
-
 def random_metric(model: LieModel, rng: np.random.Generator) -> HermitianMetric:
     """Well-conditioned random metric: unitary conjugate of diag in [0.5, 2]."""
     n = model.n
@@ -172,74 +185,70 @@ def random_metric(model: LieModel, rng: np.random.Generator) -> HermitianMetric:
 
 
 # ---------------------------------------------------------------------------
-# coordinate changes and Gram structure
+# the unitary frame
 
 
-def _coframe_change(g: HermitianMetric, p: int, q: int) -> np.ndarray:
-    """Matrix Q sending coframe coordinates to unitary-coframe coordinates."""
-    key = ("Q", p, q)
-    hit = g._cache.get(key)
-    if hit is not None:
-        return hit
-    n = g.n
-    if not (0 <= p <= n and 0 <= q <= n):
-        return np.zeros((0, 0), dtype=complex)
-    # e^a = sum_j cholesky[j, a] phi^j is the unitary coframe, so the e-coordinates
-    # of phi^j are the columns of the inverse factor
-    r = np.linalg.inv(g.cholesky)  # phi^j = sum_a r[a, j] e^a
-    combos_p = list(combinations(range(n), p))
-    combos_q = list(combinations(range(n), q))
-
-    def compound(sets):
-        k = len(sets)
-        out = np.empty((k, k), dtype=complex)
-        for a, rows in enumerate(sets):
-            for b, cols in enumerate(sets):
-                sub = r[np.ix_(rows, cols)]
-                out[a, b] = np.linalg.det(sub) if sub.size else 1.0
-        return out
-
-    qmat = np.kron(compound(combos_p), compound(combos_q).conj())
-    qmat.setflags(write=False)
-    g._cache[key] = qmat
-    return qmat
-
-
-def _coframe_change_inv(g: HermitianMetric, p: int, q: int) -> np.ndarray:
-    key = ("Qinv", p, q)
+def _cached(g: HermitianMetric, key, build):
     hit = g._cache.get(key)
     if hit is None:
-        qmat = _coframe_change(g, p, q)
-        hit = np.linalg.inv(qmat) if qmat.size else qmat
-        hit.setflags(write=False)
-        g._cache[key] = hit
+        hit = g._cache[key] = build()
     return hit
 
 
-def _block(g: HermitianMetric, bidegs: tuple[tuple[int, int], ...], inverse: bool = False) -> np.ndarray:
-    """Block-diagonal coordinate change over a tuple of bidegrees."""
-    n = g.n
-    dims = [alg.space_dim(n, p, q) for p, q in bidegs]
-    total = sum(dims)
-    out = np.zeros((total, total), dtype=complex)
-    off = 0
-    for (p, q), w in zip(bidegs, dims):
-        blk = _coframe_change_inv(g, p, q) if inverse else _coframe_change(g, p, q)
-        out[off : off + w, off : off + w] = blk
-        off += w
-    return out
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    mat.setflags(write=False)
+    return mat
+
+
+def _compound(m: np.ndarray, k: int) -> np.ndarray:
+    """k-th compound of m: the determinants of all k x k minors, sets in lexicographic order."""
+    if k == 0:
+        return np.ones((1, 1), dtype=complex)
+    sets = np.array(list(combinations(range(m.shape[0]), k)))
+    return np.linalg.det(m[sets[:, None, :, None], sets[None, :, None, :]])
+
+
+def _compounds(g: HermitianMetric, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-th compounds of L^{-1} and of L, for the Cholesky factor L of the metric."""
+    lower = g.cholesky
+    return _cached(
+        g, ("compound", k), lambda: (_compound(np.linalg.inv(lower), k), _compound(lower, k))
+    )
+
+
+def _coframe_change(g: HermitianMetric, p: int, q: int, inverse: bool = False) -> np.ndarray:
+    """Q on Lambda^{p,q}, model-coframe coordinates to unitary-frame ones (Q^{-1} if inverse).
+
+    phi^j = sum_a (L^{-1})_{aj} e^a, so Q is the Kronecker product of the
+    compounds of L^{-1} on the holomorphic and (conjugated) antiholomorphic
+    indices; by Cauchy-Binet the same compounds of L invert it.  Only the
+    compounds are kept, one pair per degree.
+    """
+    if not (0 <= p <= g.n and 0 <= q <= g.n):
+        return np.zeros((0, 0), dtype=complex)
+    holo, anti = _compounds(g, p)[inverse], _compounds(g, q)[inverse].conj()
+    rows, cols = holo.shape[0] * anti.shape[0], holo.shape[1] * anti.shape[1]
+    return (holo[:, None, :, None] * anti[None, :, None, :]).reshape(rows, cols)
+
+
+def to_frame(g: HermitianMetric, u: Form) -> np.ndarray:
+    """Unitary-frame coordinates of a model-coframe form."""
+    return _coframe_change(g, u.p, u.q) @ alg.to_vector(u, g.n)
+
+
+def from_frame(g: HermitianMetric, vec: np.ndarray, p: int, q: int) -> Form:
+    """Model-coframe (p,q)-form with the given unitary-frame coordinates."""
+    return alg.from_vector(_coframe_change(g, p, q, inverse=True) @ vec, g.n, p, q)
 
 
 def gram_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
-    """L2 Gram matrix on Lambda^{p,q} over the canonical coframe basis."""
-    key = ("gram", p, q)
-    hit = g._cache.get(key)
-    if hit is None:
+    """L2 Gram matrix vol * Q^H Q on Lambda^{p,q} over the model coframe basis."""
+
+    def build():
         qmat = _coframe_change(g, p, q)
-        hit = g.volume * (qmat.conj().T @ qmat)
-        hit.setflags(write=False)
-        g._cache[key] = hit
-    return hit
+        return _frozen(g.volume * (qmat.conj().T @ qmat))
+
+    return _cached(g, ("gram", p, q), build)
 
 
 def inner(g: HermitianMetric, u: Form, v: Form) -> complex:
@@ -258,15 +267,62 @@ def l2_norm(g: HermitianMetric, u: Form) -> float:
 
 def omega_power(g: HermitianMetric, k: int) -> Form:
     """Normalized power omega_k = omega^k / k!."""
-    key = ("omega-power", k)
-    if key not in g._cache:
-        g._cache[key] = (1.0 / math.factorial(k)) * alg.wedge_power(g.omega, k)
-    return g._cache[key]
+    return _cached(
+        g, ("omega-power", k), lambda: (1.0 / math.factorial(k)) * alg.wedge_power(g.omega, k)
+    )
 
 
 def volume_form(g: HermitianMetric) -> Form:
     """dV = omega^n / n!."""
     return omega_power(g, g.n)
+
+
+def _frame_differential(g: HermitianMetric, kind: str, p: int, q: int) -> np.ndarray:
+    """Frame matrix Q del Q^{-1} or Q delbar Q^{-1} (kind "del" or "delbar") on Lambda^{p,q}."""
+    if kind == "del":
+        model_mat, tgt = alg.del_matrix(g.model, p, q), (p + 1, q)
+    else:
+        model_mat, tgt = alg.delbar_matrix(g.model, p, q), (p, q + 1)
+    return _frozen(_coframe_change(g, *tgt) @ model_mat @ _coframe_change(g, p, q, inverse=True))
+
+
+def del_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
+    """Matrix of del: Lambda^{p,q} -> Lambda^{p+1,q} in the unitary frame."""
+    return _cached(g, ("del", p, q), lambda: _frame_differential(g, "del", p, q))
+
+
+def delbar_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
+    """Matrix of delbar: Lambda^{p,q} -> Lambda^{p,q+1} in the unitary frame."""
+    return _cached(g, ("delbar", p, q), lambda: _frame_differential(g, "delbar", p, q))
+
+
+def _complex_scale(g: HermitianMetric) -> float:
+    """S, the largest Frobenius norm of a frame del or delbar block.
+
+    The blocks are rebuilt rather than cached, so a metric keeps only the
+    blocks its operators use.
+    """
+    n = g.n
+    return _cached(
+        g,
+        "S",
+        lambda: max(
+            float(np.linalg.norm(_frame_differential(g, kind, p, q)))
+            for kind in ("del", "delbar")
+            for p in range(n + 1)
+            for q in range(n + 1)
+        ),
+    )
+
+
+def rank_cut(g: HermitianMetric, mat: np.ndarray, *orders: int) -> float:
+    """Rank cut for a frame matrix of the given operator orders.
+
+    max(shape) * eps * max(|mat|, S^k for each order k), with |.| the
+    Frobenius norm and S the largest frame del or delbar block norm.
+    """
+    scale = _complex_scale(g)
+    return max(mat.shape) * _EPS * max(float(np.linalg.norm(mat)), *(scale**k for k in orders))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +335,7 @@ def _shuffle_sign(indices: tuple[int, ...], n: int) -> int:
     return -1 if inversions % 2 else 1
 
 
+@lru_cache(maxsize=None)
 def _star_unitary(n: int, p: int, q: int) -> np.ndarray:
     """Star on unitary-coframe coordinates: a signed permutation matrix."""
     src = alg.multiindices(n, p, q)
@@ -291,57 +348,44 @@ def _star_unitary(n: int, p: int, q: int) -> np.ndarray:
         comp_anti = tuple(c for c in range(1, n + 1) if c not in anti)
         gamma = i_n2 * ((-1) ** ((n * p) % 2)) * _shuffle_sign(holo, n) * _shuffle_sign(anti, n)
         mat[tgt_index[alg.MultiIndex(comp_anti, comp_holo)], col] = gamma
-    return mat
+    return _frozen(mat)
 
 
 def star_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
-    """Matrix of the Hodge star Lambda^{p,q} -> Lambda^{n-q,n-p} over coframe bases."""
-    key = ("star", p, q)
-    hit = g._cache.get(key)
-    if hit is None:
-        n = g.n
-        hit = (
-            _coframe_change_inv(g, n - q, n - p)
-            @ _star_unitary(n, p, q)
-            @ _coframe_change(g, p, q)
-        )
-        hit.setflags(write=False)
-        g._cache[key] = hit
-    return hit
+    """Matrix of the Hodge star Lambda^{p,q} -> Lambda^{n-q,n-p} in the unitary frame."""
+    return _star_unitary(g.n, p, q)
 
 
 def hodge_star(g: HermitianMetric, u: Form) -> Form:
     n = g.n
     if not (0 <= u.p <= n and 0 <= u.q <= n):
         return alg.zero_form(n - u.q, n - u.p)
-    vec = star_matrix(g, u.p, u.q) @ alg.to_vector(u, n)
-    return alg.from_vector(vec, n, n - u.q, n - u.p)
+    return from_frame(g, star_matrix(g, u.p, u.q) @ to_frame(g, u), n - u.q, n - u.p)
 
 
 # ---------------------------------------------------------------------------
 # Lefschetz operators and primitivity
 
 
+@lru_cache(maxsize=None)
+def _unitary_lefschetz(n: int, k: int, p: int, q: int) -> np.ndarray:
+    """omega^k wedge . : Lambda^{p,q} -> Lambda^{p+k,q+k} in the unitary frame.
+
+    There omega = i sum e^a wedge ebar^a for every metric, so the matrix is
+    metric-free.
+    """
+    omega = form_of_hermitian_matrix(np.eye(n))
+    return _frozen(alg.wedge_matrix(n, alg.wedge_power(omega, k), p, q))
+
+
 def lefschetz_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
-    """Matrix of L = omega wedge . : Lambda^{p,q} -> Lambda^{p+1,q+1}."""
-    key = ("L", p, q)
-    hit = g._cache.get(key)
-    if hit is None:
-        hit = alg.wedge_matrix(g.model, g.omega, p, q)
-        hit.setflags(write=False)
-        g._cache[key] = hit
-    return hit
+    """Matrix of L = omega wedge . : Lambda^{p,q} -> Lambda^{p+1,q+1} in the unitary frame."""
+    return _unitary_lefschetz(g.n, 1, p, q)
 
 
 def lambda_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
-    """Matrix of the contraction Lambda_omega, the Gram adjoint of L."""
-    key = ("Lambda", p, q)
-    hit = g._cache.get(key)
-    if hit is None:
-        hit = _gram_adjoint(g, lefschetz_matrix(g, p - 1, q - 1), (p - 1, q - 1), (p, q))
-        hit.setflags(write=False)
-        g._cache[key] = hit
-    return hit
+    """Matrix of the contraction Lambda_omega, the adjoint of L, in the unitary frame."""
+    return lefschetz_matrix(g, p - 1, q - 1).conj().T
 
 
 def lefschetz_L(g: HermitianMetric, k: int, u: Form) -> Form:
@@ -350,28 +394,16 @@ def lefschetz_L(g: HermitianMetric, k: int, u: Form) -> Form:
 
 
 def lambda_contraction(g: HermitianMetric, u: Form) -> Form:
-    n = g.n
     if u.p < 1 or u.q < 1:
         return alg.zero_form(u.p - 1, u.q - 1)
-    vec = lambda_matrix(g, u.p, u.q) @ alg.to_vector(u, n)
-    return alg.from_vector(vec, n, u.p - 1, u.q - 1)
+    return from_frame(g, lambda_matrix(g, u.p, u.q) @ to_frame(g, u), u.p - 1, u.q - 1)
 
 
-def _lefschetz_power_opnorm(g: HermitianMetric, power: int, p: int, q: int) -> float:
+@lru_cache(maxsize=None)
+def _lefschetz_power_opnorm(n: int, power: int, p: int, q: int) -> float:
     """Largest singular value of omega^power wedge . on Lambda^{p,q} in L2 geometry."""
-    key = ("L-power-opnorm", power, p, q)
-    hit = g._cache.get(key)
-    if hit is None:
-        n = g.n
-        mat = (
-            _coframe_change(g, p + power, q + power)
-            @ alg.wedge_matrix(g.model, alg.wedge_power(g.omega, power), p, q)
-            @ _coframe_change_inv(g, p, q)
-        )
-        s = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(1)
-        hit = float(s[0]) if s.size else 0.0
-        g._cache[key] = hit
-    return hit
+    mat = _unitary_lefschetz(n, power, p, q)
+    return float(np.linalg.svd(mat, compute_uv=False)[0]) if mat.size else 0.0
 
 
 def is_primitive(g: HermitianMetric, u: Form, tol: float = 1e-9) -> bool:
@@ -388,7 +420,7 @@ def is_primitive(g: HermitianMetric, u: Form, tol: float = 1e-9) -> bool:
     if power < 0:
         by_power = by_contraction
     else:
-        opnorm = max(_lefschetz_power_opnorm(g, power, u.p, u.q), 1.0)
+        opnorm = max(_lefschetz_power_opnorm(n, power, u.p, u.q), 1.0)
         by_power = l2_norm(g, lefschetz_L(g, power, u)) <= tol * scale * opnorm
     if by_contraction != by_power:
         raise CrossCheckError(
@@ -423,16 +455,13 @@ def random_primitive_form(
     g: HermitianMetric, p: int, q: int, rng: np.random.Generator
 ) -> Form | None:
     """Random element of the primitive subspace of Lambda^{p,q}; None if trivial."""
-    from .linalg import nullspace
-
-    n = g.n
-    if alg.space_dim(n, p, q) == 0:
+    if alg.space_dim(g.n, p, q) == 0:
         return None
     null = nullspace(lambda_matrix(g, p, q))
     if null.shape[1] == 0:
         return None
     weights = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
-    return alg.from_vector(null @ weights, n, p, q)
+    return from_frame(g, null @ weights, p, q)
 
 
 def is_kahler(g: HermitianMetric, tol: float = 1e-10) -> bool:
@@ -441,57 +470,7 @@ def is_kahler(g: HermitianMetric, tol: float = 1e-10) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# adjoints and Laplacians
-
-
-def _gram_adjoint(
-    g: HermitianMetric,
-    mat: np.ndarray,
-    src: tuple[int, int],
-    tgt: tuple[int, int],
-) -> np.ndarray:
-    """Adjoint of mat: src -> tgt w.r.t. the per-bidegree Gram products."""
-    qs_inv = _coframe_change_inv(g, *src)
-    qt = _coframe_change(g, *tgt)
-    return qs_inv @ (qs_inv.conj().T @ (mat.conj().T @ (qt.conj().T @ qt)))
-
-
-def adjoint_blocks(
-    g: HermitianMetric,
-    mat: np.ndarray,
-    sources: tuple[tuple[int, int], ...],
-    targets: tuple[tuple[int, int], ...],
-) -> np.ndarray:
-    """Gram adjoint for block operators over sums of bidegrees."""
-    qs_inv = _block(g, sources, inverse=True)
-    qt = _block(g, targets)
-    return qs_inv @ (qs_inv.conj().T @ (mat.conj().T @ (qt.conj().T @ qt)))
-
-
-def adjoint(g: HermitianMetric, op: BigradedOperator) -> BigradedOperator:
-    """Gram adjoint of a BigradedOperator; <A u, v> = <u, A* v> at matrix level."""
-    return BigradedOperator(
-        sources=op.targets,
-        targets=op.sources,
-        matrix=adjoint_blocks(g, op.matrix, op.sources, op.targets),
-    )
-
-
-def _del(g, p, q):
-    return alg.del_matrix(g.model, p, q)
-
-
-def _delbar(g, p, q):
-    return alg.delbar_matrix(g.model, p, q)
-
-
-def _del_adj(g, p, q):
-    """Adjoint of del: Lambda^{p+1,q} -> Lambda^{p,q}."""
-    return _gram_adjoint(g, _del(g, p, q), (p, q), (p + 1, q))
-
-
-def _delbar_adj(g, p, q):
-    return _gram_adjoint(g, _delbar(g, p, q), (p, q), (p, q + 1))
+# Laplacians, in the unitary frame where every adjoint is a conjugate transpose
 
 
 def laplacian_bc(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
@@ -501,27 +480,22 @@ def laplacian_bc(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
     + (del delbar)* (del delbar) + (del delbar)(del delbar)*
     + (del* delbar)* (del* delbar) + (del* delbar)(del* delbar)*
     """
-    key = ("lap-bc", p, q)
-    if key in g._cache:
-        return g._cache[key]
-    d1 = _del(g, p, q)
-    db1 = _delbar(g, p, q)
-    ddb = _del(g, p, q + 1) @ _delbar(g, p, q)  # (p,q) -> (p+1,q+1)
-    ddb_in = _del(g, p - 1, q) @ _delbar(g, p - 1, q - 1)  # (p-1,q-1) -> (p,q)
+    d1 = del_matrix(g, p, q)
+    db1 = delbar_matrix(g, p, q)
+    ddb = del_matrix(g, p, q + 1) @ db1  # (p,q) -> (p+1,q+1)
+    ddb_in = del_matrix(g, p - 1, q) @ delbar_matrix(g, p - 1, q - 1)  # (p-1,q-1) -> (p,q)
     # del* delbar from (p,q) and into (p,q)
-    m_out = _del_adj(g, p - 1, q + 1) @ db1  # (p,q) -> (p-1,q+1)
-    m_in = _del_adj(g, p, q) @ _delbar(g, p + 1, q - 1)  # (p+1,q-1) -> (p,q)
+    m_out = del_matrix(g, p - 1, q + 1).conj().T @ db1  # (p,q) -> (p-1,q+1)
+    m_in = d1.conj().T @ delbar_matrix(g, p + 1, q - 1)  # (p+1,q-1) -> (p,q)
     lap = (
-        _del_adj(g, p, q) @ d1
-        + _delbar_adj(g, p, q) @ db1
-        + _gram_adjoint(g, ddb, (p, q), (p + 1, q + 1)) @ ddb
-        + ddb_in @ _gram_adjoint(g, ddb_in, (p - 1, q - 1), (p, q))
-        + _gram_adjoint(g, m_out, (p, q), (p - 1, q + 1)) @ m_out
-        + m_in @ _gram_adjoint(g, m_in, (p + 1, q - 1), (p, q))
+        d1.conj().T @ d1
+        + db1.conj().T @ db1
+        + ddb.conj().T @ ddb
+        + ddb_in @ ddb_in.conj().T
+        + m_out.conj().T @ m_out
+        + m_in @ m_in.conj().T
     )
-    op = BigradedOperator(((p, q),), ((p, q),), lap)
-    g._cache[key] = op
-    return op
+    return BigradedOperator(((p, q),), ((p, q),), lap)
 
 
 def laplacian_a(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
@@ -531,57 +505,45 @@ def laplacian_a(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
     + (del delbar)* (del delbar) + (del delbar)(del delbar)*
     + (del delbar*)(del delbar*)* + (del delbar*)* (del delbar*)
     """
-    key = ("lap-a", p, q)
-    if key in g._cache:
-        return g._cache[key]
-    d0 = _del(g, p - 1, q)  # (p-1,q) -> (p,q)
-    db0 = _delbar(g, p, q - 1)
-    ddb = _del(g, p, q + 1) @ _delbar(g, p, q)
-    ddb_in = _del(g, p - 1, q) @ _delbar(g, p - 1, q - 1)
+    d0 = del_matrix(g, p - 1, q)  # (p-1,q) -> (p,q)
+    db0 = delbar_matrix(g, p, q - 1)
+    ddb = del_matrix(g, p, q + 1) @ delbar_matrix(g, p, q)
+    ddb_in = d0 @ delbar_matrix(g, p - 1, q - 1)
     # del delbar* into (p,q) and from (p,q)
-    k_in = _del(g, p - 1, q) @ _delbar_adj(g, p - 1, q)  # (p-1,q+1) -> (p,q)
-    k_out = _del(g, p, q - 1) @ _delbar_adj(g, p, q - 1)  # (p,q) -> (p+1,q-1)
+    k_in = d0 @ delbar_matrix(g, p - 1, q).conj().T  # (p-1,q+1) -> (p,q)
+    k_out = del_matrix(g, p, q - 1) @ db0.conj().T  # (p,q) -> (p+1,q-1)
     lap = (
-        d0 @ _gram_adjoint(g, d0, (p - 1, q), (p, q))
-        + db0 @ _gram_adjoint(g, db0, (p, q - 1), (p, q))
-        + _gram_adjoint(g, ddb, (p, q), (p + 1, q + 1)) @ ddb
-        + ddb_in @ _gram_adjoint(g, ddb_in, (p - 1, q - 1), (p, q))
-        + k_in @ _gram_adjoint(g, k_in, (p - 1, q + 1), (p, q))
-        + _gram_adjoint(g, k_out, (p, q), (p + 1, q - 1)) @ k_out
+        d0 @ d0.conj().T
+        + db0 @ db0.conj().T
+        + ddb.conj().T @ ddb
+        + ddb_in @ ddb_in.conj().T
+        + k_in @ k_in.conj().T
+        + k_out.conj().T @ k_out
     )
-    op = BigradedOperator(((p, q),), ((p, q),), lap)
-    g._cache[key] = op
-    return op
+    return BigradedOperator(((p, q),), ((p, q),), lap)
 
 
 def laplacian_delbar(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
     """Dolbeault Laplacian delbar delbar* + delbar* delbar."""
-    key = ("lap-dolbeault", p, q)
-    if key in g._cache:
-        return g._cache[key]
-    db1 = _delbar(g, p, q)
-    db0 = _delbar(g, p, q - 1)
-    lap = _delbar_adj(g, p, q) @ db1 + db0 @ _gram_adjoint(g, db0, (p, q - 1), (p, q))
-    op = BigradedOperator(((p, q),), ((p, q),), lap)
-    g._cache[key] = op
-    return op
+    db1 = delbar_matrix(g, p, q)
+    db0 = delbar_matrix(g, p, q - 1)
+    return BigradedOperator(((p, q),), ((p, q),), db1.conj().T @ db1 + db0 @ db0.conj().T)
+
+
+def _frame_d(g: HermitianMetric, k: int) -> np.ndarray:
+    """Block matrix of d: Lambda^k -> Lambda^{k+1} in the unitary frame."""
+    n = g.n
+    parts = {(1, 0): lambda p, q: del_matrix(g, p, q), (0, 1): lambda p, q: delbar_matrix(g, p, q)}
+    src, tgt = alg.bidegrees_of_degree(n, k), alg.bidegrees_of_degree(n, k + 1)
+    return alg.block_matrix(n, src, tgt, parts)
 
 
 def laplacian_derham(g: HermitianMetric, k: int) -> BigradedOperator:
     """de Rham Laplacian d d* + d* d on total degree k, blocked over bidegrees."""
-    key = ("lap-derham", k)
-    if key in g._cache:
-        return g._cache[key]
-    n = g.n
-    bidegs = alg.bidegrees_of_degree(n, k)
-    d_up = alg.d_matrix(g.model, k)
-    d_down = alg.d_matrix(g.model, k - 1)
-    up_adj = adjoint_blocks(g, d_up, bidegs, alg.bidegrees_of_degree(n, k + 1))
-    down_adj = adjoint_blocks(g, d_down, alg.bidegrees_of_degree(n, k - 1), bidegs)
-    lap = up_adj @ d_up + d_down @ down_adj
-    op = BigradedOperator(bidegs, bidegs, lap)
-    g._cache[key] = op
-    return op
+    bidegs = alg.bidegrees_of_degree(g.n, k)
+    d_up = _frame_d(g, k)
+    d_down = _frame_d(g, k - 1)
+    return BigradedOperator(bidegs, bidegs, d_up.conj().T @ d_up + d_down @ d_down.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +551,11 @@ def laplacian_derham(g: HermitianMetric, k: int) -> BigradedOperator:
 
 
 def harmonic_basis(g: HermitianMetric, op: BigradedOperator, tol: float | None = None) -> np.ndarray:
-    """L2-orthonormal kernel basis (columns, coframe coordinates) of a PSD operator."""
+    """L2-orthonormal kernel basis (columns, unitary-frame coordinates) of a PSD operator."""
     if op.sources != op.targets:
         raise ValueError("harmonic_basis needs an endomorphism")
-    qmat = _block(g, op.sources)
-    q_inv = _block(g, op.sources, inverse=True)
-    kernel = hermitian_kernel(qmat @ op.matrix @ q_inv, tol=tol)
-    return (q_inv @ kernel) / math.sqrt(g.volume)
+    cut = tol if tol is not None else rank_cut(g, op.matrix, 2, 4)
+    return hermitian_kernel(op.matrix, tol=cut) / math.sqrt(g.volume)
 
 
 def harmonic_space(g: HermitianMetric, op: BigradedOperator, tol: float | None = None) -> list[Form]:
@@ -604,7 +564,7 @@ def harmonic_space(g: HermitianMetric, op: BigradedOperator, tol: float | None =
         raise ValueError("harmonic_space needs a single-bidegree operator")
     basis = harmonic_basis(g, op, tol=tol)
     p, q = op.sources[0]
-    return [alg.from_vector(basis[:, j], g.n, p, q) for j in range(basis.shape[1])]
+    return [from_frame(g, col, p, q) for col in basis.T]
 
 
 def harmonic_projection(g: HermitianMetric, basis: list[Form], u: Form) -> Form:
@@ -616,34 +576,17 @@ def harmonic_projection(g: HermitianMetric, basis: list[Form], u: Form) -> Form:
 
 
 def orthonormal_span(
-    g: HermitianMetric,
-    bidegs: tuple[tuple[int, int], ...],
-    columns: np.ndarray,
-    tol: float | None = None,
+    g: HermitianMetric, columns: np.ndarray, tol: float | None = None
 ) -> np.ndarray:
-    """L2-orthonormal basis of the column span, in coframe coordinates."""
-    qmat = _block(g, bidegs)
-    basis = column_space(qmat @ columns, tol=tol)
-    return (_block(g, bidegs, inverse=True) @ basis) / math.sqrt(g.volume)
+    """L2-orthonormal basis of the span of unitary-frame columns."""
+    return column_space(columns, tol=tol) / math.sqrt(g.volume)
 
 
-def subspace_residual(
-    g: HermitianMetric,
-    bidegs: tuple[tuple[int, int], ...],
-    a: np.ndarray,
-    b: np.ndarray,
-) -> float:
-    """Largest |<a_i, b_j>| between two L2-orthonormal families."""
+def subspace_residual(g: HermitianMetric, a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |<a_i, b_j>| between two L2-orthonormal families of frame columns."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return 0.0
-    n = g.n
-    dims = [alg.space_dim(n, p, q) for p, q in bidegs]
-    gram = np.zeros((sum(dims), sum(dims)), dtype=complex)
-    off = 0
-    for (p, q), w in zip(bidegs, dims):
-        gram[off : off + w, off : off + w] = gram_matrix(g, p, q)
-        off += w
-    return float(np.max(np.abs(b.conj().T @ gram @ a)))
+    return g.volume * float(np.max(np.abs(b.conj().T @ a)))
 
 
 @dataclass
@@ -679,42 +622,43 @@ class DecompositionReport:
 def three_space_decomposition(
     g: HermitianMetric, theory: str, p: int, q: int, tol: float | None = None
 ) -> DecompositionReport:
-    """Verify the orthogonal splitting induced by the Bott-Chern or Aeppli Laplacian."""
-    from .linalg import nullspace, numeric_rank
+    """Verify the orthogonal splitting induced by the Bott-Chern or Aeppli Laplacian.
 
-    n = g.n
-    model = g.model
-    total = alg.space_dim(n, p, q)
-    bid = ((p, q),)
+    Each rank decision cuts with the floor of the whole complex, raised to
+    the order of the operator, unless ``tol`` is given.
+    """
+    total = alg.space_dim(g.n, p, q)
+    d, db = del_matrix(g, p, q), delbar_matrix(g, p, q)
     if theory == "bc":
         lap = laplacian_bc(g, p, q)
-        exact_cols = alg.deldelbar_matrix(model, p - 1, q - 1)
-        coexact_cols = np.hstack([_del_adj(g, p, q), _delbar_adj(g, p, q)])
-        closed_cols = np.vstack([_del(g, p, q), _delbar(g, p, q)])
+        exact_cols = del_matrix(g, p - 1, q) @ delbar_matrix(g, p - 1, q - 1)
+        coexact_cols = np.hstack([d.conj().T, db.conj().T])
+        closed_cols, closed_order = np.vstack([d, db]), 1
     elif theory == "aeppli":
         lap = laplacian_a(g, p, q)
-        exact_cols = _gram_adjoint(
-            g, alg.deldelbar_matrix(model, p, q), (p, q), (p + 1, q + 1)
-        )
-        coexact_cols = np.hstack([_del(g, p - 1, q), _delbar(g, p, q - 1)])
-        closed_cols = alg.deldelbar_matrix(model, p, q)
+        exact_cols = (del_matrix(g, p, q + 1) @ db).conj().T
+        coexact_cols = np.hstack([del_matrix(g, p - 1, q), delbar_matrix(g, p, q - 1)])
+        closed_cols, closed_order = exact_cols.conj().T, 2
     else:
         raise ValueError("theory must be 'bc' or 'aeppli'")
 
+    def cut(mat, *orders):
+        return tol if tol is not None else rank_cut(g, mat, *orders)
+
     kernel = harmonic_basis(g, lap, tol=tol)
-    exact = orthonormal_span(g, bid, exact_cols, tol=tol)
-    coexact = orthonormal_span(g, bid, coexact_cols, tol=tol)
+    exact = orthonormal_span(g, exact_cols, tol=cut(exact_cols, 2))
+    coexact = orthonormal_span(g, coexact_cols, tol=cut(coexact_cols, 1))
     residual = max(
-        subspace_residual(g, bid, kernel, exact),
-        subspace_residual(g, bid, kernel, coexact),
-        subspace_residual(g, bid, exact, coexact),
+        subspace_residual(g, kernel, exact),
+        subspace_residual(g, kernel, coexact),
+        subspace_residual(g, exact, coexact),
     )
-    closed_dim = nullspace(closed_cols, tol=tol).shape[1]
+    closed_dim = nullspace(closed_cols, tol=cut(closed_cols, closed_order)).shape[1]
     if theory == "bc":
         closed_split_ok = closed_dim == kernel.shape[1] + exact.shape[1]
     else:
         closed_split_ok = closed_dim == kernel.shape[1] + coexact.shape[1]
-    image_rank = numeric_rank(lap.matrix, tol=tol)
+    image_rank = numeric_rank(lap.matrix, tol=cut(lap.matrix, 2, 4))
     return DecompositionReport(
         theory=theory,
         p=p,
@@ -736,29 +680,14 @@ def three_space_decomposition(
 # Lefschetz power maps on harmonic forms
 
 
-def _lefschetz_power_matrix(g: HermitianMetric, k: int, degree: int) -> np.ndarray:
-    """Block matrix of omega^k wedge . : Lambda^degree -> Lambda^{degree+2k}."""
-    n = g.n
-    w = alg.wedge_power(g.omega, k)
-    src = alg.bidegrees_of_degree(n, degree)
-    tgt = alg.bidegrees_of_degree(n, degree + 2 * k)
-    tgt_offset = {}
-    pos = 0
-    for pq in tgt:
-        tgt_offset[pq] = pos
-        pos += alg.space_dim(n, *pq)
-    mat = np.zeros((pos, sum(alg.space_dim(n, *pq) for pq in src)), dtype=complex)
-    off = 0
-    for p, q in src:
-        width = alg.space_dim(n, p, q)
-        pq_t = (p + k, q + k)
-        if pq_t in tgt_offset:
-            r = tgt_offset[pq_t]
-            mat[r : r + alg.space_dim(n, *pq_t), off : off + width] = alg.wedge_matrix(
-                g.model, w, p, q
-            )
-        off += width
-    return mat
+def _lefschetz_power_matrix(n: int, k: int, degree: int) -> np.ndarray:
+    """Frame block matrix of omega^k wedge . : Lambda^degree -> Lambda^{degree+2k}."""
+    return alg.block_matrix(
+        n,
+        alg.bidegrees_of_degree(n, degree),
+        alg.bidegrees_of_degree(n, degree + 2 * k),
+        {(k, k): lambda p, q: _unitary_lefschetz(n, k, p, q)},
+    )
 
 
 def quasi_isometry_bounds(
@@ -783,17 +712,14 @@ def quasi_isometry_bounds(
     n = g.n
     if p + 2 * k > 2 * n or p > 2 * n:
         return (0.0, 0.0)
+    image = _lefschetz_power_matrix(n, k, p)
     if restrict_harmonic:
-        domain = harmonic_basis(g, laplacian_derham(g, p), tol=tol)
-    else:
-        src = alg.bidegrees_of_degree(n, p)
-        domain = _block(g, src, inverse=True) / math.sqrt(g.volume)
-    if domain.shape[1] == 0:
+        # the frame is L2-isometric up to sqrt(vol) on both sides
+        image = image @ harmonic_basis(g, laplacian_derham(g, p), tol=tol) * math.sqrt(g.volume)
+    cols = image.shape[1]
+    if cols == 0:
         return (0.0, 0.0)
-    tgt = alg.bidegrees_of_degree(n, p + 2 * k)
-    image = _block(g, tgt) @ (_lefschetz_power_matrix(g, k, p) @ domain) * math.sqrt(g.volume)
     s = np.linalg.svd(image, compute_uv=False)
-    cols = domain.shape[1]
     sigma_max = float(s[0]) if s.size else 0.0
     sigma_min = float(s[cols - 1]) if s.size >= cols else 0.0
     return (sigma_min, sigma_max)
@@ -803,8 +729,6 @@ def lefschetz_harmonic_rank(
     g: HermitianMetric, k: int, p: int, tol: float | None = None
 ) -> tuple[int, int]:
     """(rank of omega^k wedge . from harmonic p-forms into harmonic (p+2k)-forms, target dim)."""
-    from .linalg import numeric_rank
-
     if not is_kahler(g):
         raise PreconditionError("harmonic rank check needs a Kahler metric")
     n = g.n
@@ -814,12 +738,5 @@ def lefschetz_harmonic_rank(
     target = harmonic_basis(g, laplacian_derham(g, p + 2 * k), tol=tol)
     if k == 0:
         return (domain.shape[1], target.shape[1])
-    tgt = alg.bidegrees_of_degree(n, p + 2 * k)
-    dims = [alg.space_dim(n, pp, qq) for pp, qq in tgt]
-    gram = np.zeros((sum(dims), sum(dims)), dtype=complex)
-    off = 0
-    for (pp, qq), w in zip(tgt, dims):
-        gram[off : off + w, off : off + w] = gram_matrix(g, pp, qq)
-        off += w
-    coords = target.conj().T @ gram @ (_lefschetz_power_matrix(g, k, p) @ domain)
+    coords = g.volume * (target.conj().T @ (_lefschetz_power_matrix(n, k, p) @ domain))
     return (numeric_rank(coords, tol=tol), target.shape[1])

@@ -1,9 +1,12 @@
 """Rank-revealing linear algebra with a shared singular-value threshold.
 
-Every rank decision in the library goes through ``rank_tolerance``:
-tau = max(shape) * machine-eps * sigma_max, overridable by passing an
-explicit ``tol``.  Fixtures have integer structure constants and well
-separated spectra, so the default is never borderline.
+Without an explicit ``tol`` a rank decision cuts relative to the matrix
+itself, at tau = max(shape) * machine-eps * sigma_max (``rank_tolerance``;
+the kernel of a Hermitian matrix uses its largest eigenvalue in the same
+way).  That suits the metric-free model matrices, whose structure constants
+are exact.  Frame matrices of a metric are conjugated, and blocks that
+vanish in exact arithmetic carry rounding noise there, so the Hodge layer
+passes ``tol`` with a floor from the whole frame complex (``hodge.rank_cut``).
 """
 
 from __future__ import annotations

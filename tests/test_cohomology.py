@@ -47,6 +47,49 @@ def test_all_dims_match_exact_oracle(models, metrics, exact_models):
             assert space.dimension == exact.dim("derham", k, None), (name, k)
 
 
+CONDITIONING_FIXTURES = ("torus2", "torus3", "iwasawa", "kodaira_thurston", "nonunimodular")
+
+
+@pytest.fixture(scope="module")
+def oracle_dims(exact_models) -> dict[tuple, int]:
+    """Exact dimensions of every space of the conditioning fixtures, by (name, theory, p, q)."""
+    out = {}
+    for name in CONDITIONING_FIXTURES:
+        exact = exact_models[name]
+        for theory, p, q in _space_keys(exact.n):
+            out[name, theory, p, q] = exact.dim(theory, p, q)
+    return out
+
+
+def _space_keys(n: int) -> list[tuple]:
+    return [
+        (theory, p, q)
+        for theory in ("bc", "aeppli", "dolbeault")
+        for p in range(n + 1)
+        for q in range(n + 1)
+    ] + [("derham", k, None) for k in range(2 * n + 1)]
+
+
+def _conditioned_metric(model, c: float, seed: int) -> hodge.HermitianMetric:
+    """h = U diag(geomspace(1, c, n)) U* with U a seeded random unitary."""
+    rng = np.random.default_rng([seed, 2024])
+    n = model.n
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return hodge.metric_from_matrix(model, (u * np.geomspace(1.0, c, n)) @ u.conj().T)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e2, 1e4, 1e6])
+def test_ill_conditioned_metrics_match_exact_oracle(models, oracle_dims, c):
+    # dimensions do not depend on the metric, so every space of every
+    # positive definite metric must pass the cross-check and match the oracle
+    for name in CONDITIONING_FIXTURES:
+        for seed in range(3):
+            g = _conditioned_metric(models[name], c, seed)
+            for theory, p, q in _space_keys(g.n):
+                space = coh.cohomology_space(g, theory, p, q)
+                assert space.dimension == oracle_dims[name, theory, p, q], (name, seed, theory, p, q)
+
+
 def test_dims_metric_independent(models, rng):
     model = models["kodaira_thurston"]
     g1 = hodge.identity_metric(model)

@@ -166,29 +166,65 @@ def test_random_primitive_forms_are_primitive(models, rng):
 
 def test_adjoint_of_zero_is_zero(metrics):
     g = metrics["torus2"]
-    op = alg.operator_matrix(g.model, "del", 1, 0)
-    adj = hodge.adjoint(g, op)
-    assert not np.any(adj.matrix)
+    adj = hodge.del_matrix(g, 1, 0).conj().T
+    assert adj.shape == (2, 1)
+    assert not np.any(adj)
 
 
 def test_adjoint_involution(models, rng):
-    g = hodge.random_metric(models["iwasawa"], rng)
-    op = alg.operator_matrix(models["iwasawa"], "delbar", 1, 1)
-    back = hodge.adjoint(g, hodge.adjoint(g, op))
-    assert np.max(np.abs(back.matrix - op.matrix)) < 1e-10
+    # the adjoint of the frame adjoint maps model forms back onto delbar
+    model = models["iwasawa"]
+    g = hodge.random_metric(model, rng)
+    adj = hodge.delbar_matrix(g, 1, 1).conj().T
+    back = adj.conj().T
+    for _ in range(5):
+        u = alg.random_form(3, 1, 1, rng)
+        image = hodge.from_frame(g, back @ hodge.to_frame(g, u), 1, 2)
+        assert (image - alg.delbar_form(model, u)).norm() < 1e-10
 
 
 def test_adjoint_is_gram_adjoint(models, rng):
+    # the frame conjugate transpose is the adjoint for the model-coframe L2 product
     model = models["kodaira_thurston"]
     g = hodge.random_metric(model, rng)
-    op = alg.operator_matrix(model, "del", 0, 1)
-    adj = hodge.adjoint(g, op)
+    adj = hodge.del_matrix(g, 0, 1).conj().T
     for _ in range(5):
         u = alg.random_form(2, 0, 1, rng)
         v = alg.random_form(2, 1, 1, rng)
-        lhs = hodge.inner(g, op.apply(u, 2), v)
-        rhs = hodge.inner(g, u, adj.apply(v, 2))
+        lhs = hodge.inner(g, alg.del_form(model, u), v)
+        rhs = hodge.inner(g, u, hodge.from_frame(g, adj @ hodge.to_frame(g, v), 0, 1))
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_frame_boundary_maps(models, rng):
+    # Q^{-1} (the compounds of the Cholesky factor) inverts Q, the maps
+    # round-trip, and the frame del/delbar are the model ones read in the frame
+    for name in ("torus2", "iwasawa", "kodaira_thurston", "nonunimodular"):
+        model = models[name]
+        n = model.n
+        g = hodge.random_metric(model, rng)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                dim = alg.space_dim(n, p, q)
+                units = np.eye(dim, dtype=complex)
+                qmat = np.column_stack(
+                    [hodge.to_frame(g, alg.from_vector(e, n, p, q)) for e in units]
+                )
+                qinv = np.column_stack(
+                    [alg.to_vector(hodge.from_frame(g, e, p, q), n) for e in units]
+                )
+                assert np.max(np.abs(qinv @ qmat - units)) < 1e-12, (name, p, q)
+                u = alg.random_form(n, p, q, rng)
+                back = hodge.from_frame(g, hodge.to_frame(g, u), p, q)
+                assert (back - u).norm() < 1e-12 * max(1.0, u.norm()), (name, p, q)
+                for frame_op, model_op in (
+                    (hodge.del_matrix, alg.del_form),
+                    (hodge.delbar_matrix, alg.delbar_form),
+                ):
+                    mat = frame_op(g, p, q)
+                    for k, e in enumerate(units):
+                        col = hodge.to_frame(g, model_op(model, hodge.from_frame(g, e, p, q)))
+                        assert np.max(np.abs(mat[:, k] - col), initial=0.0) < 1e-12, (name, p, q)
 
 
 def test_adjoint_star_formulas(models, rng):
@@ -200,20 +236,20 @@ def test_adjoint_star_formulas(models, rng):
         worst = 0.0
         for p in range(n):
             for q in range(n + 1):
-                lhs = hodge._del_adj(g, p, q)
+                lhs = hodge.del_matrix(g, p, q).conj().T
                 rhs = (
                     -hodge.star_matrix(g, n - q, n - p)
-                    @ alg.delbar_matrix(model, n - q, n - p - 1)
+                    @ hodge.delbar_matrix(g, n - q, n - p - 1)
                     @ hodge.star_matrix(g, p + 1, q)
                 )
                 if lhs.size:
                     worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         for p in range(n + 1):
             for q in range(n):
-                lhs = hodge._delbar_adj(g, p, q)
+                lhs = hodge.delbar_matrix(g, p, q).conj().T
                 rhs = (
                     -hodge.star_matrix(g, n - q, n - p)
-                    @ alg.del_matrix(model, n - q - 1, n - p)
+                    @ hodge.del_matrix(g, n - q - 1, n - p)
                     @ hodge.star_matrix(g, p, q + 1)
                 )
                 if lhs.size:
@@ -249,12 +285,9 @@ def test_laplacians_selfadjoint_psd(models, rng):
                     mat = lap.matrix
                     if not mat.size:
                         continue
-                    adj = hodge.adjoint_blocks(g, mat, ((p, q),), ((p, q),))
                     scale = max(1.0, float(np.max(np.abs(mat))))
-                    assert np.max(np.abs(mat - adj)) < 1e-10 * scale
-                    qmat = hodge._coframe_change(g, p, q)
-                    herm = qmat @ mat @ np.linalg.inv(qmat)
-                    eigvals = np.linalg.eigvalsh(0.5 * (herm + herm.conj().T))
+                    assert np.max(np.abs(mat - mat.conj().T)) < 1e-10 * scale
+                    eigvals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
                     assert eigvals[0] >= -1e-10 * scale
 
 
@@ -281,18 +314,13 @@ def test_bc_kernel_characterization(models, rng):
     for p in range(3):
         for q in range(3):
             basis = hodge.harmonic_basis(g, hodge.laplacian_bc(g, p, q))
-            ddb_adj = hodge.adjoint_blocks(
-                g,
-                alg.deldelbar_matrix(model, p - 1, q - 1),
-                ((p - 1, q - 1),),
-                ((p, q),),
-            )
+            ddb_in = hodge.del_matrix(g, p - 1, q) @ hodge.delbar_matrix(g, p - 1, q - 1)
             stack = np.vstack(
-                [alg.del_matrix(model, p, q), alg.delbar_matrix(model, p, q), ddb_adj]
+                [hodge.del_matrix(g, p, q), hodge.delbar_matrix(g, p, q), ddb_in.conj().T]
             )
             from pluriclosed.linalg import nullspace
 
-            assert basis.shape[1] == nullspace(stack).shape[1]
+            assert basis.shape[1] == nullspace(stack, tol=hodge.rank_cut(g, stack, 1, 2)).shape[1]
             if basis.size:
                 assert np.max(np.abs(stack @ basis)) < 1e-9
 
@@ -306,14 +334,14 @@ def test_a_kernel_characterization(models, rng):
             basis = hodge.harmonic_basis(g, hodge.laplacian_a(g, p, q))
             stack = np.vstack(
                 [
-                    hodge._del_adj(g, p - 1, q),
-                    hodge._delbar_adj(g, p, q - 1),
-                    alg.deldelbar_matrix(model, p, q),
+                    hodge.del_matrix(g, p - 1, q).conj().T,
+                    hodge.delbar_matrix(g, p, q - 1).conj().T,
+                    hodge.del_matrix(g, p, q + 1) @ hodge.delbar_matrix(g, p, q),
                 ]
             )
             from pluriclosed.linalg import nullspace
 
-            assert basis.shape[1] == nullspace(stack).shape[1]
+            assert basis.shape[1] == nullspace(stack, tol=hodge.rank_cut(g, stack, 1, 2)).shape[1]
             if basis.size:
                 assert np.max(np.abs(stack @ basis)) < 1e-9
 
