@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -254,16 +255,6 @@ class LieModel:
                 if any(not (1 <= i <= self.n) for i in mi.holo + mi.anti):
                     raise ValueError(f"d(phi^{k}) uses an index outside 1..{self.n}")
 
-    def d_generator(self, k: int, anti: bool = False) -> tuple[Form, Form]:
-        """(del part, delbar part) of d(phi^k) or d(phibar^k), 1-based k."""
-        if not anti:
-            return self.d20[k - 1], self.d11[k - 1]
-        key = ("dbar-gen", k)
-        if key not in self._cache:
-            # d(phibar^k) = conjugate of d(phi^k): (1,1) part raises p, (0,2) raises q
-            self._cache[key] = (conjugate(self.d11[k - 1]), conjugate(self.d20[k - 1]))
-        return self._cache[key]
-
 
 def parse_model(document: str | dict) -> LieModel:
     """Build a LieModel from its JSON document (text or parsed dict).
@@ -356,8 +347,6 @@ def multiindices(n: int, p: int, q: int) -> tuple[MultiIndex, ...]:
     """Canonical ordered basis of Lambda^{p,q}; empty outside 0..n."""
     if not (0 <= p <= n and 0 <= q <= n):
         return ()
-    from itertools import combinations
-
     rng = range(1, n + 1)
     return tuple(
         MultiIndex(holo, anti) for holo in combinations(rng, p) for anti in combinations(rng, q)
@@ -407,51 +396,163 @@ def integrate_top(u: Form, n: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# index tables: wedge and contraction by basis monomials, per (n, bidegree)
+#
+# A multi-index is also a bitmask (bit i-1 for index i).  The tables are
+# model-free, built on first use and kept for the life of the process.
+
+
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    mat.setflags(write=False)
+    return mat
+
+
+def _mask(indices: tuple[int, ...]) -> int:
+    return sum(1 << (i - 1) for i in indices)
+
+
+@lru_cache(maxsize=None)
+def _subset_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Popcount, and lexicographic rank among the subsets of its size, of every subset mask."""
+    popcount = np.array([bin(m).count("1") for m in range(1 << n)], dtype=np.int64)
+    rank = np.zeros(1 << n, dtype=np.int64)
+    for k in range(n + 1):
+        for r, comb in enumerate(combinations(range(1, n + 1), k)):
+            rank[_mask(comb)] = r
+    return _frozen(popcount), _frozen(rank)
+
+
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, a: int, b: int, p: int, q: int) -> tuple[np.ndarray, ...]:
+    """Nonzero products e_r wedge e_c of basis monomials of Lambda^{a,b} and Lambda^{p,q}.
+
+    Returns (r, c, row, sign): e_r wedge e_c = sign * (basis monomial ``row``
+    of Lambda^{p+a,q+b}).  The sign is the Koszul sign of ``wedge``: (-1)^{pb}
+    for moving the holomorphic factors of e_c past the antiholomorphic ones
+    of e_r, times the merge signs of ``_merge_indices``, counted here as the
+    pairs (x in e_r, y in e_c) with x > y.  For a fixed e_c distinct e_r give
+    distinct rows.
+    """
+    basis = multiindices(n, p, q)
+    if not basis or space_dim(n, p + a, q + b) == 0:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+    popcount, rank = _subset_tables(n)
+    holo = np.array([_mask(mi.holo) for mi in basis], dtype=np.int64)
+    anti = np.array([_mask(mi.anti) for mi in basis], dtype=np.int64)
+    width = math.comb(n, q + b)
+    parts = []
+    for r, (wh, wa) in enumerate(multiindices(n, a, b)):
+        mh, ma = _mask(wh), _mask(wa)
+        c = np.flatnonzero(((holo & mh) == 0) & ((anti & ma) == 0))
+        h, j = holo[c], anti[c]
+        pairs = np.full(c.size, p * b)
+        for x in wh:
+            pairs += popcount[h & ((1 << (x - 1)) - 1)]
+        for x in wa:
+            pairs += popcount[j & ((1 << (x - 1)) - 1)]
+        row = rank[h | mh] * width + rank[j | ma]
+        parts.append((np.full(c.size, r), c, row, 1 - 2 * (pairs % 2)))
+    return tuple(_frozen(np.concatenate(col)) for col in zip(*parts))
+
+
+def _wedge_stack(n: int, coeffs: np.ndarray, a: int, b: int, p: int, q: int) -> np.ndarray:
+    """[W(w_1) | ... | W(w_m)]: Lambda^{p,q} (+) ... (+) Lambda^{p,q} -> Lambda^{p+a,q+b}.
+
+    W(w) is the matrix of w wedge . for the (a,b)-form w whose canonical
+    coefficients are a row of ``coeffs`` (shape m x dim Lambda^{a,b}).
+    """
+    r, c, row, sign = _wedge_table(n, a, b, p, q)
+    m, width = coeffs.shape[0], space_dim(n, p, q)
+    out = np.zeros((space_dim(n, p + a, q + b), m, width), dtype=complex)
+    out[row, :, c] = (coeffs[:, r] * sign).T  # (row, c) pairs are distinct: no accumulation
+    return out.reshape(out.shape[0], m * width)
+
+
+@lru_cache(maxsize=None)
+def _contraction_table(n: int, anti: bool, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked contractions [i_1; ...; i_n] on Lambda^{p,q}, as a signed gather.
+
+    i_k removes phi^k (phibar^k if ``anti``) from a monomial with the sign
+    (-1)^position, antiholomorphic positions counted after the p holomorphic
+    ones; it is the transpose of phi^k wedge . (phibar^k wedge .).  Each
+    monomial contains exactly p generators phi^k (q generators phibar^k), so
+    the 0/+-1 matrix has that many entries per column, returned as (cols,
+    signs) of shape (dim Lambda^{p,q}, p or q): for a stack
+    S = [W_1 | ... | W_n] over Lambda^{p-1,q} (Lambda^{p,q-1}),
+    S @ [i_1; ...; i_n] = (S[:, cols] * signs).sum(axis=2).
+    """
+    dim = space_dim(n, p, q)
+    if dim == 0:
+        return np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
+    a, b = (0, 1) if anti else (1, 0)
+    k, mid, src, sign = _wedge_table(n, a, b, p - a, q - b)
+    order = np.argsort(src, kind="stable")  # per source monomial: generators ascending
+    cols = k * space_dim(n, p - a, q - b) + mid
+    per = q if anti else p
+    return _frozen(cols[order].reshape(dim, per)), _frozen(sign[order].reshape(dim, per))
+
+
+def _gather(stack: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    cols, signs = table
+    return (stack[:, cols] * signs).sum(axis=2)
+
+
+# ---------------------------------------------------------------------------
 # differentials
 
 
-def _d_monomial(model: LieModel, mi: MultiIndex) -> tuple[Form, Form]:
-    """(del, delbar) of a basis monomial by the graded Leibniz rule."""
-    key = ("dmon", mi)
-    hit = model._cache.get(key)
-    if hit is not None:
-        return hit
-    p, q = len(mi.holo), len(mi.anti)
-    del_part = zero_form(p + 1, q)
-    delbar_part = zero_form(p, q + 1)
-    for t in range(p + q):
-        sign = -1.0 if t % 2 else 1.0
-        if t < p:
-            pre = basis_form(mi.holo[:t], ())
-            suf = basis_form(mi.holo[t + 1 :], mi.anti)
-            raises_p, raises_q = model.d_generator(mi.holo[t])
-        else:
-            s = t - p
-            pre = basis_form(mi.holo, mi.anti[:s])
-            suf = basis_form((), mi.anti[s + 1 :])
-            raises_p, raises_q = model.d_generator(mi.anti[s], anti=True)
-        if not raises_p.is_zero():
-            del_part = del_part + sign * wedge(pre, wedge(raises_p, suf))
-        if not raises_q.is_zero():
-            delbar_part = delbar_part + sign * wedge(pre, wedge(raises_q, suf))
-    model._cache[key] = (del_part, delbar_part)
-    return del_part, delbar_part
+def _structure_rows(model: LieModel) -> dict[str, np.ndarray]:
+    """Canonical coefficients of the generator differentials, one row per generator.
+
+    "d20" and "d11" are the parts of d(phi^k); "conj_d11" (bidegree (1,1))
+    and "conj_d20" (bidegree (0,2)) those of d(phibar^k) = conjugate d(phi^k).
+    """
+    hit = model._cache.get("structure")
+    if hit is None:
+        n = model.n
+
+        def rows(forms):
+            return np.array([to_vector(f, n) for f in forms]).reshape(n, -1)
+
+        hit = model._cache["structure"] = {
+            "d20": rows(model.d20),
+            "d11": rows(model.d11),
+            "conj_d11": rows(conjugate(f) for f in model.d11),
+            "conj_d20": rows(conjugate(f) for f in model.d20),
+        }
+    return hit
+
+
+def _differential(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:
+    """del or delbar on Lambda^{p,q} from the derivation identity d = sum_g (dg wedge .) i_g.
+
+    The sum runs over the 2n generators g = phi^k, phibar^k:
+    del    = sum_k W(d20_k) i_k + W(conj d11_k) ibar_k,
+    delbar = sum_k W(d11_k) i_k + W(conj d20_k) ibar_k.
+    """
+    n = model.n
+    rows = _structure_rows(model)
+    if kind == "del":
+        holo = _wedge_stack(n, rows["d20"], 2, 0, p - 1, q)
+        anti = _wedge_stack(n, rows["conj_d11"], 1, 1, p, q - 1)
+    else:
+        holo = _wedge_stack(n, rows["d11"], 1, 1, p - 1, q)
+        anti = _wedge_stack(n, rows["conj_d20"], 0, 2, p, q - 1)
+    return _gather(holo, _contraction_table(n, False, p, q)) + _gather(
+        anti, _contraction_table(n, True, p, q)
+    )
 
 
 def del_form(model: LieModel, u: Form) -> Form:
     """Holomorphic differential: (p,q) -> (p+1,q)."""
-    out = zero_form(u.p + 1, u.q)
-    for mi, c in u.coeffs.items():
-        out = out + c * _d_monomial(model, mi)[0]
-    return out
+    n = model.n
+    return from_vector(del_matrix(model, u.p, u.q) @ to_vector(u, n), n, u.p + 1, u.q)
 
 
 def delbar_form(model: LieModel, u: Form) -> Form:
     """Antiholomorphic differential: (p,q) -> (p,q+1)."""
-    out = zero_form(u.p, u.q + 1)
-    for mi, c in u.coeffs.items():
-        out = out + c * _d_monomial(model, mi)[1]
-    return out
+    n = model.n
+    return from_vector(delbar_matrix(model, u.p, u.q) @ to_vector(u, n), n, u.p, u.q + 1)
 
 
 def d_form(model: LieModel, u: Form) -> tuple[Form, Form]:
@@ -466,36 +567,18 @@ def d_form(model: LieModel, u: Form) -> tuple[Form, Form]:
 def _cached_matrix(model: LieModel, key, builder) -> np.ndarray:
     hit = model._cache.get(key)
     if hit is None:
-        hit = builder()
-        hit.setflags(write=False)
-        model._cache[key] = hit
+        hit = model._cache[key] = _frozen(builder())
     return hit
 
 
 def del_matrix(model: LieModel, p: int, q: int) -> np.ndarray:
     """Matrix of del: Lambda^{p,q} -> Lambda^{p+1,q}; zero-sized off range."""
-    n = model.n
-
-    def build():
-        mat = np.zeros((space_dim(n, p + 1, q), space_dim(n, p, q)), dtype=complex)
-        for col, mi in enumerate(multiindices(n, p, q)):
-            mat[:, col] = to_vector(_d_monomial(model, mi)[0], n)
-        return mat
-
-    return _cached_matrix(model, ("del", p, q), build)
+    return _cached_matrix(model, ("del", p, q), lambda: _differential(model, "del", p, q))
 
 
 def delbar_matrix(model: LieModel, p: int, q: int) -> np.ndarray:
     """Matrix of delbar: Lambda^{p,q} -> Lambda^{p,q+1}."""
-    n = model.n
-
-    def build():
-        mat = np.zeros((space_dim(n, p, q + 1), space_dim(n, p, q)), dtype=complex)
-        for col, mi in enumerate(multiindices(n, p, q)):
-            mat[:, col] = to_vector(_d_monomial(model, mi)[1], n)
-        return mat
-
-    return _cached_matrix(model, ("delbar", p, q), build)
+    return _cached_matrix(model, ("delbar", p, q), lambda: _differential(model, "delbar", p, q))
 
 
 def deldelbar_matrix(model: LieModel, p: int, q: int) -> np.ndarray:
@@ -540,10 +623,7 @@ def d_matrix(model: LieModel, k: int) -> np.ndarray:
 
 def wedge_matrix(n: int, w: Form, p: int, q: int) -> np.ndarray:
     """Matrix of (w wedge .): Lambda^{p,q} -> Lambda^{p+w.p, q+w.q}."""
-    mat = np.zeros((space_dim(n, p + w.p, q + w.q), space_dim(n, p, q)), dtype=complex)
-    for col, mi in enumerate(multiindices(n, p, q)):
-        mat[:, col] = to_vector(wedge(w, basis_form(mi.holo, mi.anti)), n)
-    return mat
+    return _wedge_stack(n, to_vector(w, n)[None, :], w.p, w.q, p, q)
 
 
 @dataclass(eq=False)

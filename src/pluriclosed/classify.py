@@ -228,9 +228,12 @@ def weak_positivity_topform(u: Form, n: int, tol: float = 1e-12) -> str:
 
 @dataclass
 class AeppliHarmonicResiduals:
+    """L2 norms of del*, delbar* and Delta_A applied to w = omega ^ phi, and |w|."""
+
     del_adjoint: float
     delbar_adjoint: float
     laplacian: float
+    wedge_norm: float
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.del_adjoint, self.delbar_adjoint, self.laplacian)
@@ -267,13 +270,14 @@ def aeppli_harmonic_check(
     if violations:
         raise PreconditionError("aeppli_harmonic_check preconditions failed", violations)
 
-    w = hodge.to_frame(g, alg.wedge(g.omega, phi))  # (p+1, q+1)
+    w = hodge.lefschetz_matrix(g, p, q) @ hodge.to_frame(g, phi)  # omega ^ phi, (p+1, q+1)
     root_vol = math.sqrt(g.volume)  # L2 norm of a frame vector over its 2-norm
     return AeppliHarmonicResiduals(
         del_adjoint=root_vol * float(np.linalg.norm(hodge.del_matrix(g, p, q + 1).conj().T @ w)),
         delbar_adjoint=root_vol
         * float(np.linalg.norm(hodge.delbar_matrix(g, p + 1, q).conj().T @ w)),
         laplacian=root_vol * float(np.linalg.norm(hodge.laplacian_a(g, p + 1, q + 1).matrix @ w)),
+        wedge_norm=root_vol * float(np.linalg.norm(w)),
     )
 
 

@@ -52,8 +52,13 @@ class CohomologySpace:
     """One cohomology space with both computation routes recorded.
 
     ``q`` is None for de Rham, where ``p`` is the total degree.  ``basis``
-    holds L2-orthonormal harmonic representatives (None for de Rham, whose
-    classes are not manipulated further).
+    is a matrix whose columns are the unitary-frame coordinates
+    (``hodge.to_frame``) of L2-orthonormal harmonic representatives; it is
+    None for de Rham, whose classes are not manipulated further.
+
+    Two spaces are equal when they belong to the same metric object and
+    have the same theory and bidegree: ``cohomology_space`` builds a new
+    space object on every call, from data cached on the metric.
     """
 
     theory: str
@@ -63,7 +68,18 @@ class CohomologySpace:
     dimension: int
     quotient_dimension: int
     harmonic_dimension: int
-    basis: list[Form] | None
+    basis: np.ndarray | None
+
+    def _key(self) -> tuple:
+        return (id(self.metric), self.theory, self.p, self.q)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CohomologySpace):
+            return NotImplemented
+        return self._key() == other._key()  # both spaces keep their metrics alive
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(eq=False)
@@ -76,7 +92,7 @@ class CohomologyClass:
         return CohomologyClass(self.space, scalar * self.coords, scalar * self.representative)
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
-        if other.space is not self.space:
+        if other.space != self.space:
             raise ValueError("classes live in different spaces")
         return CohomologyClass(
             self.space, self.coords + other.coords, self.representative + other.representative
@@ -122,36 +138,42 @@ def _laplacian_for(g: hodge.HermitianMetric, theory: str, p: int, q: int | None)
 def cohomology_space(
     g: hodge.HermitianMetric, theory: str, p: int, q: int | None = None, tol=None
 ) -> CohomologySpace:
-    """Compute one space via both routes and insist that they agree."""
-    model = g.model
+    """Compute one space via both routes and insist that they agree.
+
+    The metric caches the space's dimension and basis, not the space object,
+    which points back at the metric: a cycle would keep every metric alive
+    until a full garbage-collection pass.
+    """
     key = ("cohomology", theory, p, q, tol)
     hit = g._cache.get(key)
-    if hit is not None:
-        return hit
-    qdim = quotient_dimension(model, theory, p, q, tol=tol)
-    lap = _laplacian_for(g, theory, p, q)
-    if theory == "derham":
-        hdim = hodge.harmonic_basis(g, lap, tol=tol).shape[1]
-        basis = None
-    else:
-        basis = hodge.harmonic_space(g, lap, tol=tol)
-        hdim = len(basis)
-    if qdim != hdim:
-        raise CrossCheckError(
-            f"{theory} ({p},{q}): quotient rank {qdim} != harmonic dimension {hdim}"
-        )
-    space = CohomologySpace(
+    if hit is None:
+        qdim = quotient_dimension(g.model, theory, p, q, tol=tol)
+        basis = hodge.harmonic_basis(g, _laplacian_for(g, theory, p, q), tol=tol)
+        if qdim != basis.shape[1]:
+            raise CrossCheckError(
+                f"{theory} ({p},{q}): quotient rank {qdim} != harmonic dimension {basis.shape[1]}"
+            )
+        if theory == "derham":
+            basis = None
+        else:
+            basis.setflags(write=False)
+        hit = g._cache[key] = (qdim, basis)
+    dim, basis = hit
+    return CohomologySpace(
         theory=theory,
         p=p,
         q=q,
         metric=g,
-        dimension=hdim,
-        quotient_dimension=qdim,
-        harmonic_dimension=hdim,
+        dimension=dim,
+        quotient_dimension=dim,
+        harmonic_dimension=dim,
         basis=basis,
     )
-    g._cache[key] = space
-    return space
+
+
+def _frame_coords(g: hodge.HermitianMetric, basis: np.ndarray, u: Form) -> np.ndarray:
+    """L2 products <u, b_j> with the orthonormal frame columns b_j of ``basis``."""
+    return g.volume * (basis.conj().T @ hodge.to_frame(g, u))
 
 
 def class_of(space: CohomologySpace, u: Form, tol: float = 1e-9) -> CohomologyClass:
@@ -169,15 +191,12 @@ def class_of(space: CohomologySpace, u: Form, tol: float = 1e-9) -> CohomologyCl
             raise PreconditionError("form is not del delbar-closed", {"residual": bad})
     else:
         raise ValueError("classes are only built for the bc and aeppli theories")
-    coords = np.array([hodge.inner(g, u, b) for b in space.basis], dtype=complex)
-    return CohomologyClass(space=space, coords=coords, representative=u)
+    return CohomologyClass(space=space, coords=_frame_coords(g, space.basis, u), representative=u)
 
 
 def harmonic_representative(cls: CohomologyClass) -> Form:
-    out = alg.zero_form(cls.space.p, cls.space.q)
-    for c, b in zip(cls.coords, cls.space.basis):
-        out = out + c * b
-    return out
+    space = cls.space
+    return hodge.from_frame(space.metric, space.basis @ cls.coords, space.p, space.q)
 
 
 def is_real_class(cls: CohomologyClass, tol: float = 1e-9) -> bool:
@@ -240,14 +259,16 @@ class PrimitiveHyperplane:
         return self.basis.shape[1]
 
     def classes(self) -> list[CohomologyClass]:
-        out = []
-        for j in range(self.basis.shape[1]):
-            coords = self.basis[:, j]
-            rep = alg.zero_form(self.space.p, self.space.q)
-            for c, b in zip(coords, self.space.basis):
-                rep = rep + c * b
-            out.append(CohomologyClass(self.space, coords.copy(), rep))
-        return out
+        space = self.space
+        reps = space.basis @ self.basis  # frame columns of the harmonic representatives
+        return [
+            CohomologyClass(
+                space,
+                self.basis[:, j].copy(),
+                hodge.from_frame(space.metric, reps[:, j], space.p, space.q),
+            )
+            for j in range(self.basis.shape[1])
+        ]
 
 
 def primitive_hyperplane(g: hodge.HermitianMetric, tol: float = 1e-9) -> PrimitiveHyperplane:
@@ -255,9 +276,10 @@ def primitive_hyperplane(g: hodge.HermitianMetric, tol: float = 1e-9) -> Primiti
     require_skt(g, tol=tol)
     n = g.n
     space = cohomology_space(g, "bc", n - 1, n - 1)
-    functional = np.array(
-        [integrate_pairing(g.model, b, g.omega) for b in space.basis], dtype=complex
-    )
+    # integral of b wedge omega = omega wedge b, read off the top frame
+    # coefficient: e^{1..n} ^ ebar^{1..n} = vol * phi^{1..n} ^ phibar^{1..n}
+    top = hodge.lefschetz_matrix(g, n - 1, n - 1) @ space.basis
+    functional = (g.volume / (1j) ** (n * n % 4)) * top[0]
     norm = float(np.linalg.norm(functional))
     if norm <= tol:
         raise CrossCheckError(
@@ -274,8 +296,7 @@ def harmonic_part_of_omega(g: hodge.HermitianMetric, tol=None) -> Form:
     """Aeppli-harmonic component of omega."""
     key = ("omega-harmonic-a", tol)
     if key not in g._cache:
-        basis = hodge.harmonic_space(g, hodge.laplacian_a(g, 1, 1), tol=tol)
-        g._cache[key] = hodge.harmonic_projection(g, basis, g.omega)
+        g._cache[key] = _harmonic_part(g, hodge.laplacian_a(g, 1, 1), g.omega, tol)
     return g._cache[key]
 
 
@@ -284,9 +305,15 @@ def harmonic_part_of_omega_power(g: hodge.HermitianMetric, tol=None) -> Form:
     key = ("omega-power-harmonic-bc", tol)
     if key not in g._cache:
         n = g.n
-        basis = hodge.harmonic_space(g, hodge.laplacian_bc(g, n - 1, n - 1), tol=tol)
-        g._cache[key] = hodge.harmonic_projection(g, basis, hodge.omega_power(g, n - 1))
+        lap = hodge.laplacian_bc(g, n - 1, n - 1)
+        g._cache[key] = _harmonic_part(g, lap, hodge.omega_power(g, n - 1), tol)
     return g._cache[key]
+
+
+def _harmonic_part(g: hodge.HermitianMetric, lap, u: Form, tol) -> Form:
+    """Orthogonal projection of u onto the kernel of a Laplacian."""
+    basis = hodge.harmonic_basis(g, lap, tol=tol)
+    return hodge.from_frame(g, basis @ _frame_coords(g, basis, u), u.p, u.q)
 
 
 def lefschetz_decompose_class(
@@ -305,7 +332,7 @@ def lefschetz_decompose_class(
         raise PreconditionError("decomposition needs a unimodular model")
     n = g.n
     space = cohomology_space(g, "bc", n - 1, n - 1)
-    if cls.space is not space:
+    if cls.space != space:
         raise PreconditionError("class does not live in H^{n-1,n-1}_BC for this metric")
 
     omega_h = harmonic_part_of_omega(g)

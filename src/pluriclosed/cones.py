@@ -195,12 +195,9 @@ def weak_positivity_matrix(t: Form, n: int) -> np.ndarray:
     """
     if t.bidegree != (n - 1, n - 1):
         raise ValueError("expected an (n-1,n-1)-form")
-    m = np.zeros((n, n), dtype=complex)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            probe = alg.basis_form((j,), (k,), 1j)
-            m[k - 1, j - 1] = alg.integrate_top(alg.wedge(t, probe), n)
-    return m
+    # the one row of t wedge . : Lambda^{1,1} -> Lambda^{n,n}, columns phi^j ^ phibar^k
+    top = alg.wedge_matrix(n, t, 1, 1)[0]
+    return (1j / (1j) ** (n * n % 4)) * top.reshape(n, n).T
 
 
 @dataclass

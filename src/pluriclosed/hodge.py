@@ -69,6 +69,7 @@ __all__ = [
     "omega_power",
     "del_matrix",
     "delbar_matrix",
+    "complex_scale",
     "rank_cut",
     "hodge_star",
     "star_matrix",
@@ -296,7 +297,7 @@ def delbar_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     return _cached(g, ("delbar", p, q), lambda: _frame_differential(g, "delbar", p, q))
 
 
-def _complex_scale(g: HermitianMetric) -> float:
+def complex_scale(g: HermitianMetric) -> float:
     """S, the largest Frobenius norm of a frame del or delbar block.
 
     The blocks are rebuilt rather than cached, so a metric keeps only the
@@ -321,7 +322,7 @@ def rank_cut(g: HermitianMetric, mat: np.ndarray, *orders: int) -> float:
     max(shape) * eps * max(|mat|, S^k for each order k), with |.| the
     Frobenius norm and S the largest frame del or delbar block norm.
     """
-    scale = _complex_scale(g)
+    scale = complex_scale(g)
     return max(mat.shape) * _EPS * max(float(np.linalg.norm(mat)), *(scale**k for k in orders))
 
 
@@ -389,8 +390,8 @@ def lambda_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
 
 
 def lefschetz_L(g: HermitianMetric, k: int, u: Form) -> Form:
-    """omega^k wedge u."""
-    return alg.wedge(alg.wedge_power(g.omega, k), u)
+    """omega^k wedge u, applied in the unitary frame where the map is metric-free."""
+    return from_frame(g, _unitary_lefschetz(g.n, k, u.p, u.q) @ to_frame(g, u), u.p + k, u.q + k)
 
 
 def lambda_contraction(g: HermitianMetric, u: Form) -> Form:
@@ -414,14 +415,16 @@ def is_primitive(g: HermitianMetric, u: Form, tol: float = 1e-9) -> bool:
     relative to the operator norm of the power map) and must agree.
     """
     n = g.n
-    scale = max(l2_norm(g, u), 1e-30)
-    by_contraction = l2_norm(g, lambda_contraction(g, u)) <= tol * scale
+    x = to_frame(g, u)  # L2 norms are sqrt(vol) times frame 2-norms, a factor that cancels
+    scale = max(float(np.linalg.norm(x)), 1e-30)
+    by_contraction = float(np.linalg.norm(lambda_matrix(g, u.p, u.q) @ x)) <= tol * scale
     power = n - u.degree + 1
     if power < 0:
         by_power = by_contraction
     else:
         opnorm = max(_lefschetz_power_opnorm(n, power, u.p, u.q), 1.0)
-        by_power = l2_norm(g, lefschetz_L(g, power, u)) <= tol * scale * opnorm
+        power_image = _unitary_lefschetz(n, power, u.p, u.q) @ x
+        by_power = float(np.linalg.norm(power_image)) <= tol * scale * opnorm
     if by_contraction != by_power:
         raise CrossCheckError(
             "primitivity tests disagree (contraction vs power); threshold failure"
@@ -447,8 +450,9 @@ def primitive_star_check(g: HermitianMetric, v: Form, tol: float = 1e-9) -> floa
     k = p + q
     sign = (-1) ** ((k * (k + 1) // 2) % 2)
     phase = (1j) ** ((p - q) % 4)
-    predicted = sign * phase * alg.wedge(omega_power(g, n - p - q), v)
-    return l2_norm(g, hodge_star(g, v) - predicted) / l2_norm(g, v)
+    x = to_frame(g, v)  # in the frame, omega_{n-k} wedge . is L^{n-k} / (n-k)!
+    predicted = (sign * phase / math.factorial(n - k)) * (_unitary_lefschetz(n, n - k, p, q) @ x)
+    return float(np.linalg.norm(star_matrix(g, p, q) @ x - predicted) / np.linalg.norm(x))
 
 
 def random_primitive_form(

@@ -192,9 +192,7 @@ def test_criterion_08_lefschetz_decomposition(models):
         sp = coh.cohomology_space(g, "bc", g.n - 1, g.n - 1)
         for _ in range(25):
             coords = rng.standard_normal(sp.dimension) + 1j * rng.standard_normal(sp.dimension)
-            rep = alg.zero_form(g.n - 1, g.n - 1)
-            for c, b in zip(coords, sp.basis):
-                rep = rep + c * b
+            rep = hodge.from_frame(g, sp.basis @ coords, g.n - 1, g.n - 1)
             coh.lefschetz_decompose_class(g, coh.CohomologyClass(sp, coords, rep))
     _report(
         8,
@@ -279,9 +277,7 @@ def test_criterion_12_cone_solver(models):
         direction = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(
             space.dimension
         )
-        rep = alg.zero_form(1, 1)
-        for c, b in zip(direction, space.basis):
-            rep = rep + c * b
+        rep = hodge.from_frame(g, space.basis @ direction, 1, 1)
         rep = 0.5 * (rep + alg.conjugate(rep))
         norm = hodge.l2_norm(g, rep)
         if norm < 1e-12:

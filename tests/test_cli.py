@@ -157,6 +157,26 @@ def test_check_lemmas_kt():
     assert payload["aeppli_harmonic_samples"] > 0
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_check_lemmas_ill_conditioned_kt_metric(tmp_path, seed):
+    # h = U diag(1, 1e4) U* is a valid metric; absolute residuals grow with
+    # the Laplacians (about S^4) and used to fail star_intertwining and
+    # aeppli_harmonic here, so the residuals are relative
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    h = (u * np.array([1.0, 1e4])) @ u.conj().T
+    path = tmp_path / "metric.json"
+    doc = {"name": "kt_c1e4", "h": [[[z.real, z.imag] for z in row] for row in h]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    completed = run_cli("check-lemmas", "--model", "kodaira_thurston", "--metric", str(path))
+    assert completed.returncode == 0, completed.stdout
+    payload = json.loads(completed.stdout)
+    assert payload["failures"] == []
+    assert payload["aeppli_harmonic_samples"] > 0
+
+
 def test_determinism_same_seed_byte_identical():
     first = run_cli("check-lemmas", "--model", "iwasawa", "--seed", "11")
     second = run_cli("check-lemmas", "--model", "iwasawa", "--seed", "11")

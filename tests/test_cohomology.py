@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -115,6 +117,40 @@ def test_serre_type_duality_of_dimensions(metrics):
                 )
 
 
+def test_metric_freed_by_refcount_after_every_space(models):
+    # the metric caches space data, not spaces that point back at it, so
+    # dropping the last reference frees it without a garbage-collection pass
+    g = hodge.identity_metric(models["iwasawa"])
+    ref = weakref.ref(g)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for theory, p, q in _space_keys(g.n):
+            coh.cohomology_space(g, theory, p, q)
+        space = coh.cohomology_space(g, "bc", 1, 1)
+        assert space.metric is g
+        del g, space
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_spaces_from_two_calls_are_the_same_space(metrics):
+    g = metrics["torus2"]
+    first = coh.cohomology_space(g, "bc", 1, 1)
+    second = coh.cohomology_space(g, "bc", 1, 1)
+    assert first == second and hash(first) == hash(second)
+    assert first != coh.cohomology_space(g, "aeppli", 1, 1)
+    assert first != coh.cohomology_space(hodge.identity_metric(g.model), "bc", 1, 1)
+    a = coh.class_of(first, hodge.omega_power(g, 1))
+    b = coh.class_of(second, hodge.omega_power(g, 1))
+    assert np.allclose((a + b).coords, 2 * a.coords)
+    primitive, lam = coh.lefschetz_decompose_class(g, b)
+    assert lam == pytest.approx(1.0, abs=1e-9)
+    assert primitive.space == first
+
+
 # ---------------------------------------------------------------------------
 # classes
 
@@ -168,7 +204,9 @@ def test_pairing_representative_independence(models, metrics, rng):
     model = g.model
     n = model.n
     bc_space = coh.cohomology_space(g, "bc", n - 1, n - 1)
-    c_bc = coh.class_of(bc_space, bc_space.basis[0] + bc_space.basis[1])
+    c_bc = coh.class_of(
+        bc_space, hodge.from_frame(g, bc_space.basis[:, 0] + bc_space.basis[:, 1], n - 1, n - 1)
+    )
     c_a = coh.class_of(coh.cohomology_space(g, "aeppli", 1, 1), g.omega)
     base = coh.duality_pairing(c_bc, c_a)
 
@@ -207,11 +245,10 @@ def test_pairing_matrix_nondegenerate(metrics):
         bc = coh.cohomology_space(g, "bc", n - 1, n - 1)
         ae = coh.cohomology_space(g, "aeppli", 1, 1)
         assert bc.dimension == ae.dimension
+        bc_reps = [hodge.from_frame(g, b, n - 1, n - 1) for b in bc.basis.T]
+        ae_reps = [hodge.from_frame(g, a, 1, 1) for a in ae.basis.T]
         pairing = np.array(
-            [
-                [coh.integrate_pairing(g.model, b, a) for a in ae.basis]
-                for b in bc.basis
-            ]
+            [[coh.integrate_pairing(g.model, b, a) for a in ae_reps] for b in bc_reps]
         )
         assert np.linalg.matrix_rank(pairing) == bc.dimension, name
 
@@ -262,7 +299,10 @@ def test_wedge_functional_depends_only_on_aeppli_class(metrics, rng):
         a = 0.05 * alg.random_form(n, 1, 0, rng)
         moved = g.omega + alg.del_form(model, alg.conjugate(a)) + alg.delbar_form(model, a)
         functional = np.array(
-            [coh.integrate_pairing(model, b, moved) for b in hp.space.basis]
+            [
+                coh.integrate_pairing(model, hodge.from_frame(g, b, n - 1, n - 1), moved)
+                for b in hp.space.basis.T
+            ]
         )
         assert np.max(np.abs(functional - hp.functional)) < 1e-9
 
@@ -308,8 +348,8 @@ def test_decomposition_idempotent(metrics, rng):
     space = coh.cohomology_space(g, "bc", 1, 1)
     u = alg.random_form(2, 1, 1, rng)
     # project to a closed representative through the harmonic basis
-    cls = coh.class_of(space, coh.harmonic_representative(coh.CohomologyClass(
-        space, np.array([hodge.inner(g, u, b) for b in space.basis]), u)))
+    coords = np.array([hodge.inner(g, u, hodge.from_frame(g, b, 1, 1)) for b in space.basis.T])
+    cls = coh.class_of(space, coh.harmonic_representative(coh.CohomologyClass(space, coords, u)))
     primitive, _ = coh.lefschetz_decompose_class(g, cls)
     again, lam2 = coh.lefschetz_decompose_class(g, primitive)
     assert abs(lam2) < 1e-8
@@ -322,9 +362,7 @@ def test_lambda_linear(metrics, rng):
 
     def random_class():
         coords = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(space.dimension)
-        rep = alg.zero_form(1, 1)
-        for c, b in zip(coords, space.basis):
-            rep = rep + c * b
+        rep = hodge.from_frame(g, space.basis @ coords, 1, 1)
         return coh.CohomologyClass(space, coords, rep)
 
     c1, c2 = random_class(), random_class()
@@ -361,9 +399,7 @@ def test_decomposition_with_random_skt_metrics(models, rng):
             coords = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(
                 space.dimension
             )
-            rep = alg.zero_form(1, 1)
-            for c, b in zip(coords, space.basis):
-                rep = rep + c * b
+            rep = hodge.from_frame(g, space.basis @ coords, 1, 1)
             # internal formula-vs-projection cross-check runs on every call
             coh.lefschetz_decompose_class(g, coh.CohomologyClass(space, coords, rep))
 
@@ -379,9 +415,7 @@ def test_formula_vs_projection_on_random_classes(metrics, rng):
             coords = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(
                 space.dimension
             )
-            rep = alg.zero_form(n - 1, n - 1)
-            for c, b in zip(coords, space.basis):
-                rep = rep + c * b
+            rep = hodge.from_frame(g, space.basis @ coords, n - 1, n - 1)
             coh.lefschetz_decompose_class(g, coh.CohomologyClass(space, coords, rep))
 
 

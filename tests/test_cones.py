@@ -109,9 +109,7 @@ def test_openness_probes(metrics, rng):
         direction = rng.standard_normal(space.dimension) + 1j * rng.standard_normal(
             space.dimension
         )
-        rep = alg.zero_form(1, 1)
-        for c, b in zip(direction, space.basis):
-            rep = rep + c * b
+        rep = hodge.from_frame(g, space.basis @ direction, 1, 1)
         rep = 0.5 * (rep + alg.conjugate(rep))
         norm = hodge.l2_norm(g, rep)
         if norm < 1e-12:
@@ -183,3 +181,14 @@ def test_copsef_rejects_indefinite_probe(metrics):
     indefinite = cones.SktProbe(witness=probe_form, label="indefinite")
     with pytest.raises(PreconditionError):
         cones.copsef_pairing_test(_bc_power_class(g), [indefinite])
+
+
+def test_weak_positivity_matrix_is_the_pairing_integral(rng):
+    # entry (k, j) is the integral of t wedge i phi^j wedge phibar^k
+    for n in (2, 3):
+        t = alg.random_form(n, n - 1, n - 1, rng)
+        m = cones.weak_positivity_matrix(t, n)
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                probe = alg.basis_form((j,), (k,), 1j)
+                assert m[k - 1, j - 1] == alg.integrate_top(alg.wedge(t, probe), n)
