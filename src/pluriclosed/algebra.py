@@ -6,7 +6,9 @@ equations of a (1,0)-coframe phi^1..phi^n.  Each d(phi^k) must consist of a
 the complex structure integrable, and the (0,1)-coframe differentials follow
 by conjugation.  Invariant forms then span a finite bigraded algebra
 Lambda^{p,q} whose canonical basis monomials are phi^I wedge phibar^J over
-strictly increasing multi-indices, holomorphic factors written first.
+strictly increasing multi-indices, holomorphic factors written first, in
+the order of ``multiindices``.  A ``Form`` is a coefficient vector over that
+basis, and every product is a matrix from the wedge index tables.
 
 Sign conventions, fixed once for the whole library:
 
@@ -77,34 +79,24 @@ class MultiIndex(NamedTuple):
     anti: tuple[int, ...]
 
 
-def _is_increasing(t: tuple[int, ...]) -> bool:
-    return all(a < b for a, b in zip(t, t[1:]))
-
-
-@dataclass(eq=False)
 class Form:
-    """Sparse bigraded form: map from MultiIndex to complex coefficient.
+    """Invariant (p,q)-form on an n-dimensional model, as a coefficient vector.
 
-    Zero coefficients are never stored.  Bidegrees outside 0..n are legal and
-    simply denote elements of a zero-dimensional space.
+    ``vec`` is a read-only complex vector over the canonical basis
+    ``multiindices(n, p, q)``.  Bidegrees outside 0..n are legal and denote
+    the zero-dimensional space, whose vector is empty.
     """
 
-    p: int
-    q: int
-    coeffs: dict[MultiIndex, complex] = field(default_factory=dict)
+    __slots__ = ("n", "p", "q", "vec")
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
-    def __post_init__(self):
-        clean: dict[MultiIndex, complex] = {}
-        for mi, c in self.coeffs.items():
-            mi = MultiIndex(tuple(mi[0]), tuple(mi[1]))
-            if len(mi.holo) != self.p or len(mi.anti) != self.q:
-                raise ValueError(f"index {mi} does not have bidegree ({self.p},{self.q})")
-            if not (_is_increasing(mi.holo) and _is_increasing(mi.anti)):
-                raise ValueError(f"index {mi} is not strictly increasing")
-            c = complex(c)
-            if c != 0:
-                clean[mi] = c
-        self.coeffs = clean
+    def __init__(self, n: int, p: int, q: int, vec=None):
+        dim = space_dim(n, p, q)
+        vec = np.zeros(dim, dtype=complex) if vec is None else np.array(vec, dtype=complex)
+        if vec.shape != (dim,):
+            raise ValueError(f"({p},{q})-forms on n = {n} have {dim} coefficients, got {vec.shape}")
+        vec.setflags(write=False)
+        self.n, self.p, self.q, self.vec = n, p, q, vec
 
     @property
     def bidegree(self) -> tuple[int, int]:
@@ -115,22 +107,20 @@ class Form:
         return self.p + self.q
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vec.any()
 
     def norm(self) -> float:
         """Plain coefficient 2-norm (metric-free)."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
+        return float(np.linalg.norm(self.vec))
 
     def coefficient(self, holo, anti) -> complex:
-        return self.coeffs.get(MultiIndex(tuple(holo), tuple(anti)), 0j)
+        k = basis_index(self.n, self.p, self.q).get(MultiIndex(tuple(holo), tuple(anti)))
+        return 0j if k is None else complex(self.vec[k])
 
     def __add__(self, other: "Form") -> "Form":
-        if (self.p, self.q) != (other.p, other.q):
-            raise ValueError("cannot add forms of different bidegree")
-        out = dict(self.coeffs)
-        for mi, c in other.coeffs.items():
-            out[mi] = out.get(mi, 0j) + c
-        return Form(self.p, self.q, out)
+        if (self.n, self.p, self.q) != (other.n, other.p, other.q):
+            raise ValueError("cannot add forms of different bidegree or dimension")
+        return Form(self.n, self.p, self.q, self.vec + other.vec)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-1.0) * other
@@ -139,83 +129,69 @@ class Form:
         return (-1.0) * self
 
     def __mul__(self, scalar) -> "Form":
-        scalar = complex(scalar)
-        return Form(self.p, self.q, {mi: scalar * c for mi, c in self.coeffs.items()})
+        return Form(self.n, self.p, self.q, complex(scalar) * self.vec)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return f"Form({self.p},{self.q}; 0)"
         parts = []
-        for mi in sorted(self.coeffs):
+        for mi, c in _terms(self):
             holo = "".join(f"f{i}" for i in mi.holo) or "1"
             anti = "".join(f"c{j}" for j in mi.anti)
-            parts.append(f"({self.coeffs[mi]:.4g})*{holo}{anti}")
-        return f"Form({self.p},{self.q}; " + " + ".join(parts) + ")"
+            parts.append(f"({c:.4g})*{holo}{anti}")
+        return f"Form({self.p},{self.q}; " + (" + ".join(parts) or "0") + ")"
 
 
-def zero_form(p: int, q: int) -> Form:
-    return Form(p, q, {})
+def _terms(u: Form) -> list[tuple[MultiIndex, complex]]:
+    """Nonzero (basis label, coefficient) pairs in canonical order."""
+    basis = multiindices(u.n, u.p, u.q)
+    return [(basis[k], complex(u.vec[k])) for k in np.flatnonzero(u.vec)]
 
 
-def basis_form(holo, anti, coefficient: complex = 1.0) -> Form:
+def zero_form(n: int, p: int, q: int) -> Form:
+    return Form(n, p, q)
+
+
+def basis_form(n: int, holo, anti, coefficient: complex = 1.0) -> Form:
+    """coefficient * phi^holo wedge phibar^anti; the indices must be a canonical label."""
     mi = MultiIndex(tuple(holo), tuple(anti))
-    return Form(len(mi.holo), len(mi.anti), {mi: coefficient})
-
-
-def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]):
-    """Merge strictly increasing tuples tracking the Koszul sign; None on repeat."""
-    out: list[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+    p, q = len(mi.holo), len(mi.anti)
+    vec = np.zeros(space_dim(n, p, q), dtype=complex)
+    vec[basis_index(n, p, q)[mi]] = coefficient
+    return Form(n, p, q, vec)
 
 
 def wedge(u: Form, v: Form) -> Form:
     """Graded-commutative exterior product with exact Koszul signs."""
-    coeffs: dict[MultiIndex, complex] = {}
-    # moving the holomorphic factors of v past the antiholomorphic ones of u
-    cross = -1.0 if (v.p * u.q) % 2 else 1.0
-    for mi_u, cu in u.coeffs.items():
-        for mi_v, cv in v.coeffs.items():
-            mh = _merge_indices(mi_u.holo, mi_v.holo)
-            if mh is None:
-                continue
-            ma = _merge_indices(mi_u.anti, mi_v.anti)
-            if ma is None:
-                continue
-            mi = MultiIndex(mh[1], ma[1])
-            coeffs[mi] = coeffs.get(mi, 0j) + cross * mh[0] * ma[0] * cu * cv
-    return Form(u.p + v.p, u.q + v.q, coeffs)
+    if u.n != v.n:
+        raise ValueError("cannot wedge forms on models of different dimension")
+    return Form(u.n, u.p + v.p, u.q + v.q, wedge_matrix(u.n, u, v.p, v.q) @ v.vec)
 
 
 def wedge_power(u: Form, k: int) -> Form:
     """k-fold wedge power, with u^0 the constant function 1."""
-    out = basis_form((), ())
+    out = basis_form(u.n, (), ())
     for _ in range(k):
         out = wedge(out, u)
     return out
 
 
 def conjugate(u: Form) -> Form:
-    """Complex conjugate, swapping the bidegree to (q, p)."""
-    sign = -1.0 if (u.p * u.q) % 2 else 1.0
-    coeffs = {MultiIndex(mi.anti, mi.holo): sign * c.conjugate() for mi, c in u.coeffs.items()}
-    return Form(u.q, u.p, coeffs)
+    """Complex conjugate, swapping the bidegree to (q, p).
+
+    As a C(n,p) x C(n,q) coefficient matrix the conjugate is the conjugate
+    transpose, times the sign (-1)^{pq}.
+    """
+    if u.vec.size == 0:
+        return Form(u.n, u.q, u.p)
+    return Form(u.n, u.q, u.p, _conjugate_rows(u.vec[None, :], u.n, u.p, u.q)[0])
+
+
+def _conjugate_rows(rows: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
+    """Canonical (q,p)-coefficients of the conjugates of the (p,q)-forms given as rows."""
+    sign = -1.0 if (p * q) % 2 else 1.0
+    mats = rows.reshape(rows.shape[0], math.comb(n, p), math.comb(n, q))
+    return sign * mats.conj().transpose(0, 2, 1).reshape(rows.shape[0], -1)
 
 
 def is_real_form(u: Form, tol: float = 1e-12) -> bool:
@@ -251,9 +227,8 @@ class LieModel:
         for k, (f20, f11) in enumerate(zip(self.d20, self.d11), start=1):
             if f20.bidegree != (2, 0) or f11.bidegree != (1, 1):
                 raise ValueError(f"d(phi^{k}) parts carry wrong bidegrees")
-            for mi in list(f20.coeffs) + list(f11.coeffs):
-                if any(not (1 <= i <= self.n) for i in mi.holo + mi.anti):
-                    raise ValueError(f"d(phi^{k}) uses an index outside 1..{self.n}")
+            if f20.n != self.n or f11.n != self.n:
+                raise ValueError(f"d(phi^{k}) is not a form on n = {self.n}")
 
 
 def parse_model(document: str | dict) -> LieModel:
@@ -282,14 +257,15 @@ def parse_model(document: str | dict) -> LieModel:
     if not isinstance(dphi, list) or len(dphi) != n:
         raise ParseError(f"expected a list of {n} term lists", "dphi")
 
+    index20, index11 = basis_index(n, 2, 0), basis_index(n, 1, 1)
     d20: list[Form] = []
     d11: list[Form] = []
     for k, terms in enumerate(dphi):
         path_k = f"dphi[{k}]"
         if not isinstance(terms, list):
             raise ParseError("expected a list of terms", path_k)
-        c20: dict[MultiIndex, complex] = {}
-        c11: dict[MultiIndex, complex] = {}
+        c20 = np.zeros(len(index20), dtype=complex)
+        c11 = np.zeros(len(index11), dtype=complex)
         for t, term in enumerate(terms):
             path = f"{path_k}[{t}]"
             if not isinstance(term, dict):
@@ -302,25 +278,26 @@ def parse_model(document: str | dict) -> LieModel:
                 if not isinstance(v, int) or isinstance(v, bool) or not (1 <= v <= n):
                     raise ParseError(f"index out of range 1..{n}", f"{path}.{fld}")
             i, j = term["i"], term["j"]
-            coeff = term.get("coeff")
-            if (
-                not isinstance(coeff, (list, tuple))
-                or len(coeff) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in coeff)
-            ):
-                raise ParseError("coeff must be [re, im]", f"{path}.coeff")
-            c = complex(coeff[0], coeff[1])
+            c = _parse_coeff(term.get("coeff"), f"{path}.coeff")
             if kind == "20":
                 if i >= j:
                     raise ParseError("'20' terms need strictly increasing i < j", f"{path}.i")
-                mi = MultiIndex((i, j), ())
-                c20[mi] = c20.get(mi, 0j) + c
+                c20[index20[MultiIndex((i, j), ())]] += c
             else:
-                mi = MultiIndex((i,), (j,))
-                c11[mi] = c11.get(mi, 0j) + c
-        d20.append(Form(2, 0, c20))
-        d11.append(Form(1, 1, c11))
+                c11[index11[MultiIndex((i,), (j,))]] += c
+        d20.append(Form(n, 2, 0, c20))
+        d11.append(Form(n, 1, 1, c11))
     return LieModel(name=name, n=n, d20=tuple(d20), d11=tuple(d11))
+
+
+def _parse_coeff(coeff, path: str) -> complex:
+    if (
+        not isinstance(coeff, (list, tuple))
+        or len(coeff) != 2
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in coeff)
+    ):
+        raise ParseError("coeff must be [re, im]", path)
+    return complex(coeff[0], coeff[1])
 
 
 def model_to_document(model: LieModel) -> dict:
@@ -328,11 +305,9 @@ def model_to_document(model: LieModel) -> dict:
     dphi = []
     for f20, f11 in zip(model.d20, model.d11):
         terms = []
-        for mi in sorted(f20.coeffs):
-            c = f20.coeffs[mi]
+        for mi, c in _terms(f20):
             terms.append({"type": "20", "i": mi.holo[0], "j": mi.holo[1], "coeff": [c.real, c.imag]})
-        for mi in sorted(f11.coeffs):
-            c = f11.coeffs[mi]
+        for mi, c in _terms(f11):
             terms.append({"type": "11", "i": mi.holo[0], "j": mi.anti[0], "coeff": [c.real, c.imag]})
         dphi.append(terms)
     return {"name": model.name, "n": model.n, "dphi": dphi}
@@ -370,16 +345,15 @@ def bidegrees_of_degree(n: int, k: int) -> tuple[tuple[int, int], ...]:
 
 
 def to_vector(u: Form, n: int) -> np.ndarray:
-    idx = basis_index(n, u.p, u.q)
-    vec = np.zeros(space_dim(n, u.p, u.q), dtype=complex)
-    for mi, c in u.coeffs.items():
-        vec[idx[mi]] = c
-    return vec
+    """Canonical coefficient vector of u (read-only)."""
+    if u.n != n:
+        raise ValueError(f"form lives on n = {u.n}, not n = {n}")
+    return u.vec
 
 
 def from_vector(vec: np.ndarray, n: int, p: int, q: int) -> Form:
-    basis = multiindices(n, p, q)
-    return Form(p, q, {mi: complex(c) for mi, c in zip(basis, vec) if c != 0})
+    """The (p,q)-form with the given canonical coefficient vector."""
+    return Form(n, p, q, vec)
 
 
 def integrate_top(u: Form, n: int) -> complex:
@@ -389,10 +363,9 @@ def integrate_top(u: Form, n: int) -> complex:
     d-image of any invariant form integrates to zero exactly when the model
     is unimodular.
     """
-    if (u.p, u.q) != (n, n):
+    if (u.n, u.p, u.q) != (n, n, n):
         raise ValueError(f"integrate_top needs an ({n},{n})-form, got ({u.p},{u.q})")
-    top = tuple(range(1, n + 1))
-    return u.coefficient(top, top) / (1j) ** (n * n % 4)
+    return complex(u.vec[0]) / (1j) ** (n * n % 4)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +400,11 @@ def _wedge_table(n: int, a: int, b: int, p: int, q: int) -> tuple[np.ndarray, ..
     """Nonzero products e_r wedge e_c of basis monomials of Lambda^{a,b} and Lambda^{p,q}.
 
     Returns (r, c, row, sign): e_r wedge e_c = sign * (basis monomial ``row``
-    of Lambda^{p+a,q+b}).  The sign is the Koszul sign of ``wedge``: (-1)^{pb}
-    for moving the holomorphic factors of e_c past the antiholomorphic ones
-    of e_r, times the merge signs of ``_merge_indices``, counted here as the
-    pairs (x in e_r, y in e_c) with x > y.  For a fixed e_c distinct e_r give
-    distinct rows.
+    of Lambda^{p+a,q+b}).  The sign is the Koszul sign: (-1)^{pb} for moving
+    the holomorphic factors of e_c past the antiholomorphic ones of e_r, times
+    the signs of sorting the holomorphic and the antiholomorphic indices of
+    both into increasing order, counted as the pairs (x in e_r, y in e_c)
+    with x > y.  For a fixed e_c distinct e_r give distinct rows.
     """
     basis = multiindices(n, p, q)
     if not basis or space_dim(n, p + a, q + b) == 0:
@@ -501,43 +474,23 @@ def _gather(stack: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarr
 # differentials
 
 
-def _structure_rows(model: LieModel) -> dict[str, np.ndarray]:
-    """Canonical coefficients of the generator differentials, one row per generator.
-
-    "d20" and "d11" are the parts of d(phi^k); "conj_d11" (bidegree (1,1))
-    and "conj_d20" (bidegree (0,2)) those of d(phibar^k) = conjugate d(phi^k).
-    """
-    hit = model._cache.get("structure")
-    if hit is None:
-        n = model.n
-
-        def rows(forms):
-            return np.array([to_vector(f, n) for f in forms]).reshape(n, -1)
-
-        hit = model._cache["structure"] = {
-            "d20": rows(model.d20),
-            "d11": rows(model.d11),
-            "conj_d11": rows(conjugate(f) for f in model.d11),
-            "conj_d20": rows(conjugate(f) for f in model.d20),
-        }
-    return hit
-
-
 def _differential(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:
     """del or delbar on Lambda^{p,q} from the derivation identity d = sum_g (dg wedge .) i_g.
 
-    The sum runs over the 2n generators g = phi^k, phibar^k:
+    The sum runs over the 2n generators g = phi^k, phibar^k, with
+    d(phibar^k) = conjugate d(phi^k):
     del    = sum_k W(d20_k) i_k + W(conj d11_k) ibar_k,
     delbar = sum_k W(d11_k) i_k + W(conj d20_k) ibar_k.
     """
     n = model.n
-    rows = _structure_rows(model)
+    d20 = np.array([f.vec for f in model.d20])
+    d11 = np.array([f.vec for f in model.d11])
     if kind == "del":
-        holo = _wedge_stack(n, rows["d20"], 2, 0, p - 1, q)
-        anti = _wedge_stack(n, rows["conj_d11"], 1, 1, p, q - 1)
+        holo = _wedge_stack(n, d20, 2, 0, p - 1, q)
+        anti = _wedge_stack(n, _conjugate_rows(d11, n, 1, 1), 1, 1, p, q - 1)
     else:
-        holo = _wedge_stack(n, rows["d11"], 1, 1, p - 1, q)
-        anti = _wedge_stack(n, rows["conj_d20"], 0, 2, p, q - 1)
+        holo = _wedge_stack(n, d11, 1, 1, p - 1, q)
+        anti = _wedge_stack(n, _conjugate_rows(d20, n, 2, 0), 0, 2, p, q - 1)
     return _gather(holo, _contraction_table(n, False, p, q)) + _gather(
         anti, _contraction_table(n, True, p, q)
     )
@@ -545,14 +498,12 @@ def _differential(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:
 
 def del_form(model: LieModel, u: Form) -> Form:
     """Holomorphic differential: (p,q) -> (p+1,q)."""
-    n = model.n
-    return from_vector(del_matrix(model, u.p, u.q) @ to_vector(u, n), n, u.p + 1, u.q)
+    return Form(model.n, u.p + 1, u.q, del_matrix(model, u.p, u.q) @ u.vec)
 
 
 def delbar_form(model: LieModel, u: Form) -> Form:
     """Antiholomorphic differential: (p,q) -> (p,q+1)."""
-    n = model.n
-    return from_vector(delbar_matrix(model, u.p, u.q) @ to_vector(u, n), n, u.p, u.q + 1)
+    return Form(model.n, u.p, u.q + 1, delbar_matrix(model, u.p, u.q) @ u.vec)
 
 
 def d_form(model: LieModel, u: Form) -> tuple[Form, Form]:
@@ -643,8 +594,7 @@ class BigradedOperator:
             raise ValueError("apply() needs a single-bidegree operator")
         if u.bidegree != self.sources[0]:
             raise ValueError(f"operator expects bidegree {self.sources[0]}, got {u.bidegree}")
-        out = self.matrix @ to_vector(u, n)
-        return from_vector(out, n, *self.targets[0])
+        return Form(n, *self.targets[0], self.matrix @ to_vector(u, n))
 
 
 def operator_matrix(model: LieModel, kind: str, p: int, q: int) -> BigradedOperator:
@@ -737,37 +687,57 @@ def is_unimodular(model: LieModel, tol: float = 1e-12) -> bool:
 def form_to_document(u: Form) -> dict:
     terms = [
         {"holo": list(mi.holo), "anti": list(mi.anti), "coeff": [c.real, c.imag]}
-        for mi, c in sorted(u.coeffs.items())
+        for mi, c in _terms(u)
     ]
     return {"p": u.p, "q": u.q, "terms": terms}
 
 
-def form_from_document(doc: dict) -> Form:
+def _parse_indices(value, count: int, n: int, path: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in value
+    ):
+        raise ParseError("expected a list of integers", path)
+    if len(value) != count:
+        raise ParseError(f"expected {count} indices for the form's bidegree", path)
+    if any(not (1 <= i <= n) for i in value):
+        raise ParseError(f"index out of range 1..{n}", path)
+    if any(a >= b for a, b in zip(value, value[1:])):
+        raise ParseError("indices must be strictly increasing", path)
+    return tuple(value)
+
+
+def form_from_document(doc: dict, n: int) -> Form:
+    """Form on an n-dimensional model from ``{"p": int, "q": int, "terms": [term, ...]}``.
+
+    ``term = {"holo": [i, ...], "anti": [j, ...], "coeff": [re, im]}`` with p
+    resp. q strictly increasing indices in 1..n; coefficients of repeated
+    terms accumulate.
+    """
     if not isinstance(doc, dict):
         raise ParseError("form document must be a JSON object")
     for fld in ("p", "q"):
         if not isinstance(doc.get(fld), int):
             raise ParseError("expected an integer", fld)
-    coeffs: dict[MultiIndex, complex] = {}
-    for t, term in enumerate(doc.get("terms", [])):
+    p, q = doc["p"], doc["q"]
+    terms = doc.get("terms", [])
+    if not isinstance(terms, list):
+        raise ParseError("expected a list of terms", "terms")
+    index = basis_index(n, p, q)
+    vec = np.zeros(space_dim(n, p, q), dtype=complex)
+    for t, term in enumerate(terms):
         path = f"terms[{t}]"
-        try:
-            mi = MultiIndex(tuple(term["holo"]), tuple(term["anti"]))
-            c = complex(term["coeff"][0], term["coeff"][1])
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ParseError(f"malformed term: {exc}", path) from exc
-        coeffs[mi] = coeffs.get(mi, 0j) + c
-    try:
-        return Form(doc["p"], doc["q"], coeffs)
-    except ValueError as exc:
-        raise ParseError(str(exc), "terms") from exc
+        if not isinstance(term, dict):
+            raise ParseError("expected a term object", path)
+        holo = _parse_indices(term.get("holo"), p, n, f"{path}.holo")
+        anti = _parse_indices(term.get("anti"), q, n, f"{path}.anti")
+        vec[index[MultiIndex(holo, anti)]] += _parse_coeff(term.get("coeff"), f"{path}.coeff")
+    return Form(n, p, q, vec)
 
 
 def random_form(n: int, p: int, q: int, rng: np.random.Generator, real: bool = False) -> Form:
     """Dense random form with standard-normal complex coefficients."""
     dim = space_dim(n, p, q)
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    u = from_vector(vec, n, p, q)
+    u = Form(n, p, q, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     if real:
         u = 0.5 * (u + conjugate(u))
     return u

@@ -18,6 +18,7 @@ from . import classify as cls_mod
 from . import cohomology as coh
 from . import cones, fixtures, hodge
 from .errors import CrossCheckError, MetricError, ParseError, PreconditionError
+from .linalg import nullspace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -78,7 +79,7 @@ def _load_class_form(model, g, selector: str, p: int, q: int) -> alg.Form:
     elif selector == "omega-power":
         base = coh.harmonic_part_of_omega_power(g)
     else:
-        base = alg.form_from_document(fixtures.load_document(selector))
+        base = alg.form_from_document(fixtures.load_document(selector), model.n)
     if base.bidegree != (p, q):
         raise PreconditionError(f"class representative must have bidegree ({p},{q})")
     return base
@@ -316,8 +317,6 @@ def cmd_check_lemmas(args) -> int:
         s = hodge.complex_scale(g)
         order_scales = (s, s, max(s**2, s**4))  # del*, delbar*; Delta_A has orders 2 and 4
         for p, q in alg.bidegrees_of_degree(n, n - 1):
-            from .linalg import nullspace
-
             constraints = np.vstack(
                 [
                     hodge.del_matrix(g, p, q),

@@ -39,6 +39,7 @@ from .linalg import nullspace
 
 __all__ = [
     "ConeMembershipResult",
+    "search_directions",
     "skt_cone_feasibility",
     "ClosedPositiveProbe",
     "closed_positive_probes",
@@ -65,6 +66,20 @@ class ConeMembershipResult:
 def _real_11_matrix(u: Form, n: int) -> np.ndarray:
     m = hodge.matrix_of_11_form(u, n)
     return 0.5 * (m + m.conj().T)
+
+
+def search_directions(model: LieModel) -> np.ndarray:
+    """The 2n Hermitian matrices H_j with 2 Re(del u) = sum_j theta_j H_j.
+
+    For the (0,1)-form u = sum_k u_k phibar^k with u_k = theta_{2k} +
+    i theta_{2k+1}, del u enters as u_k B_k + h.c., B_k the matrix of
+    del phibar^k (column k of del on Lambda^{0,1}); so H_{2k} = B_k + B_k^*
+    and H_{2k+1} = i (B_k - B_k^*).
+    """
+    n = model.n
+    b = (alg.del_matrix(model, 0, 1) / 1j).T.reshape(n, n, n)
+    b_star = b.conj().transpose(0, 2, 1)
+    return np.stack([b + b_star, 1j * (b - b_star)], axis=1).reshape(2 * n, n, n)
 
 
 def skt_cone_feasibility(
@@ -96,18 +111,10 @@ def skt_cone_feasibility(
     class_norm = hodge.l2_norm(g, alpha0)
     scale = class_norm if class_norm > 0 else 1.0
 
-    # directions: matrices of del phibar^k, entering as u_k B_k + h.c.
-    directions = [
-        hodge.matrix_of_11_form(alg.del_form(model, alg.basis_form((), (k,))), n)
-        for k in range(1, n + 1)
-    ]
+    directions = search_directions(model)
 
     def hermitian_at(theta: np.ndarray) -> np.ndarray:
-        m = m0.copy()
-        for k, b in enumerate(directions):
-            u_k = theta[2 * k] + 1j * theta[2 * k + 1]
-            m += u_k * b + (u_k * b).conj().T
-        return m
+        return m0 + np.tensordot(theta, directions, axes=1)
 
     rng = np.random.default_rng(seed)
     dim = 2 * n
@@ -134,10 +141,7 @@ def skt_cone_feasibility(
             if stale > 200:
                 break
             x = eigvecs[:, 0]
-            grad = np.empty(dim)
-            for k, b in enumerate(directions):
-                grad[2 * k] = (x.conj() @ (b + b.conj().T) @ x).real
-                grad[2 * k + 1] = (x.conj() @ (1j * (b - b.conj().T)) @ x).real
+            grad = np.einsum("i,kij,j->k", x.conj(), directions, x).real
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-14:
                 break
@@ -250,7 +254,7 @@ def closed_positive_probes(
 
     phase = (1j) ** ((n - 1) ** 2 % 4)
     for subset in combinations(range(1, n + 1), n - 1):
-        t = alg.basis_form(subset, subset, phase)
+        t = alg.basis_form(n, subset, subset, phase)
         p = _try_probe(model, t, f"monomial-{''.join(map(str, subset))}", tol)
         if p:
             probes.append(p)

@@ -119,22 +119,13 @@ def matrix_of_11_form(u: Form, n: int) -> np.ndarray:
     """Coefficient matrix m of a (1,1)-form u = i sum m_jk phi^j wedge phibar^k."""
     if u.bidegree != (1, 1):
         raise ValueError("matrix_of_11_form needs a (1,1)-form")
-    m = np.zeros((n, n), dtype=complex)
-    for mi, c in u.coeffs.items():
-        m[mi.holo[0] - 1, mi.anti[0] - 1] = c / 1j
-    return m
+    return alg.to_vector(u, n).reshape(n, n) / 1j
 
 
 def form_of_hermitian_matrix(m: np.ndarray) -> Form:
     """(1,1)-form i sum m_jk phi^j wedge phibar^k; real whenever m is Hermitian."""
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    coeffs = {}
-    for j in range(n):
-        for k in range(n):
-            if m[j, k] != 0:
-                coeffs[alg.MultiIndex((j + 1,), (k + 1,))] = 1j * m[j, k]
-    return Form(1, 1, coeffs)
+    return Form(m.shape[0], 1, 1, (1j * m).ravel())
 
 
 def metric_from_matrix(model: LieModel, h: np.ndarray, tol: float | None = None) -> HermitianMetric:
@@ -239,26 +230,24 @@ def to_frame(g: HermitianMetric, u: Form) -> np.ndarray:
 
 def from_frame(g: HermitianMetric, vec: np.ndarray, p: int, q: int) -> Form:
     """Model-coframe (p,q)-form with the given unitary-frame coordinates."""
-    return alg.from_vector(_coframe_change(g, p, q, inverse=True) @ vec, g.n, p, q)
+    return Form(g.n, p, q, _coframe_change(g, p, q, inverse=True) @ vec)
 
 
 def gram_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     """L2 Gram matrix vol * Q^H Q on Lambda^{p,q} over the model coframe basis."""
-
-    def build():
-        qmat = _coframe_change(g, p, q)
-        return _frozen(g.volume * (qmat.conj().T @ qmat))
-
-    return _cached(g, ("gram", p, q), build)
+    qmat = _coframe_change(g, p, q)
+    return g.volume * (qmat.conj().T @ qmat)
 
 
 def inner(g: HermitianMetric, u: Form, v: Form) -> complex:
-    """L2 inner product <<u, v>>, linear in u and conjugate-linear in v."""
+    """L2 inner product <<u, v>> = vol * <to_frame u, to_frame v>.
+
+    Linear in u and conjugate-linear in v; the frame monomials are
+    orthonormal pointwise, so no Gram matrix is formed.
+    """
     if u.bidegree != v.bidegree:
         return 0j
-    n = g.n
-    gram = gram_matrix(g, u.p, u.q)
-    return complex(alg.to_vector(v, n).conj() @ gram @ alg.to_vector(u, n))
+    return g.volume * complex(to_frame(g, v).conj() @ to_frame(g, u))
 
 
 def l2_norm(g: HermitianMetric, u: Form) -> float:
@@ -298,18 +287,14 @@ def delbar_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
 
 
 def complex_scale(g: HermitianMetric) -> float:
-    """S, the largest Frobenius norm of a frame del or delbar block.
-
-    The blocks are rebuilt rather than cached, so a metric keeps only the
-    blocks its operators use.
-    """
+    """S, the largest Frobenius norm of a frame del or delbar block."""
     n = g.n
     return _cached(
         g,
         "S",
         lambda: max(
-            float(np.linalg.norm(_frame_differential(g, kind, p, q)))
-            for kind in ("del", "delbar")
+            float(np.linalg.norm(block(g, p, q)))
+            for block in (del_matrix, delbar_matrix)
             for p in range(n + 1)
             for q in range(n + 1)
         ),
@@ -360,7 +345,7 @@ def star_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
 def hodge_star(g: HermitianMetric, u: Form) -> Form:
     n = g.n
     if not (0 <= u.p <= n and 0 <= u.q <= n):
-        return alg.zero_form(n - u.q, n - u.p)
+        return alg.zero_form(n, n - u.q, n - u.p)
     return from_frame(g, star_matrix(g, u.p, u.q) @ to_frame(g, u), n - u.q, n - u.p)
 
 
@@ -396,7 +381,7 @@ def lefschetz_L(g: HermitianMetric, k: int, u: Form) -> Form:
 
 def lambda_contraction(g: HermitianMetric, u: Form) -> Form:
     if u.p < 1 or u.q < 1:
-        return alg.zero_form(u.p - 1, u.q - 1)
+        return alg.zero_form(g.n, u.p - 1, u.q - 1)
     return from_frame(g, lambda_matrix(g, u.p, u.q) @ to_frame(g, u), u.p - 1, u.q - 1)
 
 
@@ -573,7 +558,7 @@ def harmonic_space(g: HermitianMetric, op: BigradedOperator, tol: float | None =
 
 def harmonic_projection(g: HermitianMetric, basis: list[Form], u: Form) -> Form:
     """Orthogonal projection of u onto the span of an L2-orthonormal basis."""
-    out = alg.zero_form(u.p, u.q)
+    out = alg.zero_form(g.n, u.p, u.q)
     for b in basis:
         out = out + inner(g, u, b) * b
     return out

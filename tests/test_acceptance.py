@@ -137,7 +137,7 @@ def test_criterion_05_primitive_star_formula(models):
 def test_criterion_06_aeppli_harmonic_lemma(models):
     kt = models["kodaira_thurston"]
     g = hodge.metric_from_document(kt, fx.load_document("metric_kt_standard"))
-    phi = alg.basis_form((1,), ())
+    phi = alg.basis_form(2, (1,), ())
     res = classify.aeppli_harmonic_check(g, phi)
     bound = 1e-8 * hodge.l2_norm(g, phi)
     ok = max(res.as_tuple()) < bound
@@ -314,8 +314,8 @@ def test_criterion_13_power_exactness(models):
     # identity a^3 = del beta' + delbar gamma' exactly.  No n <= 4 fixture
     # admits an exact closed (1,1)-form of rank 3.
     model = models["double_kt"]
-    beta = -1 * (alg.basis_form((), (2,)) + alg.basis_form((), (4,)))
-    gamma = alg.zero_form(1, 0)
+    beta = -1 * (alg.basis_form(4, (), (2,)) + alg.basis_form(4, (), (4,)))
+    gamma = alg.zero_form(4, 1, 0)
     a = alg.del_form(model, beta)
     worst = 0.0
     for power in (1, 2, 3):

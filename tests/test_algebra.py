@@ -54,23 +54,23 @@ def test_model_document_roundtrip(models):
 
 
 def test_wedge_repeated_index_vanishes():
-    f1 = alg.basis_form((1,), ())
+    f1 = alg.basis_form(2, (1,), ())
     assert alg.wedge(f1, f1).is_zero()
 
 
 def test_wedge_basic_and_even_commutation():
-    f1 = alg.basis_form((1,), ())
-    f1bar = alg.basis_form((), (1,))
+    f1 = alg.basis_form(2, (1,), ())
+    f1bar = alg.basis_form(2, (), (1,))
     w = alg.wedge(f1, f1bar)
     assert w.coefficient((1,), (1,)) == 1
-    a = alg.wedge(alg.basis_form((1,), (1,)), alg.basis_form((2,), (2,)))
-    b = alg.wedge(alg.basis_form((2,), (2,)), alg.basis_form((1,), (1,)))
+    a = alg.wedge(alg.basis_form(2, (1,), (1,)), alg.basis_form(2, (2,), (2,)))
+    b = alg.wedge(alg.basis_form(2, (2,), (2,)), alg.basis_form(2, (1,), (1,)))
     assert (a - b).is_zero()
 
 
 def test_wedge_koszul_sign_on_odd_forms():
-    u = alg.basis_form((1,), ())
-    v = alg.basis_form((2,), ())
+    u = alg.basis_form(2, (1,), ())
+    v = alg.basis_form(2, (2,), ())
     assert (alg.wedge(u, v) + alg.wedge(v, u)).is_zero()
 
 
@@ -95,13 +95,13 @@ def test_wedge_associative_and_graded_commutative(rng):
 
 
 def test_conjugate_basics():
-    f1 = alg.basis_form((1,), ())
+    f1 = alg.basis_form(3, (1,), ())
     assert alg.conjugate(f1).coefficient((), (1,)) == 1
     # i phi^1 ^ phibar^1 is a real (1,1)-form
-    w = alg.basis_form((1,), (1,), 1j)
+    w = alg.basis_form(3, (1,), (1,), 1j)
     assert (alg.conjugate(w) - w).is_zero()
     # involution
-    u = alg.basis_form((1, 2), (3,), 2 - 1j)
+    u = alg.basis_form(3, (1, 2), (3,), 2 - 1j)
     assert (alg.conjugate(alg.conjugate(u)) - u).is_zero()
 
 
@@ -119,7 +119,7 @@ def test_conjugate_intertwines_differentials(models, rng):
 
 def test_conjugate_commutes_with_d_on_iwasawa(models):
     iw = models["iwasawa"]
-    u = alg.basis_form((3,), ())
+    u = alg.basis_form(3, (3,), ())
     du = alg.d_form(iw, u)
     dcu = alg.d_form(iw, alg.conjugate(u))
     # conjugate(d u) = d(conjugate u), component by component
@@ -140,14 +140,14 @@ def test_torus_differential_vanishes(models, rng):
 
 def test_iwasawa_structure_equation(models):
     iw = models["iwasawa"]
-    d3 = alg.del_form(iw, alg.basis_form((3,), ()))
+    d3 = alg.del_form(iw, alg.basis_form(3, (3,), ()))
     assert d3.coefficient((1, 2), ()) == -1
-    assert alg.delbar_form(iw, alg.basis_form((3,), ())).is_zero()
+    assert alg.delbar_form(iw, alg.basis_form(3, (3,), ())).is_zero()
 
 
 def test_kodaira_thurston_bidegree_split(models):
     kt = models["kodaira_thurston"]
-    f2 = alg.basis_form((2,), ())
+    f2 = alg.basis_form(2, (2,), ())
     assert alg.delbar_form(kt, f2).coefficient((1,), (1,)) == 1
     assert alg.del_form(kt, f2).is_zero()
     assert alg.del_form(kt, alg.conjugate(f2)).coefficient((1,), (1,)) == -1
@@ -248,13 +248,42 @@ def test_vector_roundtrip(rng):
 def test_form_document_roundtrip(rng):
     u = alg.random_form(3, 1, 2, rng)
     doc = alg.form_to_document(u)
-    assert (alg.form_from_document(doc) - u).norm() == 0.0
+    assert (alg.form_from_document(doc, 3) - u).norm() == 0.0
+
+
+@pytest.mark.parametrize(
+    "term,path",
+    [
+        ({"holo": [1], "anti": [7], "coeff": [1, 0]}, "terms[0].anti"),
+        ({"holo": [0], "anti": [1], "coeff": [1, 0]}, "terms[0].holo"),
+        ({"holo": [1], "anti": [2, 1], "coeff": [1, 0]}, "terms[0].anti"),
+        ({"holo": [1, 2], "anti": [1], "coeff": [1, 0]}, "terms[0].holo"),
+        ({"holo": [1], "coeff": [1, 0]}, "terms[0].anti"),
+        ({"holo": [1], "anti": [1.0], "coeff": [1, 0]}, "terms[0].anti"),
+        ({"holo": [1], "anti": [1], "coeff": [1]}, "terms[0].coeff"),
+        ("not a term", "terms[0]"),
+    ],
+)
+def test_form_document_rejects_malformed_terms(term, path):
+    # bidegree (1,1) on n = 3: indices outside 1..3, out of order, too many,
+    # missing or non-integer, and malformed coefficients are parse errors
+    doc = {"p": 1, "q": 1, "terms": [term]}
+    with pytest.raises(ParseError) as err:
+        alg.form_from_document(doc, 3)
+    assert path in str(err.value)
+
+
+def test_form_document_accumulates_repeated_terms():
+    term = {"holo": [1], "anti": [2], "coeff": [1.0, 2.0]}
+    u = alg.form_from_document({"p": 1, "q": 1, "terms": [term, term]}, 2)
+    assert u.coefficient((1,), (2,)) == 2 + 4j
+    assert alg.form_to_document(u)["terms"] == [{"holo": [1], "anti": [2], "coeff": [2.0, 4.0]}]
 
 
 def test_integrate_top_normalization():
     n = 2
     top = tuple(range(1, n + 1))
-    vol = alg.basis_form(top, top, (1j) ** (n * n % 4))
+    vol = alg.basis_form(n, top, top, (1j) ** (n * n % 4))
     assert alg.integrate_top(vol, n) == pytest.approx(1.0)
 
 
@@ -283,8 +312,68 @@ def test_differential_blocks_match_exact_oracle(models, exact_models):
                     assert np.max(diff, initial=0.0) < 1e-12, (name, p, q)
 
 
+# ---------------------------------------------------------------------------
+# independent references: the exterior algebra on dicts keyed by basis label,
+# with signs from merging sorted index tuples, not from the index tables
+
+
+def _as_dict(u: alg.Form) -> dict:
+    return {mi: complex(c) for mi, c in zip(alg.multiindices(u.n, u.p, u.q), u.vec) if c != 0}
+
+
+def _vector(coeffs: dict, n: int, p: int, q: int) -> np.ndarray:
+    vec = np.zeros(alg.space_dim(n, p, q), dtype=complex)
+    for mi, c in coeffs.items():
+        vec[alg.basis_index(n, p, q)[mi]] = c
+    return vec
+
+
+def _merge_indices(a: tuple, b: tuple):
+    """Merge strictly increasing tuples tracking the Koszul sign; None on repeat."""
+    out = []
+    sign = 1
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            return None
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        else:
+            if (len(a) - i) % 2:
+                sign = -sign
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return sign, tuple(out)
+
+
+def reference_wedge(u: alg.Form, v: alg.Form) -> np.ndarray:
+    """Canonical vector of u wedge v from the monomial-by-monomial product."""
+    coeffs: dict = {}
+    # moving the holomorphic factors of v past the antiholomorphic ones of u
+    cross = -1.0 if (v.p * u.q) % 2 else 1.0
+    for mi_u, cu in _as_dict(u).items():
+        for mi_v, cv in _as_dict(v).items():
+            mh = _merge_indices(mi_u.holo, mi_v.holo)
+            ma = _merge_indices(mi_u.anti, mi_v.anti)
+            if mh is None or ma is None:
+                continue
+            mi = alg.MultiIndex(mh[1], ma[1])
+            coeffs[mi] = coeffs.get(mi, 0j) + cross * mh[0] * ma[0] * cu * cv
+    return _vector(coeffs, u.n, u.p + v.p, u.q + v.q)
+
+
+def reference_conjugate(u: alg.Form) -> np.ndarray:
+    """Canonical vector of the conjugate, relabelling phi^I phibar^J as phi^J phibar^I."""
+    sign = -1.0 if (u.p * u.q) % 2 else 1.0
+    coeffs = {alg.MultiIndex(mi.anti, mi.holo): sign * c.conjugate() for mi, c in _as_dict(u).items()}
+    return _vector(coeffs, u.n, u.q, u.p)
+
+
 def test_wedge_matrix_matches_form_wedge(rng):
-    # the table-built wedge matrix against the Form product, column by column
+    # the table-built wedge matrix against the reference product, column by column
     n = 3
     for a, b in ((0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (3, 3)):
         w = alg.random_form(n, a, b, rng)
@@ -293,5 +382,38 @@ def test_wedge_matrix_matches_form_wedge(rng):
                 mat = alg.wedge_matrix(n, w, p, q)
                 assert mat.shape == (alg.space_dim(n, p + a, q + b), alg.space_dim(n, p, q))
                 for col, mi in enumerate(alg.multiindices(n, p, q)):
-                    product = alg.wedge(w, alg.basis_form(mi.holo, mi.anti))
-                    assert np.array_equal(mat[:, col], alg.to_vector(product, n))
+                    unit = alg.basis_form(n, mi.holo, mi.anti)
+                    assert np.array_equal(mat[:, col], reference_wedge(w, unit))
+                    assert np.array_equal(alg.wedge(w, unit).vec, mat[:, col])
+
+
+def test_wedge_matches_reference_on_random_forms(rng):
+    # integer coefficients keep both summation orders exact
+    for n in (1, 2, 3, 4):
+        for _ in range(12):
+            u, v = (
+                alg.Form(n, p, q, [1, 1j] @ rng.integers(-3, 4, size=(2, alg.space_dim(n, p, q))))
+                for p, q in rng.integers(0, n + 1, size=(2, 2))
+            )
+            assert np.array_equal(alg.wedge(u, v).vec, reference_wedge(u, v))
+
+
+def test_conjugate_matches_reference_exactly(rng):
+    for n in (1, 2, 3, 4):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                u = alg.random_form(n, p, q, rng)
+                conj = alg.conjugate(u)
+                assert conj.bidegree == (q, p)
+                assert np.array_equal(conj.vec, reference_conjugate(u)), (n, p, q)
+
+
+def test_form_is_a_read_only_canonical_vector(rng):
+    u = alg.random_form(3, 2, 1, rng)
+    assert u.vec.shape == (alg.space_dim(3, 2, 1),)
+    with pytest.raises(ValueError):
+        u.vec[0] = 0
+    with pytest.raises(ValueError):
+        alg.Form(3, 2, 1, np.zeros(4))
+    assert alg.zero_form(2, 3, 0).vec.shape == (0,)  # bidegree outside 0..n: the zero space
+    assert (np.float64(2.0) * u).vec.tolist() == (2 * u).vec.tolist()

@@ -118,7 +118,7 @@ def test_weak_positivity_verdicts(metrics):
     g = metrics["torus2"]
     dv = hodge.volume_form(g)
     assert classify.weak_positivity_topform(dv, 2) == "positive"
-    assert classify.weak_positivity_topform(alg.zero_form(2, 2), 2) == "zero"
+    assert classify.weak_positivity_topform(alg.zero_form(2, 2, 2), 2) == "zero"
     assert classify.weak_positivity_topform(-1 * dv, 2) == "negative"
 
 
@@ -133,13 +133,13 @@ def test_weak_positivity_rejects_non_real(metrics):
 
 
 def test_aeppli_harmonic_on_torus(metrics):
-    res = classify.aeppli_harmonic_check(metrics["torus2"], alg.basis_form((1,), ()))
+    res = classify.aeppli_harmonic_check(metrics["torus2"], alg.basis_form(2, (1,), ()))
     assert res.as_tuple() == (0.0, 0.0, 0.0)
 
 
 def test_aeppli_harmonic_on_kt(metrics):
     g = metrics["kt_standard"]
-    phi = alg.basis_form((1,), ())
+    phi = alg.basis_form(2, (1,), ())
     res = classify.aeppli_harmonic_check(g, phi)
     scale = hodge.l2_norm(g, phi)
     assert max(res.as_tuple()) < 1e-9 * scale
@@ -147,20 +147,20 @@ def test_aeppli_harmonic_on_kt(metrics):
 
 def test_aeppli_harmonic_rejects_non_closed(metrics):
     with pytest.raises(PreconditionError) as err:
-        classify.aeppli_harmonic_check(metrics["kt_standard"], alg.basis_form((2,), ()))
+        classify.aeppli_harmonic_check(metrics["kt_standard"], alg.basis_form(2, (2,), ()))
     assert "delbar_phi_nonzero" in err.value.violations
 
 
 def test_aeppli_harmonic_rejects_non_skt_metric(metrics):
     with pytest.raises(PreconditionError) as err:
-        classify.aeppli_harmonic_check(metrics["iwasawa"], alg.basis_form((1, 2), ()))
+        classify.aeppli_harmonic_check(metrics["iwasawa"], alg.basis_form(3, (1, 2), ()))
     assert "metric_not_skt" in err.value.violations
 
 
 def test_aeppli_harmonic_membership_in_kernel(metrics):
     # omega ^ phi lands in ker Delta_A as computed independently by harmonic_space
     g = metrics["kt_standard"]
-    phi = alg.basis_form((1,), ())
+    phi = alg.basis_form(2, (1,), ())
     w = alg.wedge(g.omega, phi)
     basis = hodge.harmonic_space(g, hodge.laplacian_a(g, 2, 1))
     projected = hodge.harmonic_projection(g, basis, w)
@@ -170,7 +170,7 @@ def test_aeppli_harmonic_membership_in_kernel(metrics):
 def test_aeppli_harmonic_0_n1_and_n1_0_forms(metrics):
     # total-degree n-1 forms of extreme bidegree, primitivity checked not assumed
     g = metrics["kt_standard"]
-    for phi in (alg.basis_form((1,), ()), alg.basis_form((), (1,))):
+    for phi in (alg.basis_form(2, (1,), ()), alg.basis_form(2, (), (1,))):
         res = classify.aeppli_harmonic_check(g, phi)
         assert max(res.as_tuple()) < 1e-9
 
@@ -180,8 +180,8 @@ def test_aeppli_harmonic_0_n1_and_n1_0_forms(metrics):
 
 
 def _double_kt_exact_form(model):
-    beta = -1 * (alg.basis_form((), (2,)) + alg.basis_form((), (4,)))
-    gamma = alg.zero_form(1, 0)
+    beta = -1 * (alg.basis_form(4, (), (2,)) + alg.basis_form(4, (), (4,)))
+    gamma = alg.zero_form(4, 1, 0)
     a = alg.del_form(model, beta)
     return a, beta, gamma
 
@@ -196,9 +196,9 @@ def test_power_exactness_p1_returns_inputs(models):
 
 def test_power_exactness_zero_form(models):
     model = models["torus2"]
-    zero = alg.zero_form(1, 1)
+    zero = alg.zero_form(2, 1, 1)
     b, g = classify.power_exactness_witness(
-        model, zero, alg.zero_form(0, 1), alg.zero_form(1, 0), 2
+        model, zero, alg.zero_form(2, 0, 1), alg.zero_form(2, 1, 0), 2
     )
     assert b.is_zero() and g.is_zero()
 

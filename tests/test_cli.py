@@ -44,6 +44,16 @@ def test_validate_schema_violation_exits_two(tmp_path):
     assert completed.returncode == 2
 
 
+def test_malformed_form_document_exits_two(tmp_path):
+    # phibar^7 does not exist on the n = 2 Kodaira-Thurston model
+    doc = {"p": 1, "q": 1, "terms": [{"holo": [1], "anti": [7], "coeff": [1, 0]}]}
+    bad = tmp_path / "class.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    completed = run_cli("cone", "skt", "--model", "kodaira_thurston", "--class", str(bad))
+    assert completed.returncode == 2
+    assert "parse error" in completed.stderr and "terms[0].anti" in completed.stderr
+
+
 def test_cohomology_torus2_binomial_table():
     completed = run_cli("cohomology", "--model", "torus2")
     assert completed.returncode == 0, completed.stderr

@@ -158,7 +158,7 @@ def test_spaces_from_two_calls_are_the_same_space(metrics):
 def test_class_of_zero_form(metrics):
     g = metrics["torus2"]
     space = coh.cohomology_space(g, "bc", 1, 1)
-    cls = coh.class_of(space, alg.zero_form(1, 1))
+    cls = coh.class_of(space, alg.zero_form(2, 1, 1))
     assert np.allclose(cls.coords, 0)
 
 
@@ -166,7 +166,7 @@ def test_class_rejects_non_closed(metrics):
     g = metrics["kodaira_thurston"]
     space = coh.cohomology_space(g, "bc", 1, 1)
     with pytest.raises(PreconditionError):
-        coh.class_of(space, alg.delbar_form(g.model, alg.basis_form((2,), ())) * 1.0 + alg.basis_form((2,), (2,)))
+        coh.class_of(space, alg.delbar_form(g.model, alg.basis_form(2, (2,), ())) * 1.0 + alg.basis_form(2, (2,), (2,)))
 
 
 def test_harmonic_representative_projects(metrics, rng):
@@ -192,7 +192,7 @@ def test_pairing_torus_omega(metrics):
 
 def test_pairing_with_zero_class(metrics):
     g = metrics["torus2"]
-    c_bc = coh.class_of(coh.cohomology_space(g, "bc", 1, 1), alg.zero_form(1, 1))
+    c_bc = coh.class_of(coh.cohomology_space(g, "bc", 1, 1), alg.zero_form(2, 1, 1))
     c_a = coh.class_of(coh.cohomology_space(g, "aeppli", 1, 1), g.omega)
     assert coh.duality_pairing(c_bc, c_a) == 0
 
@@ -231,8 +231,8 @@ def test_pairing_representative_independence(models, metrics, rng):
 def test_pairing_rejects_nonunimodular(models):
     model = models["nonunimodular"]
     g = hodge.identity_metric(model)
-    c_bc = coh.class_of(coh.cohomology_space(g, "bc", 1, 1), alg.zero_form(1, 1))
-    c_a = coh.class_of(coh.cohomology_space(g, "aeppli", 1, 1), alg.zero_form(1, 1))
+    c_bc = coh.class_of(coh.cohomology_space(g, "bc", 1, 1), alg.zero_form(model.n, 1, 1))
+    c_a = coh.class_of(coh.cohomology_space(g, "aeppli", 1, 1), alg.zero_form(model.n, 1, 1))
     with pytest.raises(PreconditionError, match="unimodular"):
         coh.duality_pairing(c_bc, c_a)
 
@@ -325,7 +325,7 @@ def test_decompose_omega_power_gives_lambda_one(metrics):
 def test_decompose_zero_class(metrics):
     g = metrics["torus2"]
     space = coh.cohomology_space(g, "bc", 1, 1)
-    cls = coh.class_of(space, alg.zero_form(1, 1))
+    cls = coh.class_of(space, alg.zero_form(2, 1, 1))
     primitive, lam = coh.lefschetz_decompose_class(g, cls)
     assert lam == 0
     assert np.linalg.norm(primitive.coords) == 0

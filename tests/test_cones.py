@@ -49,6 +49,33 @@ def test_solver_climbs_from_degenerate_harmonic_representative(metrics):
     assert result.best_min_eigenvalue > 0.9
 
 
+def test_search_directions_match_the_per_direction_loop(models, rng):
+    # reference: u_k B_k + h.c. summed direction by direction, B_k the matrix
+    # of del phibar^k, and the gradient x* dM/dtheta_j x one direction at a time;
+    # summation order differs, so equality is to a tolerance fixed from eps
+    for name in ("iwasawa", "kodaira_thurston", "nonunimodular", "double_kt"):
+        model = models[name]
+        n = model.n
+        blocks = [
+            hodge.matrix_of_11_form(alg.del_form(model, alg.basis_form(n, (), (k,))), n)
+            for k in range(1, n + 1)
+        ]
+        directions = cones.search_directions(model)
+        theta = rng.standard_normal(2 * n)
+        expected = np.zeros((n, n), dtype=complex)
+        for k, b in enumerate(blocks):
+            u_k = theta[2 * k] + 1j * theta[2 * k + 1]
+            expected += u_k * b + (u_k * b).conj().T
+        assert np.allclose(np.tensordot(theta, directions, axes=1), expected, rtol=0, atol=1e-13)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        grad = np.einsum("i,kij,j->k", x.conj(), directions, x).real
+        for k, b in enumerate(blocks):
+            assert grad[2 * k] == pytest.approx((x.conj() @ (b + b.conj().T) @ x).real, abs=1e-12)
+            assert grad[2 * k + 1] == pytest.approx(
+                (x.conj() @ (1j * (b - b.conj().T)) @ x).real, abs=1e-12
+            )
+
+
 def test_witness_stays_in_class_and_skt(metrics):
     g = metrics["kt_standard"]
     cls = _aeppli_class(g, g.omega)
@@ -177,7 +204,7 @@ def test_copsef_rejects_probe_without_witness(metrics):
 
 def test_copsef_rejects_indefinite_probe(metrics):
     g = metrics["torus2"]
-    probe_form = alg.basis_form((1,), (1,), 1j) - alg.basis_form((2,), (2,), 1j)
+    probe_form = alg.basis_form(2, (1,), (1,), 1j) - alg.basis_form(2, (2,), (2,), 1j)
     indefinite = cones.SktProbe(witness=probe_form, label="indefinite")
     with pytest.raises(PreconditionError):
         cones.copsef_pairing_test(_bc_power_class(g), [indefinite])
@@ -190,5 +217,5 @@ def test_weak_positivity_matrix_is_the_pairing_integral(rng):
         m = cones.weak_positivity_matrix(t, n)
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                probe = alg.basis_form((j,), (k,), 1j)
+                probe = alg.basis_form(n, (j,), (k,), 1j)
                 assert m[k - 1, j - 1] == alg.integrate_top(alg.wedge(t, probe), n)

@@ -8,14 +8,14 @@ from pluriclosed.errors import CrossCheckError, MetricError, PreconditionError
 
 def test_metric_identity_omega(models):
     g = hodge.identity_metric(models["torus2"])
-    expected = alg.basis_form((1,), (1,), 1j) + alg.basis_form((2,), (2,), 1j)
+    expected = alg.basis_form(2, (1,), (1,), 1j) + alg.basis_form(2, (2,), (2,), 1j)
     assert (g.omega - expected).norm() == 0.0
     assert (alg.conjugate(g.omega) - g.omega).norm() == 0.0
 
 
 def test_metric_diagonal(models):
     g = hodge.metric_from_matrix(models["torus2"], np.diag([2.0, 1.0]))
-    expected = alg.basis_form((1,), (1,), 2j) + alg.basis_form((2,), (2,), 1j)
+    expected = alg.basis_form(2, (1,), (1,), 2j) + alg.basis_form(2, (2,), (2,), 1j)
     assert (g.omega - expected).norm() == 0.0
     assert g.volume == pytest.approx(2.0)
 
@@ -42,7 +42,7 @@ def test_metric_rejects_wrong_shape(models):
 def test_star_constants(models, metrics, rng):
     for name in ("torus1", "torus2", "iwasawa", "kodaira_thurston"):
         g = hodge.random_metric(models[name], rng)
-        one = alg.basis_form((), ())
+        one = alg.basis_form(g.n, (), ())
         dv = hodge.volume_form(g)
         assert (hodge.hodge_star(g, one) - dv).norm() < 1e-12 * dv.norm()
         assert (hodge.hodge_star(g, dv) - one).norm() < 1e-12
@@ -50,7 +50,7 @@ def test_star_constants(models, metrics, rng):
 
 def test_star_line(models):
     g = hodge.identity_metric(models["torus1"])
-    f1 = alg.basis_form((1,), ())
+    f1 = alg.basis_form(1, (1,), ())
     assert (hodge.hodge_star(g, f1) - (-1j) * f1).norm() == 0.0
 
 
@@ -119,7 +119,7 @@ def test_one_forms_always_primitive(metrics, rng):
 
 def test_primitive_11_form(metrics):
     g = metrics["torus2"]
-    v = alg.basis_form((1,), (2,))
+    v = alg.basis_form(2, (1,), (2,))
     assert hodge.is_primitive(g, v)
     assert hodge.primitive_star_check(g, v) < 1e-12
 
@@ -132,7 +132,7 @@ def test_omega_not_primitive(metrics):
 
 def test_primitivity_cross_check_on_torus3(models):
     g = hodge.identity_metric(models["torus3"])
-    f1 = alg.basis_form((1,), ())
+    f1 = alg.basis_form(3, (1,), ())
     # contraction route and power route agree: both say primitive
     assert hodge.is_primitive(g, f1)
     assert hodge.lefschetz_L(g, 3, f1).is_zero()  # omega_{n-k+1} ^ phi1 = 0 in degree 7
@@ -148,7 +148,7 @@ def test_lambda_of_omega_is_n(models, rng):
 
 def test_lambda_on_scalars_is_zero(metrics):
     g = metrics["torus2"]
-    assert hodge.lambda_contraction(g, alg.basis_form((), ())).is_zero()
+    assert hodge.lambda_contraction(g, alg.basis_form(2, (), ())).is_zero()
 
 
 def test_random_primitive_forms_are_primitive(models, rng):
