@@ -1,6 +1,9 @@
 import gc
+import importlib
 import math
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +93,28 @@ def test_ill_conditioned_metrics_match_exact_oracle(models, oracle_dims, c):
             for theory, p, q in _space_keys(g.n):
                 space = coh.cohomology_space(g, theory, p, q)
                 assert space.dimension == oracle_dims[name, theory, p, q], (name, seed, theory, p, q)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("name", ["kt3", "iwasawa6"])
+def test_n6_quotient_dimensions_match_exact_reference(monkeypatch, name):
+    # n = 6 model matrices split into many small blocks; bench/reference.py
+    # ranks the same complex exactly mod p, on its own representation
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as checked out
+    try:
+        inputs = importlib.import_module("inputs")
+        reference = importlib.import_module("reference")
+    finally:
+        for generic in ("inputs", "reference"):  # keep generic names out of other tests
+            sys.modules.pop(generic, None)
+    doc = inputs.kt_product(3) if name == "kt3" else inputs.iwasawa_type(6)
+    model = alg.parse_model(doc)
+    exact = reference.reference_dimensions(doc)
+    got = {key: coh.quotient_dimension(model, *key) for key in _space_keys(6)}
+    assert got == exact
 
 
 def test_dims_metric_independent(models, rng):
@@ -451,3 +476,11 @@ def test_sign_partition_rejects_non_real(metrics):
     cls = coh.class_of(space, hodge.omega_power(g, 1)).scaled(1j)
     with pytest.raises(PreconditionError):
         coh.lambda_sign_partition(g, cls)
+
+
+def test_real_class_needs_equal_bidegrees(models):
+    g = hodge.identity_metric(models["torus2"])
+    phi1 = alg.basis_form(2, (1,), ())
+    assert not coh.is_real_class(coh.class_of(coh.cohomology_space(g, "bc", 1, 0), phi1))
+    omega = coh.class_of(coh.cohomology_space(g, "bc", 1, 1), hodge.omega_power(g, 1))
+    assert coh.is_real_class(omega)
