@@ -191,7 +191,7 @@ def _conjugate_rows(rows: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     """Canonical (q,p)-coefficients of the conjugates of the (p,q)-forms given as rows."""
     sign = -1.0 if (p * q) % 2 else 1.0
     mats = rows.reshape(rows.shape[0], math.comb(n, p), math.comb(n, q))
-    return sign * mats.conj().transpose(0, 2, 1).reshape(rows.shape[0], -1)
+    return sign * mats.conj().transpose(0, 2, 1).reshape(rows.shape)
 
 
 def is_real_form(u: Form, tol: float = 1e-12) -> bool:

@@ -6,6 +6,18 @@ matching Laplacian for a chosen metric.  The finite Hodge isomorphism makes
 the two dimensions equal exactly; a mismatch is a numerical-threshold
 failure and raises CrossCheckError.
 
+Complex conjugation does half of the harmonic work.  It is a signed
+permutation P from Lambda^{p,q} to Lambda^{q,p}, the same in model and
+frame coordinates, and it maps Delta_BC^{p,q} to Delta_BC^{q,p} and
+Delta_A^{p,q} to Delta_A^{q,p}.  So a Bott-Chern or Aeppli space with p > q
+takes its harmonic basis from the (q,p) space, as P conj(basis), with no
+Laplacian; its quotient rank is still computed on its own and checked
+against that basis.  Dolbeault is not mirrored: conjugation maps it to
+del-cohomology.  d is real, so Delta_d is real symmetric in a basis of real
+forms, and the de Rham harmonic dimension is counted from the eigenvalues
+of that real matrix (``hodge.derham_harmonic_dimension``), with the cut of
+the complex one; no de Rham eigenvectors are formed, as none are used.
+
 On top of the spaces this module builds the duality pairing
 H^{n-1,n-1}_BC x H^{1,1}_A -> C by integration, the primitive hyperplane cut
 out by an SKT metric, and the induced Lefschetz-type splitting of
@@ -132,35 +144,14 @@ def _laplacian_for(g: hodge.HermitianMetric, theory: str, p: int, q: int | None)
         return hodge.laplacian_a(g, p, q)
     if theory == "dolbeault":
         return hodge.laplacian_delbar(g, p, q)
-    if theory == "derham":
-        return hodge.laplacian_derham(g, p)
     raise ValueError(f"unknown theory {theory!r}")
 
 
 def cohomology_space(
     g: hodge.HermitianMetric, theory: str, p: int, q: int | None = None, tol=None
 ) -> CohomologySpace:
-    """Compute one space via both routes and insist that they agree.
-
-    The metric caches the space's dimension and basis, not the space object,
-    which points back at the metric: a cycle would keep every metric alive
-    until a full garbage-collection pass.
-    """
-    key = ("cohomology", theory, p, q, tol)
-    hit = g._cache.get(key)
-    if hit is None:
-        qdim = quotient_dimension(g.model, theory, p, q, tol=tol)
-        basis = hodge.harmonic_basis(g, _laplacian_for(g, theory, p, q), tol=tol)
-        if qdim != basis.shape[1]:
-            raise CrossCheckError(
-                f"{theory} ({p},{q}): quotient rank {qdim} != harmonic dimension {basis.shape[1]}"
-            )
-        if theory == "derham":
-            basis = None
-        else:
-            basis.setflags(write=False)
-        hit = g._cache[key] = (qdim, basis)
-    dim, basis = hit
+    """Compute one space via both routes and insist that they agree."""
+    dim, basis = _space_data(g, theory, p, q, tol)
     return CohomologySpace(
         theory=theory,
         p=p,
@@ -171,6 +162,37 @@ def cohomology_space(
         harmonic_dimension=dim,
         basis=basis,
     )
+
+
+def _space_data(g: hodge.HermitianMetric, theory: str, p: int, q: int | None, tol):
+    """Dimension and harmonic basis of one space, cached on the metric.
+
+    The metric caches these, not the space object, which points back at the
+    metric: a cycle would keep every metric alive until a full
+    garbage-collection pass.
+    """
+    key = ("cohomology", theory, p, q, tol)
+    hit = g._cache.get(key)
+    if hit is None:
+        qdim = quotient_dimension(g.model, theory, p, q, tol=tol)
+        if theory == "derham":
+            basis, hdim = None, hodge.derham_harmonic_dimension(g, p, tol=tol)
+        elif theory in ("bc", "aeppli") and p > q:
+            # conjugation maps the (q,p) harmonic space onto this one
+            _, mirror = _space_data(g, theory, q, p, tol)
+            basis = alg._conjugate_rows(mirror.T, g.n, q, p).T
+            hdim = basis.shape[1]
+        else:
+            basis = hodge.harmonic_basis(g, _laplacian_for(g, theory, p, q), tol=tol)
+            hdim = basis.shape[1]
+        if qdim != hdim:
+            raise CrossCheckError(
+                f"{theory} ({p},{q}): quotient rank {qdim} != harmonic dimension {hdim}"
+            )
+        if basis is not None:
+            basis.setflags(write=False)
+        hit = g._cache[key] = (qdim, basis)
+    return hit
 
 
 def _frame_coords(g: hodge.HermitianMetric, basis: np.ndarray, u: Form) -> np.ndarray:

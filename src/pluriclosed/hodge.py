@@ -50,7 +50,13 @@ import numpy as np
 from . import algebra as alg
 from .algebra import BigradedOperator, Form, LieModel
 from .errors import CrossCheckError, MetricError, PreconditionError
-from .linalg import column_space, hermitian_kernel, nullspace, numeric_rank
+from .linalg import (
+    column_space,
+    hermitian_kernel,
+    nullspace,
+    numeric_rank,
+    symmetric_kernel_dimension,
+)
 
 __all__ = [
     "HermitianMetric",
@@ -84,6 +90,8 @@ __all__ = [
     "laplacian_a",
     "laplacian_delbar",
     "laplacian_derham",
+    "real_frame_matrix",
+    "derham_harmonic_dimension",
     "harmonic_basis",
     "harmonic_space",
     "harmonic_projection",
@@ -440,13 +448,19 @@ def primitive_star_check(g: HermitianMetric, v: Form, tol: float = 1e-9) -> floa
     return float(np.linalg.norm(star_matrix(g, p, q) @ x - predicted) / np.linalg.norm(x))
 
 
+@lru_cache(maxsize=None)
+def _primitive_basis(n: int, p: int, q: int) -> np.ndarray:
+    """Orthonormal kernel of Lambda_omega on Lambda^{p,q}; metric-free in the unitary frame."""
+    return _frozen(nullspace(_unitary_lefschetz(n, 1, p - 1, q - 1).conj().T))
+
+
 def random_primitive_form(
     g: HermitianMetric, p: int, q: int, rng: np.random.Generator
 ) -> Form | None:
     """Random element of the primitive subspace of Lambda^{p,q}; None if trivial."""
     if alg.space_dim(g.n, p, q) == 0:
         return None
-    null = nullspace(lambda_matrix(g, p, q))
+    null = _primitive_basis(g.n, p, q)
     if null.shape[1] == 0:
         return None
     weights = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
@@ -533,6 +547,59 @@ def laplacian_derham(g: HermitianMetric, k: int) -> BigradedOperator:
     d_up = _frame_d(g, k)
     d_down = _frame_d(g, k - 1)
     return BigradedOperator(bidegs, bidegs, d_up.conj().T @ d_up + d_down @ d_down.conj().T)
+
+
+@lru_cache(maxsize=None)
+def _real_frame(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """The unitary real frame U of Lambda^k as a two-term gather (a, b, alpha, beta).
+
+    Column j of U is alpha_j e_{a_j} + beta_j e_{b_j}.  Conjugation sends the
+    frame monomial m to s m' (the signed transpose of ``alg._conjugate_rows``,
+    s = +-1), so a pair m != m' gives the real forms (m + s m') / sqrt 2 and
+    i (m - s m') / sqrt 2, and a self-conjugate m gives m or i m
+    (written a = b, alpha = beta = half of it).
+    """
+    bidegs = alg.bidegrees_of_degree(n, k)
+    sizes = [alg.space_dim(n, p, q) for p, q in bidegs]
+    offset = dict(zip(bidegs, np.cumsum([0, *sizes])))
+    partner, sign = np.zeros(sum(sizes), dtype=int), np.zeros(sum(sizes))
+    for (p, q), size in zip(bidegs, sizes):
+        conj = alg._conjugate_rows(np.eye(size), n, p, q).real
+        target = np.argmax(np.abs(conj), axis=1)
+        rows = slice(offset[p, q], offset[p, q] + size)
+        partner[rows] = offset[q, p] + target
+        sign[rows] = conj[np.arange(size), target]
+    index = np.arange(partner.size)
+    fixed, lead = partner == index, partner > index
+    half = np.where(sign[fixed] > 0, 0.5, 0.5j)
+    root = np.full(np.count_nonzero(lead), 1 / math.sqrt(2))
+    a = np.concatenate([index[fixed], index[lead], index[lead]])
+    b = np.concatenate([index[fixed], partner[lead], partner[lead]])
+    alpha = np.concatenate([half, root, 1j * root])
+    beta = np.concatenate([half, sign[lead] * root, -1j * sign[lead] * root])
+    return tuple(_frozen(x) for x in (a, b, alpha, beta))
+
+
+def real_frame_matrix(mat: np.ndarray, n: int, k: int) -> np.ndarray:
+    """U^H mat U for a frame matrix on Lambda^k, by index gathers (U has two entries a column).
+
+    Real up to rounding whenever mat commutes with conjugation, as Delta_d does.
+    """
+    a, b, alpha, beta = _real_frame(n, k)
+    cols = mat[:, a] * alpha + mat[:, b] * beta
+    return alpha.conj()[:, None] * cols[a] + beta.conj()[:, None] * cols[b]
+
+
+def derham_harmonic_dimension(g: HermitianMetric, k: int, tol: float | None = None) -> int:
+    """Dimension of the de Rham harmonic k-forms, from eigenvalues only.
+
+    d is a real operator, so Delta_d is real symmetric in the real frame
+    (``real_frame_matrix``) and a real eigenvalue solve counts its kernel.
+    The cut is the one ``harmonic_basis`` takes on the complex matrix.
+    """
+    lap = laplacian_derham(g, k).matrix
+    cut = tol if tol is not None else rank_cut(g, lap, 2, 4)
+    return symmetric_kernel_dimension(real_frame_matrix(lap, g.n, k).real, tol=cut)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +709,8 @@ def three_space_decomposition(
         subspace_residual(g, kernel, coexact),
         subspace_residual(g, exact, coexact),
     )
-    closed_dim = nullspace(closed_cols, tol=cut(closed_cols, closed_order)).shape[1]
+    closed_rank = numeric_rank(closed_cols, tol=cut(closed_cols, closed_order))
+    closed_dim = closed_cols.shape[1] - closed_rank
     if theory == "bc":
         closed_split_ok = closed_dim == kernel.shape[1] + exact.shape[1]
     else:

@@ -142,6 +142,13 @@ def hermitian_kernel(matrix: np.ndarray, tol: float | None = None) -> np.ndarray
     return eigvecs[:, keep]
 
 
+def symmetric_kernel_dimension(matrix: np.ndarray, tol: float) -> int:
+    """Kernel dimension of a real symmetric PSD matrix, from its eigenvalues alone."""
+    matrix = np.atleast_2d(matrix)
+    eigvals = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
+    return int(np.count_nonzero(np.abs(eigvals) <= max(tol, 0.0)))
+
+
 def min_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares solution and the residual 2-norm."""
     matrix = np.atleast_2d(matrix)

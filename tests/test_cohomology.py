@@ -10,8 +10,10 @@ import pytest
 
 from pluriclosed import algebra as alg
 from pluriclosed import cohomology as coh
+from pluriclosed import fixtures as fx
 from pluriclosed import hodge
-from pluriclosed.errors import PreconditionError
+from pluriclosed.errors import CrossCheckError, PreconditionError
+from pluriclosed.linalg import hermitian_kernel
 
 
 def test_torus_bc_aeppli_dims_are_binomials(models):
@@ -98,23 +100,149 @@ def test_ill_conditioned_metrics_match_exact_oracle(models, oracle_dims, c):
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.mark.parametrize("name", ["kt3", "iwasawa6"])
-def test_n6_quotient_dimensions_match_exact_reference(monkeypatch, name):
-    # n = 6 model matrices split into many small blocks; bench/reference.py
-    # ranks the same complex exactly mod p, on its own representation
+def _bench_modules(monkeypatch):
+    """``bench/inputs.py`` and ``bench/reference.py`` (an exact mod-p rank of
+    the same complex, on its own representation), imported read-only."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as checked out
     try:
-        inputs = importlib.import_module("inputs")
-        reference = importlib.import_module("reference")
+        return importlib.import_module("inputs"), importlib.import_module("reference")
     finally:
         for generic in ("inputs", "reference"):  # keep generic names out of other tests
             sys.modules.pop(generic, None)
+
+
+@pytest.mark.parametrize("name", ["kt3", "iwasawa6"])
+def test_n6_quotient_dimensions_match_exact_reference(monkeypatch, name):
+    # n = 6 model matrices split into many small blocks
+    inputs, reference = _bench_modules(monkeypatch)
     doc = inputs.kt_product(3) if name == "kt3" else inputs.iwasawa_type(6)
     model = alg.parse_model(doc)
     exact = reference.reference_dimensions(doc)
     got = {key: coh.quotient_dimension(model, *key) for key in _space_keys(6)}
     assert got == exact
+
+
+@pytest.mark.parametrize("name", ["kt2_t1", "iwasawa5"])
+def test_n5_full_sweep_matches_exact_reference(monkeypatch, name):
+    # every space, both routes, under a condition-10 metric: mirrored
+    # Bott-Chern and Aeppli spaces and real de Rham counts included
+    inputs, reference = _bench_modules(monkeypatch)
+    doc = inputs.kt_product(2, 1) if name == "kt2_t1" else inputs.iwasawa_type(5)
+    g = _conditioned_metric(alg.parse_model(doc), 10.0, seed=0)
+    exact = reference.reference_dimensions(doc)
+    got = {key: coh.cohomology_space(g, *key).dimension for key in _space_keys(5)}
+    assert got == exact
+
+
+# ---------------------------------------------------------------------------
+# conjugation: mirrored Bott-Chern and Aeppli spaces, real de Rham counts
+
+IWASAWA4_DOC = {
+    "name": "iwasawa4",
+    "n": 4,
+    "dphi": [[], [], [], [{"type": "20", "i": 1, "j": 2, "coeff": [-1.0, 0.0]}]],
+}
+# every fixture, KT^2 and the Iwasawa-type model at n = 4
+MIRROR_MODELS = (*fx.available_models(), "double_kt", "iwasawa4")
+LAPLACIANS = {"bc": "laplacian_bc", "aeppli": "laplacian_a"}
+
+
+@pytest.fixture(scope="module")
+def mirror_metrics(models) -> dict[str, hodge.HermitianMetric]:
+    chosen = {name: models[name] for name in MIRROR_MODELS if name in models}
+    chosen["iwasawa4"] = alg.parse_model(IWASAWA4_DOC)
+    return {name: _conditioned_metric(model, 10.0, seed=1) for name, model in chosen.items()}
+
+
+def _conjugation(n: int, p: int, q: int) -> np.ndarray:
+    """Signed permutation P: Lambda^{p,q} -> Lambda^{q,p} with conj(u) = P conj(vec u)."""
+    return alg._conjugate_rows(np.eye(alg.space_dim(n, p, q)), n, p, q).T.real
+
+
+@pytest.mark.parametrize("name", MIRROR_MODELS)
+def test_mirrored_basis_spans_the_direct_kernel(mirror_metrics, name):
+    g = mirror_metrics[name]
+    for theory, laplacian in LAPLACIANS.items():
+        for p in range(g.n + 1):
+            for q in range(p):
+                basis = coh.cohomology_space(g, theory, p, q).basis
+                direct = hodge.harmonic_basis(g, getattr(hodge, laplacian)(g, p, q))
+                assert basis.shape == direct.shape, (theory, p, q)
+                # L2-orthonormal frame columns B give the projector vol * B B^H
+                gap = g.volume * (basis @ basis.conj().T - direct @ direct.conj().T)
+                assert np.max(np.abs(gap), initial=0.0) <= 1e-10, (theory, p, q)
+
+
+@pytest.mark.parametrize("name", MIRROR_MODELS)
+def test_conjugation_maps_the_laplacians(mirror_metrics, name):
+    g = mirror_metrics[name]
+    for laplacian in LAPLACIANS.values():
+        for p in range(g.n + 1):
+            for q in range(g.n + 1):
+                lap = getattr(hodge, laplacian)(g, p, q).matrix
+                mirror = getattr(hodge, laplacian)(g, q, p).matrix
+                conj = _conjugation(g.n, p, q)
+                scale = max(np.max(np.abs(lap)), 1.0)
+                assert np.max(np.abs(mirror - conj @ lap.conj() @ conj.T)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("theory", LAPLACIANS)
+def test_mirrored_space_keeps_its_cross_check(models, monkeypatch, theory):
+    quotient = coh.quotient_dimension
+
+    def off_by_one(model, theory, p, q, tol=None):
+        return quotient(model, theory, p, q, tol=tol) + (p > q)
+
+    monkeypatch.setattr(coh, "quotient_dimension", off_by_one)
+    model = models["kodaira_thurston"]
+    g = _conditioned_metric(model, 10.0, seed=2)
+    coh.cohomology_space(g, theory, 1, 2)  # the mirror is cached first
+    with pytest.raises(CrossCheckError):
+        coh.cohomology_space(g, theory, 2, 1)
+    with pytest.raises(CrossCheckError):  # and computed on demand
+        coh.cohomology_space(_conditioned_metric(model, 10.0, seed=2), theory, 2, 1)
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "double_kt"])
+def test_no_laplacian_is_built_above_the_diagonal(models, monkeypatch, name):
+    built = []
+    for laplacian in LAPLACIANS.values():
+        original = getattr(hodge, laplacian)
+
+        def record(g, p, q, original=original):
+            built.append((p, q))
+            return original(g, p, q)
+
+        monkeypatch.setattr(hodge, laplacian, record)
+    g = _conditioned_metric(models[name], 10.0, seed=3)
+    n = g.n
+    for theory in LAPLACIANS:
+        for p in reversed(range(n + 1)):  # (p,q) before (q,p): the mirror is computed on demand
+            for q in range(n + 1):
+                coh.cohomology_space(g, theory, p, q)
+    assert len(built) == 2 * (n + 1) * (n + 2) // 2
+    assert all(p <= q for p, q in built)
+
+
+@pytest.mark.parametrize("name", MIRROR_MODELS)
+def test_real_frame_is_unitary_and_makes_the_derham_laplacian_real(mirror_metrics, name):
+    g = mirror_metrics[name]
+    for k in range(2 * g.n + 1):
+        size = sum(alg.space_dim(g.n, p, q) for p, q in alg.bidegrees_of_degree(g.n, k))
+        assert np.allclose(hodge.real_frame_matrix(np.eye(size), g.n, k), np.eye(size), atol=1e-15)
+        lap = hodge.laplacian_derham(g, k).matrix
+        real = hodge.real_frame_matrix(lap, g.n, k)
+        assert np.max(np.abs(real.imag)) <= 1e-13 * np.max(np.abs(lap)), k
+
+
+@pytest.mark.parametrize("name", MIRROR_MODELS)
+def test_real_derham_count_matches_the_complex_kernel(mirror_metrics, name):
+    g = mirror_metrics[name]
+    for k in range(2 * g.n + 1):
+        lap = hodge.laplacian_derham(g, k).matrix
+        complex_kernel = hermitian_kernel(lap, tol=hodge.rank_cut(g, lap, 2, 4))
+        assert hodge.derham_harmonic_dimension(g, k) == complex_kernel.shape[1], k
 
 
 def test_dims_metric_independent(models, rng):

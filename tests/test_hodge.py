@@ -4,6 +4,7 @@ import pytest
 from pluriclosed import algebra as alg
 from pluriclosed import hodge
 from pluriclosed.errors import CrossCheckError, MetricError, PreconditionError
+from pluriclosed.linalg import nullspace
 
 
 def test_metric_identity_omega(models):
@@ -158,6 +159,26 @@ def test_random_primitive_forms_are_primitive(models, rng):
         v = hodge.random_primitive_form(g, p, q, rng)
         if v is not None and v.norm() > 1e-9:
             assert hodge.l2_norm(g, hodge.lambda_contraction(g, v)) < 1e-9 * hodge.l2_norm(g, v)
+
+
+def test_random_primitive_form_uses_the_contraction_kernel(models):
+    # the primitive basis is cached per (n, p, q), with the columns of a
+    # fresh kernel of Lambda_omega, so seeded draws do not change
+    for name in ("iwasawa", "torus3"):
+        g = hodge.random_metric(models[name], np.random.default_rng(5))
+        for p in range(g.n + 1):
+            for q in range(g.n + 1):
+                null = nullspace(hodge.lambda_matrix(g, p, q))
+                rng = np.random.default_rng([p, q])
+                got = hodge.random_primitive_form(g, p, q, rng)
+                if null.shape[1] == 0:
+                    assert got is None
+                    continue
+                rng = np.random.default_rng([p, q])
+                k = null.shape[1]
+                weights = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                expected = hodge.from_frame(g, null @ weights, p, q)
+                np.testing.assert_array_equal(got.vec, expected.vec)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +436,14 @@ def test_three_space_reports(models, rng):
                     rep = hodge.three_space_decomposition(g, theory, p, q)
                     assert rep.dims_sum_ok, (name, theory, p, q)
                     assert rep.closed_split_ok, (name, theory, p, q)
+                    closed = (
+                        np.vstack([hodge.del_matrix(g, p, q), hodge.delbar_matrix(g, p, q)])
+                        if theory == "bc"
+                        else hodge.del_matrix(g, p, q + 1) @ hodge.delbar_matrix(g, p, q)
+                    )
+                    order = 1 if theory == "bc" else 2
+                    kernel = nullspace(closed, tol=hodge.rank_cut(g, closed, order))
+                    assert rep.closed_dim == kernel.shape[1], (name, theory, p, q)
                     assert rep.image_split_ok, (name, theory, p, q)
                     assert rep.orthogonality_residual < 1e-9
 

@@ -112,6 +112,16 @@ def test_real_matrix_splits_too():
     assert_matches_dense(matrix)
 
 
+@pytest.mark.parametrize("kernel", [0, 1, 7])
+def test_symmetric_kernel_dimension(kernel):
+    rng = np.random.default_rng(kernel)
+    basis, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    spectrum = np.concatenate([np.zeros(kernel), rng.uniform(1e-6, 3.0, 20 - kernel)])
+    matrix = (basis * spectrum) @ basis.T
+    assert linalg.symmetric_kernel_dimension(matrix, tol=1e-9) == kernel
+    assert linalg.symmetric_kernel_dimension(matrix, tol=10.0) == 20
+
+
 def test_import_leaves_scipy_out():
     # scipy is no dependency; importing it alone adds tens of MB of resident memory
     code = "import sys, pluriclosed, pluriclosed.cli; print('scipy' in sys.modules)"
