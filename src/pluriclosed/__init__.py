@@ -8,7 +8,6 @@ omega-primitive splitting of H^{n-1,n-1}_BC, and SKT-cone feasibility.
 """
 
 from .algebra import (
-    BigradedOperator,
     Form,
     LieModel,
     MultiIndex,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -38,7 +39,6 @@ __all__ = [
     "MultiIndex",
     "Form",
     "LieModel",
-    "BigradedOperator",
     "ValidationReport",
     "parse_model",
     "model_to_document",
@@ -291,12 +291,15 @@ def parse_model(document: str | dict) -> LieModel:
 
 
 def _parse_coeff(coeff, path: str) -> complex:
+    """A complex number from ``[re, im]``, both finite JSON numbers."""
     if (
         not isinstance(coeff, (list, tuple))
         or len(coeff) != 2
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in coeff)
     ):
-        raise ParseError("coeff must be [re, im]", path)
+        raise ParseError("expected [re, im]", path)
+    if not all(abs(x) <= sys.float_info.max for x in coeff):  # NaN, infinities, huge integers
+        raise ParseError("expected finite numbers", path)
     return complex(coeff[0], coeff[1])
 
 
@@ -577,37 +580,16 @@ def wedge_matrix(n: int, w: Form, p: int, q: int) -> np.ndarray:
     return _wedge_stack(n, to_vector(w, n)[None, :], w.p, w.q, p, q)
 
 
-@dataclass(eq=False)
-class BigradedOperator:
-    """Dense matrix of a linear map between sums of fixed-bidegree components.
-
-    Rows and columns follow the concatenation of the canonical bases of the
-    listed target and source bidegrees.
-    """
-
-    sources: tuple[tuple[int, int], ...]
-    targets: tuple[tuple[int, int], ...]
-    matrix: np.ndarray
-
-    def apply(self, u: Form, n: int) -> Form:
-        if len(self.sources) != 1 or len(self.targets) != 1:
-            raise ValueError("apply() needs a single-bidegree operator")
-        if u.bidegree != self.sources[0]:
-            raise ValueError(f"operator expects bidegree {self.sources[0]}, got {u.bidegree}")
-        return Form(n, *self.targets[0], self.matrix @ to_vector(u, n))
-
-
-def operator_matrix(model: LieModel, kind: str, p: int, q: int) -> BigradedOperator:
-    """Assemble d, del, delbar or deldelbar on Lambda^{p,q} as a BigradedOperator."""
+def operator_matrix(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:
+    """Matrix of d, del, delbar or deldelbar on Lambda^{p,q}; d stacks del over delbar."""
     if kind == "del":
-        return BigradedOperator(((p, q),), ((p + 1, q),), del_matrix(model, p, q))
+        return del_matrix(model, p, q)
     if kind == "delbar":
-        return BigradedOperator(((p, q),), ((p, q + 1),), delbar_matrix(model, p, q))
+        return delbar_matrix(model, p, q)
     if kind == "deldelbar":
-        return BigradedOperator(((p, q),), ((p + 1, q + 1),), deldelbar_matrix(model, p, q))
+        return deldelbar_matrix(model, p, q)
     if kind == "d":
-        mat = np.vstack([del_matrix(model, p, q), delbar_matrix(model, p, q)])
-        return BigradedOperator(((p, q),), ((p + 1, q), (p, q + 1)), mat)
+        return np.vstack([del_matrix(model, p, q), delbar_matrix(model, p, q)])
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
@@ -673,11 +655,10 @@ def validate_model(model: LieModel, tol: float = 1e-12) -> ValidationReport:
     )
 
 
-def is_unimodular(model: LieModel, tol: float = 1e-12) -> bool:
-    key = ("unimodular", tol)
-    if key not in model._cache:
-        model._cache[key] = validate_model(model, tol).unimodular
-    return model._cache[key]
+def is_unimodular(model: LieModel) -> bool:
+    if "unimodular" not in model._cache:
+        model._cache["unimodular"] = validate_model(model).unimodular
+    return model._cache["unimodular"]
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +697,7 @@ def form_from_document(doc: dict, n: int) -> Form:
     if not isinstance(doc, dict):
         raise ParseError("form document must be a JSON object")
     for fld in ("p", "q"):
-        if not isinstance(doc.get(fld), int):
+        if not isinstance(doc.get(fld), int) or isinstance(doc[fld], bool):
             raise ParseError("expected an integer", fld)
     p, q = doc["p"], doc["q"]
     terms = doc.get("terms", [])

@@ -165,10 +165,10 @@ class SktNonvanishing:
     positivity_total: float
 
 
-def skt_class_nonzero(g: hodge.HermitianMetric, tol: float = 1e-9) -> SktNonvanishing:
+def skt_class_nonzero(g: hodge.HermitianMetric) -> SktNonvanishing:
     from .cohomology import require_skt
 
-    require_skt(g, tol=tol)
+    require_skt(g)
     model = g.model
     n = g.n
     omega_norm = hodge.l2_norm(g, g.omega)
@@ -178,7 +178,7 @@ def skt_class_nonzero(g: hodge.HermitianMetric, tol: float = 1e-9) -> SktNonvani
     columns = np.hstack([hodge.del_matrix(g, 0, 1), hodge.delbar_matrix(g, 1, 0)])
     scale = math.sqrt(g.volume)
     sol, distance = min_norm_lstsq(scale * columns, scale * hodge.to_frame(g, g.omega))
-    if distance <= tol * omega_norm:
+    if distance <= 1e-9 * omega_norm:
         raise CrossCheckError(
             "omega appears del/delbar-exact; impossible for an SKT metric, "
             "so this is a numerical failure"
@@ -210,14 +210,14 @@ def skt_class_nonzero(g: hodge.HermitianMetric, tol: float = 1e-9) -> SktNonvani
     )
 
 
-def weak_positivity_topform(u: Form, n: int, tol: float = 1e-12) -> str:
-    """Sign of a real (n,n)-form against the positive volume element."""
+def weak_positivity_topform(u: Form, n: int) -> str:
+    """Sign of a real (n,n)-form against the positive volume element, zero up to 1e-12."""
     if u.bidegree != (n, n):
         raise PreconditionError(f"expected an ({n},{n})-form, got {u.bidegree}")
-    if not alg.is_real_form(u, tol=tol):
+    if not alg.is_real_form(u):
         raise PreconditionError("form is not real")
     value = alg.integrate_top(u, n)
-    if abs(value) <= tol:
+    if abs(value) <= 1e-12:
         return "zero"
     return "positive" if value.real > 0 else "negative"
 
@@ -276,7 +276,7 @@ def aeppli_harmonic_check(
         del_adjoint=root_vol * float(np.linalg.norm(hodge.del_matrix(g, p, q + 1).conj().T @ w)),
         delbar_adjoint=root_vol
         * float(np.linalg.norm(hodge.delbar_matrix(g, p + 1, q).conj().T @ w)),
-        laplacian=root_vol * float(np.linalg.norm(hodge.laplacian_a(g, p + 1, q + 1).matrix @ w)),
+        laplacian=root_vol * float(np.linalg.norm(hodge.laplacian_a(g, p + 1, q + 1) @ w)),
         wedge_norm=root_vol * float(np.linalg.norm(w)),
     )
 

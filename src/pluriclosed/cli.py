@@ -112,29 +112,17 @@ def cmd_cohomology(args) -> int:
     model = _load_model(args)
     g = _load_metric(model, args)
     n = model.n
+    bidegrees = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    spaces = [(theory, p, q) for theory in ("bc", "aeppli", "dolbeault") for p, q in bidegrees]
+    spaces += [("derham", k, None) for k in range(2 * n + 1)]
     table = []
-    for theory in ("bc", "aeppli", "dolbeault"):
-        for p in range(n + 1):
-            for q in range(n + 1):
-                space = coh.cohomology_space(g, theory, p, q, tol=args.tol_rank)
-                table.append(
-                    {
-                        "theory": theory,
-                        "p": p,
-                        "q": q,
-                        "dim": space.dimension,
-                        "quotient_dim": space.quotient_dimension,
-                        "harmonic_dim": space.harmonic_dimension,
-                        "agree": space.quotient_dimension == space.harmonic_dimension,
-                    }
-                )
-    for k in range(2 * n + 1):
-        space = coh.cohomology_space(g, "derham", k, tol=args.tol_rank)
+    for theory, p, q in spaces:
+        space = coh.cohomology_space(g, theory, p, q, tol=args.tol_rank)
         table.append(
             {
-                "theory": "derham",
-                "p": k,
-                "q": None,
+                "theory": theory,
+                "p": p,
+                "q": q,
                 "dim": space.dimension,
                 "quotient_dim": space.quotient_dimension,
                 "harmonic_dim": space.harmonic_dimension,
@@ -249,8 +237,8 @@ def cmd_check_lemmas(args) -> int:
     for p in range(n + 1):
         for q in range(n + 1):
             star = hodge.star_matrix(g, p, q)
-            lap_bc = hodge.laplacian_bc(g, p, q).matrix
-            lap_a = hodge.laplacian_a(g, n - q, n - p).matrix
+            lap_bc = hodge.laplacian_bc(g, p, q)
+            lap_a = hodge.laplacian_a(g, n - q, n - p)
             if lap_bc.size:
                 worst = max(worst, float(np.max(np.abs(star @ lap_bc - lap_a @ star))))
                 lap_scale = max(lap_scale, float(np.max(np.abs(lap_bc))))

@@ -318,32 +318,25 @@ def primitive_hyperplane(g: hodge.HermitianMetric, tol: float = 1e-9) -> Primiti
     return PrimitiveHyperplane(space=space, functional=functional, basis=basis)
 
 
-def harmonic_part_of_omega(g: hodge.HermitianMetric, tol=None) -> Form:
+def harmonic_part_of_omega(g: hodge.HermitianMetric) -> Form:
     """Aeppli-harmonic component of omega."""
-    key = ("omega-harmonic-a", tol)
-    if key not in g._cache:
-        g._cache[key] = _harmonic_part(g, hodge.laplacian_a(g, 1, 1), g.omega, tol)
-    return g._cache[key]
+    return _harmonic_part(cohomology_space(g, "aeppli", 1, 1), g.omega)
 
 
-def harmonic_part_of_omega_power(g: hodge.HermitianMetric, tol=None) -> Form:
+def harmonic_part_of_omega_power(g: hodge.HermitianMetric) -> Form:
     """Bott-Chern-harmonic component of omega_{n-1} = omega^{n-1}/(n-1)!."""
-    key = ("omega-power-harmonic-bc", tol)
-    if key not in g._cache:
-        n = g.n
-        lap = hodge.laplacian_bc(g, n - 1, n - 1)
-        g._cache[key] = _harmonic_part(g, lap, hodge.omega_power(g, n - 1), tol)
-    return g._cache[key]
+    n = g.n
+    return _harmonic_part(cohomology_space(g, "bc", n - 1, n - 1), hodge.omega_power(g, n - 1))
 
 
-def _harmonic_part(g: hodge.HermitianMetric, lap, u: Form, tol) -> Form:
-    """Orthogonal projection of u onto the kernel of a Laplacian."""
-    basis = hodge.harmonic_basis(g, lap, tol=tol)
+def _harmonic_part(space: CohomologySpace, u: Form) -> Form:
+    """Orthogonal projection of u onto the harmonic representatives of a space."""
+    g, basis = space.metric, space.basis
     return hodge.from_frame(g, basis @ _frame_coords(g, basis, u), u.p, u.q)
 
 
 def lefschetz_decompose_class(
-    g: hodge.HermitianMetric, cls: CohomologyClass, tol: float = 1e-8
+    g: hodge.HermitianMetric, cls: CohomologyClass
 ) -> tuple[CohomologyClass, complex]:
     """Split a BC (n-1,n-1)-class into primitive part plus lambda times the
     class of the harmonic part of omega_{n-1}.
@@ -351,7 +344,7 @@ def lefschetz_decompose_class(
     lambda is computed twice: from the closed formula
     lambda = (integral of rep wedge omega) / |omega_h|^2 and as the orthogonal
     projection coefficient of the harmonic representative onto the line of
-    (omega_{n-1})_h.  The two routes must agree to ``tol``.
+    (omega_{n-1})_h.  The two routes must agree to 1e-8, relative to max(1, |lambda|).
     """
     require_skt(g)
     if not alg.is_unimodular(g.model):
@@ -376,7 +369,7 @@ def lefschetz_decompose_class(
         raise CrossCheckError("harmonic part of omega_{n-1} is numerically degenerate")
     lam_projection = hodge.inner(g, harmonic_representative(cls), power_h) / power_sq
 
-    if abs(lam_formula - lam_projection) > tol * max(1.0, abs(lam_formula)):
+    if abs(lam_formula - lam_projection) > 1e-8 * max(1.0, abs(lam_formula)):
         raise CrossCheckError(
             f"lambda routes disagree: formula {lam_formula} vs projection {lam_projection}"
         )

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 TOL_PD = 1e-7  # absolute threshold on unit-normalized class representatives
+MAX_ITERATIONS = 10_000  # subgradient steps, shared by all restarts
+RESTARTS = 4
+TOL_PROBE = 1e-9  # closedness and positivity threshold of a stored probe
 
 
 @dataclass
@@ -82,14 +85,7 @@ def search_directions(model: LieModel) -> np.ndarray:
     return np.stack([b + b_star, 1j * (b - b_star)], axis=1).reshape(2 * n, n, n)
 
 
-def skt_cone_feasibility(
-    cls: CohomologyClass,
-    seed: int = 0,
-    max_iterations: int = 10_000,
-    restarts: int = 4,
-    tol_pd: float = TOL_PD,
-    probes: list["ClosedPositiveProbe"] | None = None,
-) -> ConeMembershipResult:
+def skt_cone_feasibility(cls: CohomologyClass, seed: int = 0) -> ConeMembershipResult:
     """Decide SKT membership of a real Aeppli (1,1)-class.
 
     Searches representatives alpha_0 + 2 Re(del u) for the best minimum
@@ -118,11 +114,11 @@ def skt_cone_feasibility(
 
     rng = np.random.default_rng(seed)
     dim = 2 * n
-    cap = max(1, max_iterations // max(1, restarts))
+    cap = MAX_ITERATIONS // RESTARTS
     best_value = -math.inf
     best_theta = np.zeros(dim)
     used = 0
-    for restart in range(restarts):
+    for restart in range(RESTARTS):
         theta = (
             np.zeros(dim)
             if restart == 0
@@ -150,7 +146,7 @@ def skt_cone_feasibility(
     best_matrix = hermitian_at(best_theta)
     best_value = float(np.linalg.eigvalsh(best_matrix)[0])
 
-    if best_value / scale > tol_pd:
+    if best_value / scale > TOL_PD:
         witness = hodge.form_of_hermitian_matrix(best_matrix)
         # the witness must still represent cls and be del delbar-closed
         check = class_of(space, witness)
@@ -165,10 +161,10 @@ def skt_cone_feasibility(
             iterations=used,
         )
 
-    for probe in probes if probes is not None else closed_positive_probes(model, seed=seed):
+    for probe in closed_positive_probes(model, seed=seed):
         value = integrate_pairing(model, probe.form, alpha0).real
         probe_scale = max(probe.form.norm(), 1e-30) * scale
-        if value < -tol_pd * probe_scale:
+        if value < -TOL_PD * probe_scale:
             return ConeMembershipResult(
                 verdict="infeasible_certified",
                 witness=None,
@@ -214,18 +210,18 @@ class ClosedPositiveProbe:
     min_positivity_eigenvalue: float
 
 
-def _try_probe(model: LieModel, t: Form, label: str, tol: float) -> ClosedPositiveProbe | None:
+def _try_probe(model: LieModel, t: Form, label: str) -> ClosedPositiveProbe | None:
     n = model.n
-    if t.norm() <= tol:
+    if t.norm() <= TOL_PROBE:
         return None
     d_res = max(f.norm() for f in alg.d_form(model, t)) / t.norm()
-    if d_res > tol:
+    if d_res > TOL_PROBE:
         return None
     if not alg.is_real_form(t, tol=1e-9):
         return None
     m = weak_positivity_matrix(t, n)
     min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-    if min_eig < -tol * max(1.0, float(np.max(np.abs(m)))):
+    if min_eig < -TOL_PROBE * max(1.0, float(np.max(np.abs(m)))):
         return None
     return ClosedPositiveProbe(
         form=t, label=label, closedness_residual=d_res, min_positivity_eigenvalue=min_eig
@@ -233,7 +229,7 @@ def _try_probe(model: LieModel, t: Form, label: str, tol: float) -> ClosedPositi
 
 
 def closed_positive_probes(
-    model: LieModel, count: int = 8, seed: int = 0, tol: float = 1e-9
+    model: LieModel, count: int = 8, seed: int = 0
 ) -> list[ClosedPositiveProbe]:
     """Stored co-positive probe family for separation certificates.
 
@@ -246,7 +242,7 @@ def closed_positive_probes(
     probes: list[ClosedPositiveProbe] = []
 
     reference = hodge.identity_metric(model)
-    p = _try_probe(model, hodge.omega_power(reference, n - 1), "identity-power", tol)
+    p = _try_probe(model, hodge.omega_power(reference, n - 1), "identity-power")
     if p:
         probes.append(p)
 
@@ -255,7 +251,7 @@ def closed_positive_probes(
     phase = (1j) ** ((n - 1) ** 2 % 4)
     for subset in combinations(range(1, n + 1), n - 1):
         t = alg.basis_form(n, subset, subset, phase)
-        p = _try_probe(model, t, f"monomial-{''.join(map(str, subset))}", tol)
+        p = _try_probe(model, t, f"monomial-{''.join(map(str, subset))}")
         if p:
             probes.append(p)
 
@@ -270,7 +266,7 @@ def closed_positive_probes(
             z = rng.standard_normal(closed.shape[1]) + 1j * rng.standard_normal(closed.shape[1])
             t = alg.from_vector(closed @ z, n, n - 1, n - 1)
             t = 0.5 * (t + alg.conjugate(t))
-            p = _try_probe(model, t, f"sampled-{idx}", tol)
+            p = _try_probe(model, t, f"sampled-{idx}")
             if p:
                 probes.append(p)
     return probes

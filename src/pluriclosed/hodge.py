@@ -48,8 +48,8 @@ from itertools import combinations
 import numpy as np
 
 from . import algebra as alg
-from .algebra import BigradedOperator, Form, LieModel
-from .errors import CrossCheckError, MetricError, PreconditionError
+from .algebra import Form, LieModel
+from .errors import CrossCheckError, MetricError, ParseError, PreconditionError
 from .linalg import (
     column_space,
     hermitian_kernel,
@@ -136,19 +136,18 @@ def form_of_hermitian_matrix(m: np.ndarray) -> Form:
     return Form(m.shape[0], 1, 1, (1j * m).ravel())
 
 
-def metric_from_matrix(model: LieModel, h: np.ndarray, tol: float | None = None) -> HermitianMetric:
+def metric_from_matrix(model: LieModel, h: np.ndarray) -> HermitianMetric:
     """Validate h (Hermitian, positive definite) and build the metric."""
     h = np.asarray(h, dtype=complex)
     n = model.n
     if h.shape != (n, n):
         raise MetricError(f"expected a {n}x{n} matrix, got {h.shape}")
     scale = float(np.max(np.abs(h))) or 1.0
-    if np.max(np.abs(h - h.conj().T)) > (tol if tol is not None else n * _EPS * scale * 10):
+    if np.max(np.abs(h - h.conj().T)) > n * _EPS * scale * 10:
         raise MetricError("coefficient matrix is not Hermitian")
     h = 0.5 * (h + h.conj().T)
     eigvals = np.linalg.eigvalsh(h)
-    cut = tol if tol is not None else n * _EPS * float(eigvals[-1])
-    if eigvals[0] <= cut:
+    if eigvals[0] <= n * _EPS * float(eigvals[-1]):
         raise MetricError(f"not positive definite (minimum eigenvalue {eigvals[0]:.3e})")
     cholesky = np.linalg.cholesky(h)
     volume = float(np.prod(eigvals))
@@ -162,17 +161,24 @@ def identity_metric(model: LieModel, scale: float = 1.0) -> HermitianMetric:
 
 
 def metric_from_document(model: LieModel, doc: dict) -> HermitianMetric:
-    """Metric from JSON ``{"name": str, "h": [[[re, im], ...], ...]}``."""
-    from .errors import ParseError
+    """Metric from JSON ``{"name": str, "h": [[[re, im], ...], ...]}``.
 
+    Every entry is exactly ``[re, im]`` of finite numbers and the rows have
+    equal lengths; a malformed document raises ParseError, a well-formed
+    matrix that is no metric on the model raises MetricError.
+    """
     if not isinstance(doc, dict) or "h" not in doc:
         raise ParseError("metric document must contain 'h'")
     rows = doc["h"]
-    try:
-        h = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError) as exc:
-        raise ParseError(f"malformed 'h': {exc}", "h") from exc
-    return metric_from_matrix(model, h)
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ParseError("expected a list of rows", "h")
+    if len({len(row) for row in rows}) > 1:
+        raise ParseError("rows have different lengths", "h")
+    h = [
+        [alg._parse_coeff(entry, f"h[{i}][{j}]") for j, entry in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return metric_from_matrix(model, np.array(h, dtype=complex))
 
 
 def random_metric(model: LieModel, rng: np.random.Generator) -> HermitianMetric:
@@ -425,7 +431,7 @@ def is_primitive(g: HermitianMetric, u: Form, tol: float = 1e-9) -> bool:
     return by_contraction
 
 
-def primitive_star_check(g: HermitianMetric, v: Form, tol: float = 1e-9) -> float:
+def primitive_star_check(g: HermitianMetric, v: Form) -> float:
     """Relative residual of the closed star formula on a primitive form.
 
     On a primitive (p,q)-form v with k = p + q the star acts as
@@ -434,7 +440,7 @@ def primitive_star_check(g: HermitianMetric, v: Form, tol: float = 1e-9) -> floa
     """
     if v.is_zero():
         return 0.0
-    if not is_primitive(g, v, tol=tol):
+    if not is_primitive(g, v):
         raise PreconditionError(
             "form is not omega-primitive",
             {"lambda_contraction": l2_norm(g, lambda_contraction(g, v))},
@@ -467,16 +473,16 @@ def random_primitive_form(
     return from_frame(g, null @ weights, p, q)
 
 
-def is_kahler(g: HermitianMetric, tol: float = 1e-10) -> bool:
+def is_kahler(g: HermitianMetric) -> bool:
     d_omega = alg.d_form(g.model, g.omega)
-    return max(f.norm() for f in d_omega) <= tol * g.omega.norm()
+    return max(f.norm() for f in d_omega) <= 1e-10 * g.omega.norm()
 
 
 # ---------------------------------------------------------------------------
 # Laplacians, in the unitary frame where every adjoint is a conjugate transpose
 
 
-def laplacian_bc(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
+def laplacian_bc(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     """Fourth-order Bott-Chern Laplacian on Lambda^{p,q}.
 
     del* del + delbar* delbar
@@ -490,7 +496,7 @@ def laplacian_bc(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
     # del* delbar from (p,q) and into (p,q)
     m_out = del_matrix(g, p - 1, q + 1).conj().T @ db1  # (p,q) -> (p-1,q+1)
     m_in = d1.conj().T @ delbar_matrix(g, p + 1, q - 1)  # (p+1,q-1) -> (p,q)
-    lap = (
+    return (
         d1.conj().T @ d1
         + db1.conj().T @ db1
         + ddb.conj().T @ ddb
@@ -498,10 +504,9 @@ def laplacian_bc(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
         + m_out.conj().T @ m_out
         + m_in @ m_in.conj().T
     )
-    return BigradedOperator(((p, q),), ((p, q),), lap)
 
 
-def laplacian_a(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
+def laplacian_a(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     """Fourth-order Aeppli Laplacian on Lambda^{p,q}.
 
     del del* + delbar delbar*
@@ -515,7 +520,7 @@ def laplacian_a(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
     # del delbar* into (p,q) and from (p,q)
     k_in = d0 @ delbar_matrix(g, p - 1, q).conj().T  # (p-1,q+1) -> (p,q)
     k_out = del_matrix(g, p, q - 1) @ db0.conj().T  # (p,q) -> (p+1,q-1)
-    lap = (
+    return (
         d0 @ d0.conj().T
         + db0 @ db0.conj().T
         + ddb.conj().T @ ddb
@@ -523,14 +528,13 @@ def laplacian_a(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
         + k_in @ k_in.conj().T
         + k_out.conj().T @ k_out
     )
-    return BigradedOperator(((p, q),), ((p, q),), lap)
 
 
-def laplacian_delbar(g: HermitianMetric, p: int, q: int) -> BigradedOperator:
+def laplacian_delbar(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     """Dolbeault Laplacian delbar delbar* + delbar* delbar."""
     db1 = delbar_matrix(g, p, q)
     db0 = delbar_matrix(g, p, q - 1)
-    return BigradedOperator(((p, q),), ((p, q),), db1.conj().T @ db1 + db0 @ db0.conj().T)
+    return db1.conj().T @ db1 + db0 @ db0.conj().T
 
 
 def _frame_d(g: HermitianMetric, k: int) -> np.ndarray:
@@ -541,12 +545,11 @@ def _frame_d(g: HermitianMetric, k: int) -> np.ndarray:
     return alg.block_matrix(n, src, tgt, parts)
 
 
-def laplacian_derham(g: HermitianMetric, k: int) -> BigradedOperator:
+def laplacian_derham(g: HermitianMetric, k: int) -> np.ndarray:
     """de Rham Laplacian d d* + d* d on total degree k, blocked over bidegrees."""
-    bidegs = alg.bidegrees_of_degree(g.n, k)
     d_up = _frame_d(g, k)
     d_down = _frame_d(g, k - 1)
-    return BigradedOperator(bidegs, bidegs, d_up.conj().T @ d_up + d_down @ d_down.conj().T)
+    return d_up.conj().T @ d_up + d_down @ d_down.conj().T
 
 
 @lru_cache(maxsize=None)
@@ -597,7 +600,7 @@ def derham_harmonic_dimension(g: HermitianMetric, k: int, tol: float | None = No
     (``real_frame_matrix``) and a real eigenvalue solve counts its kernel.
     The cut is the one ``harmonic_basis`` takes on the complex matrix.
     """
-    lap = laplacian_derham(g, k).matrix
+    lap = laplacian_derham(g, k)
     cut = tol if tol is not None else rank_cut(g, lap, 2, 4)
     return symmetric_kernel_dimension(real_frame_matrix(lap, g.n, k).real, tol=cut)
 
@@ -606,21 +609,15 @@ def derham_harmonic_dimension(g: HermitianMetric, k: int, tol: float | None = No
 # harmonic spaces and decompositions
 
 
-def harmonic_basis(g: HermitianMetric, op: BigradedOperator, tol: float | None = None) -> np.ndarray:
-    """L2-orthonormal kernel basis (columns, unitary-frame coordinates) of a PSD operator."""
-    if op.sources != op.targets:
-        raise ValueError("harmonic_basis needs an endomorphism")
-    cut = tol if tol is not None else rank_cut(g, op.matrix, 2, 4)
-    return hermitian_kernel(op.matrix, tol=cut) / math.sqrt(g.volume)
+def harmonic_basis(g: HermitianMetric, lap: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """L2-orthonormal kernel basis (columns, unitary-frame coordinates) of a frame Laplacian."""
+    cut = tol if tol is not None else rank_cut(g, lap, 2, 4)
+    return hermitian_kernel(lap, tol=cut) / math.sqrt(g.volume)
 
 
-def harmonic_space(g: HermitianMetric, op: BigradedOperator, tol: float | None = None) -> list[Form]:
-    """Kernel basis as Forms; single-bidegree operators only."""
-    if len(op.sources) != 1:
-        raise ValueError("harmonic_space needs a single-bidegree operator")
-    basis = harmonic_basis(g, op, tol=tol)
-    p, q = op.sources[0]
-    return [from_frame(g, col, p, q) for col in basis.T]
+def harmonic_space(g: HermitianMetric, lap: np.ndarray, p: int, q: int) -> list[Form]:
+    """Kernel basis of a Laplacian on Lambda^{p,q}, as Forms."""
+    return [from_frame(g, col, p, q) for col in harmonic_basis(g, lap).T]
 
 
 def harmonic_projection(g: HermitianMetric, basis: list[Form], u: Form) -> Form:
@@ -676,12 +673,12 @@ class DecompositionReport:
 
 
 def three_space_decomposition(
-    g: HermitianMetric, theory: str, p: int, q: int, tol: float | None = None
+    g: HermitianMetric, theory: str, p: int, q: int
 ) -> DecompositionReport:
     """Verify the orthogonal splitting induced by the Bott-Chern or Aeppli Laplacian.
 
     Each rank decision cuts with the floor of the whole complex, raised to
-    the order of the operator, unless ``tol`` is given.
+    the order of the operator.
     """
     total = alg.space_dim(g.n, p, q)
     d, db = del_matrix(g, p, q), delbar_matrix(g, p, q)
@@ -698,24 +695,21 @@ def three_space_decomposition(
     else:
         raise ValueError("theory must be 'bc' or 'aeppli'")
 
-    def cut(mat, *orders):
-        return tol if tol is not None else rank_cut(g, mat, *orders)
-
-    kernel = harmonic_basis(g, lap, tol=tol)
-    exact = orthonormal_span(g, exact_cols, tol=cut(exact_cols, 2))
-    coexact = orthonormal_span(g, coexact_cols, tol=cut(coexact_cols, 1))
+    kernel = harmonic_basis(g, lap)
+    exact = orthonormal_span(g, exact_cols, tol=rank_cut(g, exact_cols, 2))
+    coexact = orthonormal_span(g, coexact_cols, tol=rank_cut(g, coexact_cols, 1))
     residual = max(
         subspace_residual(g, kernel, exact),
         subspace_residual(g, kernel, coexact),
         subspace_residual(g, exact, coexact),
     )
-    closed_rank = numeric_rank(closed_cols, tol=cut(closed_cols, closed_order))
+    closed_rank = numeric_rank(closed_cols, tol=rank_cut(g, closed_cols, closed_order))
     closed_dim = closed_cols.shape[1] - closed_rank
     if theory == "bc":
         closed_split_ok = closed_dim == kernel.shape[1] + exact.shape[1]
     else:
         closed_split_ok = closed_dim == kernel.shape[1] + coexact.shape[1]
-    image_rank = numeric_rank(lap.matrix, tol=cut(lap.matrix, 2, 4))
+    image_rank = numeric_rank(lap, tol=rank_cut(g, lap, 2, 4))
     return DecompositionReport(
         theory=theory,
         p=p,
@@ -748,11 +742,7 @@ def _lefschetz_power_matrix(n: int, k: int, degree: int) -> np.ndarray:
 
 
 def quasi_isometry_bounds(
-    g: HermitianMetric,
-    k: int,
-    p: int,
-    restrict_harmonic: bool = True,
-    tol: float | None = None,
+    g: HermitianMetric, k: int, p: int, restrict_harmonic: bool = True
 ) -> tuple[float, float]:
     """Extreme singular values of omega^k wedge . on (harmonic) p-forms.
 
@@ -772,7 +762,7 @@ def quasi_isometry_bounds(
     image = _lefschetz_power_matrix(n, k, p)
     if restrict_harmonic:
         # the frame is L2-isometric up to sqrt(vol) on both sides
-        image = image @ harmonic_basis(g, laplacian_derham(g, p), tol=tol) * math.sqrt(g.volume)
+        image = image @ harmonic_basis(g, laplacian_derham(g, p)) * math.sqrt(g.volume)
     cols = image.shape[1]
     if cols == 0:
         return (0.0, 0.0)
@@ -782,18 +772,16 @@ def quasi_isometry_bounds(
     return (sigma_min, sigma_max)
 
 
-def lefschetz_harmonic_rank(
-    g: HermitianMetric, k: int, p: int, tol: float | None = None
-) -> tuple[int, int]:
+def lefschetz_harmonic_rank(g: HermitianMetric, k: int, p: int) -> tuple[int, int]:
     """(rank of omega^k wedge . from harmonic p-forms into harmonic (p+2k)-forms, target dim)."""
     if not is_kahler(g):
         raise PreconditionError("harmonic rank check needs a Kahler metric")
     n = g.n
     if p + 2 * k > 2 * n:
         return (0, 0)
-    domain = harmonic_basis(g, laplacian_derham(g, p), tol=tol)
-    target = harmonic_basis(g, laplacian_derham(g, p + 2 * k), tol=tol)
+    domain = harmonic_basis(g, laplacian_derham(g, p))
+    target = harmonic_basis(g, laplacian_derham(g, p + 2 * k))
     if k == 0:
         return (domain.shape[1], target.shape[1])
     coords = g.volume * (target.conj().T @ (_lefschetz_power_matrix(n, k, p) @ domain))
-    return (numeric_rank(coords, tol=tol), target.shape[1])
+    return (numeric_rank(coords), target.shape[1])

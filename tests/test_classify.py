@@ -162,7 +162,7 @@ def test_aeppli_harmonic_membership_in_kernel(metrics):
     g = metrics["kt_standard"]
     phi = alg.basis_form(2, (1,), ())
     w = alg.wedge(g.omega, phi)
-    basis = hodge.harmonic_space(g, hodge.laplacian_a(g, 2, 1))
+    basis = hodge.harmonic_space(g, hodge.laplacian_a(g, 2, 1), 2, 1)
     projected = hodge.harmonic_projection(g, basis, w)
     assert hodge.l2_norm(g, w - projected) < 1e-8 * hodge.l2_norm(g, w)
 

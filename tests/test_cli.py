@@ -232,3 +232,46 @@ def test_metric_error_exits_one(tmp_path):
     completed = run_cli("classify", "--model", "torus2", "--metric", str(bad))
     assert completed.returncode == 1
     assert "not positive definite" in completed.stderr
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _assert_parse_error(completed, path):
+    assert completed.returncode == 2, (completed.returncode, completed.stderr)
+    assert "parse error" in completed.stderr and path in completed.stderr
+    assert "Traceback" not in completed.stderr
+
+
+@pytest.mark.parametrize(
+    "h,path",
+    [
+        ([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]], "h:"),  # ragged rows
+        ([[[1.0, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "h[0][0]"),  # [re, im, extra]
+    ],
+)
+def test_malformed_metric_exits_two(tmp_path, h, path):
+    metric = _write(tmp_path, "metric.json", {"name": "malformed", "h": h})
+    completed = run_cli("classify", "--model", "torus2", "--metric", metric)
+    _assert_parse_error(completed, path)
+
+
+@pytest.mark.parametrize(
+    "command,value", [("cohomology", "NaN"), ("validate", "NaN"), ("cohomology", "Infinity")]
+)
+def test_non_finite_model_coefficient_exits_two(tmp_path, command, value):
+    # Python's json reads and writes the non-standard literals NaN and Infinity
+    doc = fx.load_document("kodaira_thurston")
+    doc["dphi"][1][0]["coeff"] = [float(value), 0.0]
+    model = _write(tmp_path, "model.json", doc)
+    _assert_parse_error(run_cli(command, "--model", model), "dphi[1][0].coeff")
+
+
+def test_form_document_boolean_degree_exits_two(tmp_path):
+    doc = {"p": True, "q": 1, "terms": [{"holo": [1], "anti": [1], "coeff": [1, 0]}]}
+    form = _write(tmp_path, "class.json", doc)
+    completed = run_cli("cone", "skt", "--model", "kodaira_thurston", "--class", form)
+    _assert_parse_error(completed, "p:")

@@ -180,8 +180,8 @@ def test_conjugation_maps_the_laplacians(mirror_metrics, name):
     for laplacian in LAPLACIANS.values():
         for p in range(g.n + 1):
             for q in range(g.n + 1):
-                lap = getattr(hodge, laplacian)(g, p, q).matrix
-                mirror = getattr(hodge, laplacian)(g, q, p).matrix
+                lap = getattr(hodge, laplacian)(g, p, q)
+                mirror = getattr(hodge, laplacian)(g, q, p)
                 conj = _conjugation(g.n, p, q)
                 scale = max(np.max(np.abs(lap)), 1.0)
                 assert np.max(np.abs(mirror - conj @ lap.conj() @ conj.T)) <= 1e-13 * scale
@@ -231,7 +231,7 @@ def test_real_frame_is_unitary_and_makes_the_derham_laplacian_real(mirror_metric
     for k in range(2 * g.n + 1):
         size = sum(alg.space_dim(g.n, p, q) for p, q in alg.bidegrees_of_degree(g.n, k))
         assert np.allclose(hodge.real_frame_matrix(np.eye(size), g.n, k), np.eye(size), atol=1e-15)
-        lap = hodge.laplacian_derham(g, k).matrix
+        lap = hodge.laplacian_derham(g, k)
         real = hodge.real_frame_matrix(lap, g.n, k)
         assert np.max(np.abs(real.imag)) <= 1e-13 * np.max(np.abs(lap)), k
 
@@ -240,7 +240,7 @@ def test_real_frame_is_unitary_and_makes_the_derham_laplacian_real(mirror_metric
 def test_real_derham_count_matches_the_complex_kernel(mirror_metrics, name):
     g = mirror_metrics[name]
     for k in range(2 * g.n + 1):
-        lap = hodge.laplacian_derham(g, k).matrix
+        lap = hodge.laplacian_derham(g, k)
         complex_kernel = hermitian_kernel(lap, tol=hodge.rank_cut(g, lap, 2, 4))
         assert hodge.derham_harmonic_dimension(g, k) == complex_kernel.shape[1], k
 
@@ -541,6 +541,70 @@ def test_harmonic_power_part_is_star_of_harmonic_part(models, rng):
             lhs = coh.harmonic_part_of_omega_power(g)
             rhs = hodge.hodge_star(g, coh.harmonic_part_of_omega(g))
             assert hodge.l2_norm(g, lhs - rhs) < 1e-9 * hodge.l2_norm(g, lhs)
+
+
+def _kt2_block_metric(model, seed: int) -> hodge.HermitianMetric:
+    """Product metric on KT x KT: one random positive definite 2x2 block per factor."""
+    rng = np.random.default_rng(seed)
+    h = np.zeros((4, 4), dtype=complex)
+    for block in (slice(0, 2), slice(2, 4)):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        h[block, block] = a @ a.conj().T + np.eye(2)
+    return hodge.metric_from_matrix(model, h)
+
+
+SKT_METRICS = ("torus1", "torus2", "torus3", "kodaira_thurston", "kt_standard", "double_kt")
+
+
+@pytest.fixture(scope="module")
+def skt_metrics(models, metrics) -> dict[str, hodge.HermitianMetric]:
+    out = {name: metrics[name] for name in SKT_METRICS}
+    out["kt2_block"] = _kt2_block_metric(models["double_kt"], seed=4)
+    return out
+
+
+def _harmonic_parts(g):
+    n = g.n
+    return (
+        (coh.harmonic_part_of_omega(g), hodge.laplacian_a(g, 1, 1)),
+        (coh.harmonic_part_of_omega_power(g), hodge.laplacian_bc(g, n - 1, n - 1)),
+    )
+
+
+@pytest.mark.parametrize("name", [*SKT_METRICS, "kt2_block"])
+def test_harmonic_parts_match_a_direct_kernel_projection(skt_metrics, name):
+    g = skt_metrics[name]
+    coh.require_skt(g)
+    n = g.n
+    sources = (g.omega, hodge.omega_power(g, n - 1))
+    for (part, lap), u in zip(_harmonic_parts(g), sources):
+        kernel = hermitian_kernel(lap, tol=hodge.rank_cut(g, lap, 2, 4))  # orthonormal columns
+        direct = kernel @ (kernel.conj().T @ hodge.to_frame(g, u))
+        got = hodge.to_frame(g, part)
+        assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("name", ["kodaira_thurston", "kt2_block"])
+def test_harmonic_parts_reuse_the_cohomology_spaces(models, monkeypatch, name):
+    # a fresh metric: nothing of an earlier test is cached on it
+    if name == "kt2_block":
+        g = _kt2_block_metric(models["double_kt"], seed=5)
+    else:
+        g = hodge.identity_metric(models[name])
+    n = g.n
+    coh.cohomology_space(g, "aeppli", 1, 1)
+    coh.cohomology_space(g, "bc", n - 1, n - 1)
+    calls = []
+    for fn in ("laplacian_a", "laplacian_bc", "hermitian_kernel"):
+
+        def record(*args, fn=fn, original=getattr(hodge, fn), **kwargs):
+            calls.append(fn)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hodge, fn, record)
+    coh.harmonic_part_of_omega(g)
+    coh.harmonic_part_of_omega_power(g)
+    assert calls == []
 
 
 def test_decomposition_with_random_skt_metrics(models, rng):
