@@ -692,15 +692,18 @@ def form_from_document(doc: dict, n: int) -> Form:
 
     ``term = {"holo": [i, ...], "anti": [j, ...], "coeff": [re, im]}`` with p
     resp. q strictly increasing indices in 1..n; coefficients of repeated
-    terms accumulate.
+    terms accumulate.  p and q lie in 0..n, and ``terms`` is required (``[]``
+    is the zero form).
     """
     if not isinstance(doc, dict):
         raise ParseError("form document must be a JSON object")
     for fld in ("p", "q"):
         if not isinstance(doc.get(fld), int) or isinstance(doc[fld], bool):
             raise ParseError("expected an integer", fld)
+        if not 0 <= doc[fld] <= n:
+            raise ParseError(f"degree out of range 0..{n}", fld)
     p, q = doc["p"], doc["q"]
-    terms = doc.get("terms", [])
+    terms = doc.get("terms")
     if not isinstance(terms, list):
         raise ParseError("expected a list of terms", "terms")
     index = basis_index(n, p, q)
@@ -715,10 +718,7 @@ def form_from_document(doc: dict, n: int) -> Form:
     return Form(n, p, q, vec)
 
 
-def random_form(n: int, p: int, q: int, rng: np.random.Generator, real: bool = False) -> Form:
+def random_form(n: int, p: int, q: int, rng: np.random.Generator) -> Form:
     """Dense random form with standard-normal complex coefficients."""
     dim = space_dim(n, p, q)
-    u = Form(n, p, q, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    if real:
-        u = 0.5 * (u + conjugate(u))
-    return u
+    return Form(n, p, q, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))

@@ -23,6 +23,7 @@ import numpy as np
 from . import algebra as alg
 from . import hodge
 from .algebra import Form, LieModel
+from .cohomology import require_skt
 from .errors import CrossCheckError, PreconditionError
 from .linalg import min_norm_lstsq
 
@@ -166,8 +167,6 @@ class SktNonvanishing:
 
 
 def skt_class_nonzero(g: hodge.HermitianMetric) -> SktNonvanishing:
-    from .cohomology import require_skt
-
     require_skt(g)
     model = g.model
     n = g.n

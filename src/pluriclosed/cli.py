@@ -85,13 +85,12 @@ def _load_class_form(model, g, selector: str, p: int, q: int) -> alg.Form:
     return base
 
 
-def _write_or_compare_golden(report: dict, model_name: str, command: str, bless: bool) -> None:
+def _bless_golden(report: dict, model_name: str, command: str) -> None:
+    """Write the report as the golden file of this model and command."""
     path = fixtures.golden_path(model_name, command)
-    payload = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
-    if bless:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(payload, encoding="utf-8")
-        print(f"blessed golden file {path}", file=sys.stderr)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(emit(report, "json") + "\n", encoding="utf-8")
+    print(f"blessed golden file {path}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +116,7 @@ def cmd_cohomology(args) -> int:
     spaces += [("derham", k, None) for k in range(2 * n + 1)]
     table = []
     for theory, p, q in spaces:
-        space = coh.cohomology_space(g, theory, p, q, tol=args.tol_rank)
+        space = coh.cohomology_space(g, theory, p, q)
         table.append(
             {
                 "theory": theory,
@@ -130,7 +129,8 @@ def cmd_cohomology(args) -> int:
             }
         )
     report = {"model": model.name, "n": n, "table": table}
-    _write_or_compare_golden(report, model.name, "cohomology", args.bless)
+    if args.bless:
+        _bless_golden(report, model.name, "cohomology")
     print(emit(report, args.format))
     return EXIT_OK
 
@@ -145,7 +145,8 @@ def cmd_classify(args) -> int:
         "residuals": result.residuals,
         "witnesses": {k: alg.form_to_document(v) for k, v in result.witnesses.items()},
     }
-    _write_or_compare_golden(report, model.name, "classify", args.bless)
+    if args.bless:
+        _bless_golden(report, model.name, "classify")
     print(emit(report, args.format))
     return EXIT_OK
 
@@ -155,7 +156,7 @@ def cmd_decompose(args) -> int:
     g = _load_metric(model, args)
     n = model.n
     rep = args.scale * _load_class_form(model, g, args.cls, n - 1, n - 1)
-    space = coh.cohomology_space(g, "bc", n - 1, n - 1, tol=args.tol_rank)
+    space = coh.cohomology_space(g, "bc", n - 1, n - 1)
     cls = coh.class_of(space, rep, tol=args.tol_eq)
     primitive, lam = coh.lefschetz_decompose_class(g, cls)
     hyper = coh.primitive_hyperplane(g, tol=args.tol_eq)
@@ -177,7 +178,7 @@ def cmd_cone_skt(args) -> int:
     model = _load_model(args)
     g = _load_metric(model, args)
     rep = args.scale * _load_class_form(model, g, args.cls, 1, 1)
-    space = coh.cohomology_space(g, "aeppli", 1, 1, tol=args.tol_rank)
+    space = coh.cohomology_space(g, "aeppli", 1, 1)
     cls = coh.class_of(space, rep, tol=args.tol_eq)
     result = cones.skt_cone_feasibility(cls, seed=args.seed)
     report = {
@@ -197,7 +198,7 @@ def cmd_cone_copsef(args) -> int:
     g = _load_metric(model, args)
     n = model.n
     rep = args.scale * _load_class_form(model, g, args.cls, n - 1, n - 1)
-    space = coh.cohomology_space(g, "bc", n - 1, n - 1, tol=args.tol_rank)
+    space = coh.cohomology_space(g, "bc", n - 1, n - 1)
     cls = coh.class_of(space, rep, tol=args.tol_eq)
     if args.probes:
         docs = json.loads(Path(args.probes).read_text(encoding="utf-8"))
@@ -348,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         if metric:
             p.add_argument("--metric", help="path to a metric JSON (default: identity)")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--tol-rank", type=float, default=None, dest="tol_rank")
         p.add_argument("--tol-eq", type=float, default=1e-9, dest="tol_eq")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="structure-equation sanity report")
     common(p, metric=False)
@@ -381,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--class", dest="cls", default="omega", help="'omega' or a form JSON path")
     p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cone_skt)
 
     p = cone_sub.add_parser("copsef", help="pairing test against SKT probes")
@@ -392,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-lemmas", help="run the pointwise-identity suites")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check_lemmas)
 
     return parser

@@ -111,7 +111,7 @@ class CohomologyClass:
         )
 
 
-def quotient_dimension(model: LieModel, theory: str, p: int, q: int | None, tol=None) -> int:
+def quotient_dimension(model: LieModel, theory: str, p: int, q: int | None) -> int:
     """Cohomology dimension by rank-nullity on the invariant complex.
 
     ``closed`` is the operator whose kernel holds the closed forms and
@@ -134,7 +134,7 @@ def quotient_dimension(model: LieModel, theory: str, p: int, q: int | None, tol=
         exact = alg.d_matrix(model, p - 1)
     else:
         raise ValueError(f"unknown theory {theory!r}")
-    return closed.shape[1] - numeric_rank(closed, tol=tol) - numeric_rank(exact, tol=tol)
+    return closed.shape[1] - numeric_rank(closed) - numeric_rank(exact)
 
 
 def _laplacian_for(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
@@ -148,10 +148,10 @@ def _laplacian_for(g: hodge.HermitianMetric, theory: str, p: int, q: int | None)
 
 
 def cohomology_space(
-    g: hodge.HermitianMetric, theory: str, p: int, q: int | None = None, tol=None
+    g: hodge.HermitianMetric, theory: str, p: int, q: int | None = None
 ) -> CohomologySpace:
     """Compute one space via both routes and insist that they agree."""
-    dim, basis = _space_data(g, theory, p, q, tol)
+    dim, basis = _space_data(g, theory, p, q)
     return CohomologySpace(
         theory=theory,
         p=p,
@@ -164,26 +164,26 @@ def cohomology_space(
     )
 
 
-def _space_data(g: hodge.HermitianMetric, theory: str, p: int, q: int | None, tol):
+def _space_data(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
     """Dimension and harmonic basis of one space, cached on the metric.
 
     The metric caches these, not the space object, which points back at the
     metric: a cycle would keep every metric alive until a full
     garbage-collection pass.
     """
-    key = ("cohomology", theory, p, q, tol)
+    key = ("cohomology", theory, p, q)
     hit = g._cache.get(key)
     if hit is None:
-        qdim = quotient_dimension(g.model, theory, p, q, tol=tol)
+        qdim = quotient_dimension(g.model, theory, p, q)
         if theory == "derham":
-            basis, hdim = None, hodge.derham_harmonic_dimension(g, p, tol=tol)
+            basis, hdim = None, hodge.derham_harmonic_dimension(g, p)
         elif theory in ("bc", "aeppli") and p > q:
             # conjugation maps the (q,p) harmonic space onto this one
-            _, mirror = _space_data(g, theory, q, p, tol)
+            _, mirror = _space_data(g, theory, q, p)
             basis = alg._conjugate_rows(mirror.T, g.n, q, p).T
             hdim = basis.shape[1]
         else:
-            basis = hodge.harmonic_basis(g, _laplacian_for(g, theory, p, q), tol=tol)
+            basis = hodge.harmonic_basis(g, _laplacian_for(g, theory, p, q))
             hdim = basis.shape[1]
         if qdim != hdim:
             raise CrossCheckError(

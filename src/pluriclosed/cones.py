@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .cohomology import (
     harmonic_representative,
     integrate_pairing,
     is_real_class,
+    require_skt,
 )
 from .errors import CrossCheckError, PreconditionError
 from .linalg import nullspace
@@ -246,8 +248,6 @@ def closed_positive_probes(
     if p:
         probes.append(p)
 
-    from itertools import combinations
-
     phase = (1j) ** ((n - 1) ** 2 % 4)
     for subset in combinations(range(1, n + 1), n - 1):
         t = alg.basis_form(n, subset, subset, phase)
@@ -285,8 +285,6 @@ class SktProbe:
 
 
 def skt_probe_from_metric(g: hodge.HermitianMetric, label: str = "") -> SktProbe:
-    from .cohomology import require_skt
-
     require_skt(g)
     return SktProbe(witness=g.omega, label=label or "metric")
 

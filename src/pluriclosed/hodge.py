@@ -48,7 +48,7 @@ from itertools import combinations
 import numpy as np
 
 from . import algebra as alg
-from .algebra import Form, LieModel
+from .algebra import Form, LieModel, _frozen
 from .errors import CrossCheckError, MetricError, ParseError, PreconditionError
 from .linalg import (
     column_space,
@@ -105,6 +105,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+_PRIMITIVE_TOL = 1e-9  # relative residual of both primitivity tests
 
 
 @dataclass(eq=False)
@@ -156,8 +157,8 @@ def metric_from_matrix(model: LieModel, h: np.ndarray) -> HermitianMetric:
     )
 
 
-def identity_metric(model: LieModel, scale: float = 1.0) -> HermitianMetric:
-    return metric_from_matrix(model, scale * np.eye(model.n))
+def identity_metric(model: LieModel) -> HermitianMetric:
+    return metric_from_matrix(model, np.eye(model.n))
 
 
 def metric_from_document(model: LieModel, doc: dict) -> HermitianMetric:
@@ -199,11 +200,6 @@ def _cached(g: HermitianMetric, key, build):
     if hit is None:
         hit = g._cache[key] = build()
     return hit
-
-
-def _frozen(mat: np.ndarray) -> np.ndarray:
-    mat.setflags(write=False)
-    return mat
 
 
 def _compound(m: np.ndarray, k: int) -> np.ndarray:
@@ -406,7 +402,7 @@ def _lefschetz_power_opnorm(n: int, power: int, p: int, q: int) -> float:
     return float(np.linalg.svd(mat, compute_uv=False)[0]) if mat.size else 0.0
 
 
-def is_primitive(g: HermitianMetric, u: Form, tol: float = 1e-9) -> bool:
+def is_primitive(g: HermitianMetric, u: Form) -> bool:
     """Primitivity via the contraction kernel, cross-checked against the power test.
 
     Lambda_omega u = 0 and omega^{n-k+1} wedge u = 0 (k = deg u) are
@@ -416,14 +412,15 @@ def is_primitive(g: HermitianMetric, u: Form, tol: float = 1e-9) -> bool:
     n = g.n
     x = to_frame(g, u)  # L2 norms are sqrt(vol) times frame 2-norms, a factor that cancels
     scale = max(float(np.linalg.norm(x)), 1e-30)
-    by_contraction = float(np.linalg.norm(lambda_matrix(g, u.p, u.q) @ x)) <= tol * scale
+    contraction = float(np.linalg.norm(lambda_matrix(g, u.p, u.q) @ x))
+    by_contraction = contraction <= _PRIMITIVE_TOL * scale
     power = n - u.degree + 1
     if power < 0:
         by_power = by_contraction
     else:
         opnorm = max(_lefschetz_power_opnorm(n, power, u.p, u.q), 1.0)
         power_image = _unitary_lefschetz(n, power, u.p, u.q) @ x
-        by_power = float(np.linalg.norm(power_image)) <= tol * scale * opnorm
+        by_power = float(np.linalg.norm(power_image)) <= _PRIMITIVE_TOL * scale * opnorm
     if by_contraction != by_power:
         raise CrossCheckError(
             "primitivity tests disagree (contraction vs power); threshold failure"
@@ -593,7 +590,7 @@ def real_frame_matrix(mat: np.ndarray, n: int, k: int) -> np.ndarray:
     return alpha.conj()[:, None] * cols[a] + beta.conj()[:, None] * cols[b]
 
 
-def derham_harmonic_dimension(g: HermitianMetric, k: int, tol: float | None = None) -> int:
+def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
     """Dimension of the de Rham harmonic k-forms, from eigenvalues only.
 
     d is a real operator, so Delta_d is real symmetric in the real frame
@@ -601,18 +598,16 @@ def derham_harmonic_dimension(g: HermitianMetric, k: int, tol: float | None = No
     The cut is the one ``harmonic_basis`` takes on the complex matrix.
     """
     lap = laplacian_derham(g, k)
-    cut = tol if tol is not None else rank_cut(g, lap, 2, 4)
-    return symmetric_kernel_dimension(real_frame_matrix(lap, g.n, k).real, tol=cut)
+    return symmetric_kernel_dimension(real_frame_matrix(lap, g.n, k).real, rank_cut(g, lap, 2, 4))
 
 
 # ---------------------------------------------------------------------------
 # harmonic spaces and decompositions
 
 
-def harmonic_basis(g: HermitianMetric, lap: np.ndarray, tol: float | None = None) -> np.ndarray:
+def harmonic_basis(g: HermitianMetric, lap: np.ndarray) -> np.ndarray:
     """L2-orthonormal kernel basis (columns, unitary-frame coordinates) of a frame Laplacian."""
-    cut = tol if tol is not None else rank_cut(g, lap, 2, 4)
-    return hermitian_kernel(lap, tol=cut) / math.sqrt(g.volume)
+    return hermitian_kernel(lap, rank_cut(g, lap, 2, 4)) / math.sqrt(g.volume)
 
 
 def harmonic_space(g: HermitianMetric, lap: np.ndarray, p: int, q: int) -> list[Form]:
@@ -628,11 +623,9 @@ def harmonic_projection(g: HermitianMetric, basis: list[Form], u: Form) -> Form:
     return out
 
 
-def orthonormal_span(
-    g: HermitianMetric, columns: np.ndarray, tol: float | None = None
-) -> np.ndarray:
-    """L2-orthonormal basis of the span of unitary-frame columns."""
-    return column_space(columns, tol=tol) / math.sqrt(g.volume)
+def orthonormal_span(g: HermitianMetric, columns: np.ndarray, tol: float) -> np.ndarray:
+    """L2-orthonormal basis of the span of unitary-frame columns, cut at ``tol``."""
+    return column_space(columns, tol) / math.sqrt(g.volume)
 
 
 def subspace_residual(g: HermitianMetric, a: np.ndarray, b: np.ndarray) -> float:

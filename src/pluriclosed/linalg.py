@@ -1,12 +1,14 @@
 """Rank-revealing linear algebra with a shared singular-value threshold.
 
-Without an explicit ``tol`` a rank decision cuts relative to the matrix
-itself, at tau = max(shape) * machine-eps * sigma_max (``rank_tolerance``;
-the kernel of a Hermitian matrix uses its largest eigenvalue in the same
-way).  That suits the metric-free model matrices, whose structure constants
-are exact.  Frame matrices of a metric are conjugated, and blocks that
-vanish in exact arithmetic carry rounding noise there, so the Hodge layer
-passes ``tol`` with a floor from the whole frame complex (``hodge.rank_cut``).
+A rank cut comes from one of two rules.  Without ``tol``, ``numeric_rank``
+and ``nullspace`` cut relative to the matrix itself, at
+tau = max(shape) * machine-eps * sigma_max (``rank_tolerance``).  That suits
+the metric-free model matrices, whose structure constants are exact.  Frame
+matrices of a metric are conjugated, and blocks that vanish in exact
+arithmetic carry rounding noise there, so the Hodge layer passes the cut of
+``hodge.rank_cut``, with a floor from the whole frame complex;
+``column_space``, ``hermitian_kernel`` and ``symmetric_kernel_dimension``
+serve only frame matrices and take that cut as a required argument.
 
 Ranks come from singular values alone (``singular_values``), and those are
 found block by block.  The rows and columns of a matrix split into the
@@ -117,36 +119,29 @@ def nullspace(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def column_space(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space."""
+def column_space(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis (columns) of the column space, singular values above ``tol``."""
     matrix = np.atleast_2d(matrix)
     if matrix.shape[1] == 0 or matrix.shape[0] == 0 or not np.any(matrix):
         return np.zeros((matrix.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(matrix)
-    cut = rank_tolerance(s, matrix.shape) if tol is None else tol
-    rank = int(np.count_nonzero(s > cut))
-    return u[:, :rank]
+    return u[:, : int(np.count_nonzero(s > tol))]
 
 
-def hermitian_kernel(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Orthonormal kernel basis of a Hermitian PSD matrix via eigendecomposition."""
+def hermitian_kernel(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal kernel basis of a Hermitian PSD matrix, eigenvalues within ``tol`` of 0."""
     matrix = np.atleast_2d(matrix)
-    dim = matrix.shape[0]
-    if dim == 0:
+    if matrix.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
-    herm = 0.5 * (matrix + matrix.conj().T)
-    eigvals, eigvecs = np.linalg.eigh(herm)
-    scale = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    cut = dim * _EPS * scale if tol is None else tol
-    keep = np.abs(eigvals) <= max(cut, 0.0)
-    return eigvecs[:, keep]
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
+    return eigvecs[:, np.abs(eigvals) <= tol]
 
 
 def symmetric_kernel_dimension(matrix: np.ndarray, tol: float) -> int:
     """Kernel dimension of a real symmetric PSD matrix, from its eigenvalues alone."""
     matrix = np.atleast_2d(matrix)
     eigvals = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
-    return int(np.count_nonzero(np.abs(eigvals) <= max(tol, 0.0)))
+    return int(np.count_nonzero(np.abs(eigvals) <= tol))
 
 
 def min_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:

@@ -249,6 +249,7 @@ def test_form_document_roundtrip(rng):
     u = alg.random_form(3, 1, 2, rng)
     doc = alg.form_to_document(u)
     assert (alg.form_from_document(doc, 3) - u).norm() == 0.0
+    assert alg.form_from_document({"p": 1, "q": 2, "terms": []}, 3).is_zero()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """CLI smoke tests over the bundled fixture corpus."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -275,3 +276,64 @@ def test_form_document_boolean_degree_exits_two(tmp_path):
     form = _write(tmp_path, "class.json", doc)
     completed = run_cli("cone", "skt", "--model", "kodaira_thurston", "--class", form)
     _assert_parse_error(completed, "p:")
+
+
+@pytest.mark.parametrize(
+    "doc,path",
+    [
+        ({"p": 1, "q": 1}, "terms:"),  # used to parse as the zero form
+        ({"p": 5, "q": 1, "terms": []}, "p:"),  # n = 2
+        ({"p": -1, "q": 1, "terms": []}, "p:"),
+        ({"p": 1, "q": 3, "terms": []}, "q:"),
+    ],
+)
+def test_form_document_degree_and_terms_exit_two(tmp_path, doc, path):
+    form = _write(tmp_path, "class.json", doc)
+    completed = run_cli("cone", "skt", "--model", "kodaira_thurston", "--class", form)
+    _assert_parse_error(completed, path)
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "kodaira_thurston"])
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_cohomology_dimensions_ignore_metric_scale(tmp_path, name, scale):
+    # the derived rank cuts follow the metric: t * h gives the golden dimensions
+    import numpy as np
+
+    n = fx.load_document(name)["n"]
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    h = scale * (u * np.geomspace(1.0, 10.0, n)) @ u.conj().T
+    h = 0.5 * (h + h.conj().T)
+    doc = {"name": "scaled", "h": [[[z.real, z.imag] for z in row] for row in h]}
+    metric = _write(tmp_path, "metric.json", doc)
+    completed = run_cli("cohomology", "--model", name, "--metric", metric)
+    assert completed.returncode == 0, completed.stderr
+    golden = json.loads(fx.golden_path(name, "cohomology").read_text(encoding="utf-8"))
+    dims = [row["dim"] for row in json.loads(completed.stdout)["table"]]
+    assert dims == [row["dim"] for row in golden["table"]]
+
+
+COMMON_FLAGS = {"--help", "--model", "--format", "--tol-eq"}
+COMMAND_FLAGS = [
+    (["validate"], set()),
+    (["cohomology"], {"--metric", "--bless"}),
+    (["classify"], {"--metric", "--strict", "--bless"}),
+    (["decompose"], {"--metric", "--class", "--scale"}),
+    (["cone", "skt"], {"--metric", "--class", "--scale", "--seed"}),
+    (["cone", "copsef"], {"--metric", "--class", "--scale", "--probes"}),
+    (["check-lemmas"], {"--metric", "--seed"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flags", COMMAND_FLAGS, ids=[" ".join(command) for command, _ in COMMAND_FLAGS]
+)
+def test_parser_accepts_only_the_flags_a_command_reads(capsys, command, flags):
+    # rank cuts are derived, never configured, and only cone skt and
+    # check-lemmas draw random samples
+    from pluriclosed.cli import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*command, "--help"])
+    accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert accepted == COMMON_FLAGS | flags

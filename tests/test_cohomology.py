@@ -191,8 +191,8 @@ def test_conjugation_maps_the_laplacians(mirror_metrics, name):
 def test_mirrored_space_keeps_its_cross_check(models, monkeypatch, theory):
     quotient = coh.quotient_dimension
 
-    def off_by_one(model, theory, p, q, tol=None):
-        return quotient(model, theory, p, q, tol=tol) + (p > q)
+    def off_by_one(model, theory, p, q):
+        return quotient(model, theory, p, q) + (p > q)
 
     monkeypatch.setattr(coh, "quotient_dimension", off_by_one)
     model = models["kodaira_thurston"]
