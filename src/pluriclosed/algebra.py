@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -60,6 +60,8 @@ __all__ = [
     "deldelbar_matrix",
     "block_matrix",
     "d_matrix",
+    "total_differential",
+    "closed_and_exact",
     "wedge_matrix",
     "operator_matrix",
     "to_vector",
@@ -565,14 +567,38 @@ def block_matrix(n: int, sources, targets, parts) -> np.ndarray:
     return mat
 
 
+def total_differential(n: int, k: int, del_, delbar) -> np.ndarray:
+    """d: Lambda^k -> Lambda^{k+1} from the blocks of del and delbar (see ``closed_and_exact``)."""
+    src, tgt = bidegrees_of_degree(n, k), bidegrees_of_degree(n, k + 1)
+    return block_matrix(n, src, tgt, {(1, 0): del_, (0, 1): delbar})
+
+
 def d_matrix(model: LieModel, k: int) -> np.ndarray:
     """Block matrix of d: Lambda^k -> Lambda^{k+1} over the bidegree splitting."""
-    n = model.n
-    parts = {
-        (1, 0): lambda p, q: del_matrix(model, p, q),
-        (0, 1): lambda p, q: delbar_matrix(model, p, q),
-    }
-    return block_matrix(n, bidegrees_of_degree(n, k), bidegrees_of_degree(n, k + 1), parts)
+    return total_differential(model.n, k, partial(del_matrix, model), partial(delbar_matrix, model))
+
+
+def closed_and_exact(theory: str, n: int, p: int, q: int | None, del_, delbar):
+    """The operators that define a cohomology theory: its space is ker closed / im exact.
+
+    ``del_`` and ``delbar`` are block functions (p, q) -> matrix, in model
+    (``del_matrix``) or frame (``hodge.del_matrix``) coordinates alike.  For
+    de Rham p is the degree and q is unused.
+    """
+    if theory == "bc":
+        closed = np.vstack([del_(p, q), delbar(p, q)])
+        exact = del_(p - 1, q) @ delbar(p - 1, q - 1)
+    elif theory == "aeppli":
+        closed = del_(p, q + 1) @ delbar(p, q)
+        exact = np.hstack([del_(p - 1, q), delbar(p, q - 1)])
+    elif theory == "dolbeault":
+        closed, exact = delbar(p, q), delbar(p, q - 1)
+    elif theory == "derham":
+        closed = total_differential(n, p, del_, delbar)
+        exact = total_differential(n, p - 1, del_, delbar)
+    else:
+        raise ValueError(f"unknown theory {theory!r}")
+    return closed, exact
 
 
 def wedge_matrix(n: int, w: Form, p: int, q: int) -> np.ndarray:

@@ -173,8 +173,8 @@ def skt_class_nonzero(g: hodge.HermitianMetric) -> SktNonvanishing:
     omega_norm = hodge.l2_norm(g, g.omega)
 
     # least squares in the unitary frame, L2-isometric up to sqrt(vol):
-    # columns of Im del + Im delbar inside (1,1)
-    columns = np.hstack([hodge.del_matrix(g, 0, 1), hodge.delbar_matrix(g, 1, 0)])
+    # columns of the Aeppli-exact Im del + Im delbar inside (1,1)
+    _, columns = hodge.closed_and_exact(g, "aeppli", 1, 1)
     scale = math.sqrt(g.volume)
     sol, distance = min_norm_lstsq(scale * columns, scale * hodge.to_frame(g, g.omega))
     if distance <= 1e-9 * omega_norm:

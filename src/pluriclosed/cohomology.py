@@ -1,17 +1,19 @@
 """Bott-Chern, Aeppli, Dolbeault and de Rham cohomology of a model.
 
-Every space is computed twice: once as a quotient rank (kernel dimension
-minus image rank, metric-free) and once as the kernel dimension of the
-matching Laplacian for a chosen metric.  The finite Hodge isomorphism makes
-the two dimensions equal exactly; a mismatch is a numerical-threshold
-failure and raises CrossCheckError.
+A theory is a pair (closed, exact) of operators (``alg.closed_and_exact``),
+and every space is computed twice from it: once as the quotient rank
+columns - rank closed - rank exact of the model matrices (metric-free), and
+once as the kernel dimension of the frame Laplacian closed* closed +
+exact exact* (``hodge.laplacian``) for a chosen metric.  The finite Hodge
+isomorphism makes the two dimensions equal exactly; a mismatch is a
+numerical-threshold failure and raises CrossCheckError.
 
 Complex conjugation does half of the harmonic work.  It is a signed
 permutation P from Lambda^{p,q} to Lambda^{q,p}, the same in model and
-frame coordinates, and it maps Delta_BC^{p,q} to Delta_BC^{q,p} and
-Delta_A^{p,q} to Delta_A^{q,p}.  So a Bott-Chern or Aeppli space with p > q
-takes its harmonic basis from the (q,p) space, as P conj(basis), with no
-Laplacian; its quotient rank is still computed on its own and checked
+frame coordinates, and it maps the Bott-Chern and Aeppli harmonic spaces of
+bidegree (p,q) onto those of (q,p).  So a Bott-Chern or Aeppli space with
+p > q takes its harmonic basis from the (q,p) space, as P conj(basis), with
+no Laplacian; its quotient rank is still computed on its own and checked
 against that basis.  Dolbeault is not mirrored: conjugation maps it to
 del-cohomology.  d is real, so Delta_d is real symmetric in a basis of real
 forms, and the de Rham harmonic dimension is counted from the eigenvalues
@@ -27,6 +29,7 @@ H^{n-1,n-1}_BC with its lambda coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -114,37 +117,15 @@ class CohomologyClass:
 def quotient_dimension(model: LieModel, theory: str, p: int, q: int | None) -> int:
     """Cohomology dimension by rank-nullity on the invariant complex.
 
-    ``closed`` is the operator whose kernel holds the closed forms and
-    ``exact`` the one whose image holds the exact forms.  The kernel is
-    counted as columns minus rank, so a space costs two calls of
-    ``linalg.numeric_rank`` (singular values only, block by block) and no
-    singular vectors.
+    For the theory's pair (closed, exact) of model matrices
+    (``alg.closed_and_exact``) the kernel is counted as columns minus rank,
+    so a space costs two calls of ``linalg.numeric_rank`` (singular values
+    only, block by block) and no singular vectors.
     """
-    if theory == "bc":
-        closed = np.vstack([alg.del_matrix(model, p, q), alg.delbar_matrix(model, p, q)])
-        exact = alg.deldelbar_matrix(model, p - 1, q - 1)
-    elif theory == "aeppli":
-        closed = alg.deldelbar_matrix(model, p, q)
-        exact = np.hstack([alg.del_matrix(model, p - 1, q), alg.delbar_matrix(model, p, q - 1)])
-    elif theory == "dolbeault":
-        closed = alg.delbar_matrix(model, p, q)
-        exact = alg.delbar_matrix(model, p, q - 1)
-    elif theory == "derham":
-        closed = alg.d_matrix(model, p)
-        exact = alg.d_matrix(model, p - 1)
-    else:
-        raise ValueError(f"unknown theory {theory!r}")
+    closed, exact = alg.closed_and_exact(
+        theory, model.n, p, q, partial(alg.del_matrix, model), partial(alg.delbar_matrix, model)
+    )
     return closed.shape[1] - numeric_rank(closed) - numeric_rank(exact)
-
-
-def _laplacian_for(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
-    if theory == "bc":
-        return hodge.laplacian_bc(g, p, q)
-    if theory == "aeppli":
-        return hodge.laplacian_a(g, p, q)
-    if theory == "dolbeault":
-        return hodge.laplacian_delbar(g, p, q)
-    raise ValueError(f"unknown theory {theory!r}")
 
 
 def cohomology_space(
@@ -183,7 +164,7 @@ def _space_data(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
             basis = alg._conjugate_rows(mirror.T, g.n, q, p).T
             hdim = basis.shape[1]
         else:
-            basis = hodge.harmonic_basis(g, _laplacian_for(g, theory, p, q))
+            basis = hodge.harmonic_basis(g, hodge.laplacian(g, theory, p, q))
             hdim = basis.shape[1]
         if qdim != hdim:
             raise CrossCheckError(
@@ -201,20 +182,16 @@ def _frame_coords(g: hodge.HermitianMetric, basis: np.ndarray, u: Form) -> np.nd
 
 
 def class_of(space: CohomologySpace, u: Form, tol: float = 1e-9) -> CohomologyClass:
-    """Class of a form, after checking it represents one."""
-    g = space.metric
-    model = g.model
-    scale = max(u.norm(), 1.0)
-    if space.theory == "bc":
-        bad = max(alg.del_form(model, u).norm(), alg.delbar_form(model, u).norm())
-        if bad > tol * scale:
-            raise PreconditionError("form is not del- and delbar-closed", {"residual": bad})
-    elif space.theory == "aeppli":
-        bad = alg.del_form(model, alg.delbar_form(model, u)).norm()
-        if bad > tol * scale:
-            raise PreconditionError("form is not del delbar-closed", {"residual": bad})
-    else:
+    """Class of a form, after checking that the theory's ``closed`` operator kills it."""
+    if space.theory not in ("bc", "aeppli"):
         raise ValueError("classes are only built for the bc and aeppli theories")
+    g, model = space.metric, space.metric.model
+    del_, delbar = partial(alg.del_matrix, model), partial(alg.delbar_matrix, model)
+    closed, _ = alg.closed_and_exact(space.theory, g.n, u.p, u.q, del_, delbar)
+    bad = float(np.linalg.norm(closed @ u.vec))
+    if bad > tol * max(u.norm(), 1.0):
+        what = "del- and delbar-closed" if space.theory == "bc" else "del delbar-closed"
+        raise PreconditionError(f"form is not {what}", {"residual": bad})
     return CohomologyClass(space=space, coords=_frame_coords(g, space.basis, u), representative=u)
 
 

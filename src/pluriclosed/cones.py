@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -255,11 +256,8 @@ def closed_positive_probes(
         if p:
             probes.append(p)
 
-    closed = nullspace(
-        np.vstack(
-            [alg.del_matrix(model, n - 1, n - 1), alg.delbar_matrix(model, n - 1, n - 1)]
-        )
-    )
+    del_, delbar = partial(alg.del_matrix, model), partial(alg.delbar_matrix, model)
+    closed = nullspace(alg.closed_and_exact("bc", n, n - 1, n - 1, del_, delbar)[0])
     if closed.shape[1]:
         rng = np.random.default_rng(seed)
         for idx in range(count):

@@ -18,6 +18,11 @@ i sum e^a wedge ebar^a and its conjugate transpose.  Forms stay in the model
 coframe and cross into and out of the frame only through ``to_frame`` and
 ``from_frame``.
 
+Harmonic spaces are kernels of one Laplacian, closed* closed + exact exact*,
+over the frame (closed, exact) pair of a theory (``closed_and_exact``).  The
+paper's fourth-order ``laplacian_bc`` and ``laplacian_a`` have the same
+kernels and are kept as written, for the checks that test them.
+
 The Hodge star is the complex-linear isomorphism Lambda^{p,q} ->
 Lambda^{n-q,n-p} fixed by  u wedge star(conjugate v) = <u, v> dV.  In the
 unitary coframe it acts monomial by monomial,
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -86,6 +91,8 @@ __all__ = [
     "lambda_matrix",
     "is_primitive",
     "is_kahler",
+    "closed_and_exact",
+    "laplacian",
     "laplacian_bc",
     "laplacian_a",
     "laplacian_delbar",
@@ -527,26 +534,30 @@ def laplacian_a(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     )
 
 
+def closed_and_exact(g: HermitianMetric, theory: str, p: int, q: int | None = None):
+    """The (closed, exact) pair of a theory (``alg.closed_and_exact``) in the unitary frame."""
+    del_, delbar = partial(del_matrix, g), partial(delbar_matrix, g)
+    return alg.closed_and_exact(theory, g.n, p, q, del_, delbar)
+
+
+def laplacian(g: HermitianMetric, theory: str, p: int, q: int | None = None) -> np.ndarray:
+    """closed* closed + exact exact*, with kernel ker closed & ker exact*, the harmonic space.
+
+    For Bott-Chern and Aeppli that is the kernel of the six-term
+    ``laplacian_bc`` and ``laplacian_a``: their extra terms vanish there.
+    """
+    closed, exact = closed_and_exact(g, theory, p, q)
+    return closed.conj().T @ closed + exact @ exact.conj().T
+
+
 def laplacian_delbar(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     """Dolbeault Laplacian delbar delbar* + delbar* delbar."""
-    db1 = delbar_matrix(g, p, q)
-    db0 = delbar_matrix(g, p, q - 1)
-    return db1.conj().T @ db1 + db0 @ db0.conj().T
-
-
-def _frame_d(g: HermitianMetric, k: int) -> np.ndarray:
-    """Block matrix of d: Lambda^k -> Lambda^{k+1} in the unitary frame."""
-    n = g.n
-    parts = {(1, 0): lambda p, q: del_matrix(g, p, q), (0, 1): lambda p, q: delbar_matrix(g, p, q)}
-    src, tgt = alg.bidegrees_of_degree(n, k), alg.bidegrees_of_degree(n, k + 1)
-    return alg.block_matrix(n, src, tgt, parts)
+    return laplacian(g, "dolbeault", p, q)
 
 
 def laplacian_derham(g: HermitianMetric, k: int) -> np.ndarray:
     """de Rham Laplacian d d* + d* d on total degree k, blocked over bidegrees."""
-    d_up = _frame_d(g, k)
-    d_down = _frame_d(g, k - 1)
-    return d_up.conj().T @ d_up + d_down @ d_down.conj().T
+    return laplacian(g, "derham", k)
 
 
 @lru_cache(maxsize=None)
@@ -639,12 +650,11 @@ def subspace_residual(g: HermitianMetric, a: np.ndarray, b: np.ndarray) -> float
 class DecompositionReport:
     """Orthogonal three-space splitting of Lambda^{p,q} for one Laplacian.
 
-    For the Bott-Chern flavor the parts are (kernel, image of del delbar,
-    image of del* + image of delbar*); for the Aeppli flavor they are
-    (kernel, image of (del delbar)*, image of del + image of delbar).
-    ``closed_dim`` is the dimension of the matching closed space
-    (ker del & ker delbar, resp. ker del delbar), which must split as
-    kernel (+) middle part, resp. kernel (+) last part.
+    The parts are the kernel, im exact and im closed* for the theory's
+    (closed, exact) pair: for Bott-Chern (kernel, image of del delbar, image
+    of del* + image of delbar*), for Aeppli (kernel, image of (del delbar)*,
+    image of del + image of delbar).  ``closed_dim`` is the dimension of
+    ker closed, which must split as kernel (+) im exact.
     """
 
     theory: str
@@ -670,53 +680,41 @@ def three_space_decomposition(
 ) -> DecompositionReport:
     """Verify the orthogonal splitting induced by the Bott-Chern or Aeppli Laplacian.
 
-    Each rank decision cuts with the floor of the whole complex, raised to
-    the order of the operator.
+    The harmonic part is the kernel of the six-term ``laplacian_bc`` or
+    ``laplacian_a``, so the paper's operators are checked too.  Each rank
+    decision cuts with the floor of the whole complex, raised to the order
+    of the operator: 1 for del and delbar, 2 for del delbar.
     """
-    total = alg.space_dim(g.n, p, q)
-    d, db = del_matrix(g, p, q), delbar_matrix(g, p, q)
-    if theory == "bc":
-        lap = laplacian_bc(g, p, q)
-        exact_cols = del_matrix(g, p - 1, q) @ delbar_matrix(g, p - 1, q - 1)
-        coexact_cols = np.hstack([d.conj().T, db.conj().T])
-        closed_cols, closed_order = np.vstack([d, db]), 1
-    elif theory == "aeppli":
-        lap = laplacian_a(g, p, q)
-        exact_cols = (del_matrix(g, p, q + 1) @ db).conj().T
-        coexact_cols = np.hstack([del_matrix(g, p - 1, q), delbar_matrix(g, p, q - 1)])
-        closed_cols, closed_order = exact_cols.conj().T, 2
-    else:
+    if theory not in ("bc", "aeppli"):
         raise ValueError("theory must be 'bc' or 'aeppli'")
-
+    total = alg.space_dim(g.n, p, q)
+    paper_laplacian, orders = (laplacian_bc, (1, 2)) if theory == "bc" else (laplacian_a, (2, 1))
+    lap = paper_laplacian(g, p, q)
+    closed, exact = closed_and_exact(g, theory, p, q)
     kernel = harmonic_basis(g, lap)
-    exact = orthonormal_span(g, exact_cols, tol=rank_cut(g, exact_cols, 2))
-    coexact = orthonormal_span(g, coexact_cols, tol=rank_cut(g, coexact_cols, 1))
-    residual = max(
-        subspace_residual(g, kernel, exact),
-        subspace_residual(g, kernel, coexact),
-        subspace_residual(g, exact, coexact),
-    )
-    closed_rank = numeric_rank(closed_cols, tol=rank_cut(g, closed_cols, closed_order))
-    closed_dim = closed_cols.shape[1] - closed_rank
-    if theory == "bc":
-        closed_split_ok = closed_dim == kernel.shape[1] + exact.shape[1]
-    else:
-        closed_split_ok = closed_dim == kernel.shape[1] + coexact.shape[1]
+    image = orthonormal_span(g, exact, tol=rank_cut(g, exact, orders[1]))
+    coimage = orthonormal_span(g, closed.conj().T, tol=rank_cut(g, closed, orders[0]))
+    pairs = ((kernel, image), (kernel, coimage), (image, coimage))
+    residual = max(subspace_residual(g, a, b) for a, b in pairs)
+    closed_dim = closed.shape[1] - numeric_rank(closed, tol=rank_cut(g, closed, orders[0]))
+    closed_split_ok = closed_dim == kernel.shape[1] + image.shape[1]
     image_rank = numeric_rank(lap, tol=rank_cut(g, lap, 2, 4))
+    if theory == "aeppli":  # the report names im (del delbar)* the exact part
+        image, coimage = coimage, image
     return DecompositionReport(
         theory=theory,
         p=p,
         q=q,
         dim_total=total,
         dim_kernel=kernel.shape[1],
-        dim_exact=exact.shape[1],
-        dim_coexact=coexact.shape[1],
+        dim_exact=image.shape[1],
+        dim_coexact=coimage.shape[1],
         orthogonality_residual=residual,
-        dims_sum_ok=total == kernel.shape[1] + exact.shape[1] + coexact.shape[1],
+        dims_sum_ok=total == kernel.shape[1] + image.shape[1] + coimage.shape[1],
         closed_dim=closed_dim,
         closed_split_ok=closed_split_ok,
         image_rank=image_rank,
-        image_split_ok=image_rank == exact.shape[1] + coexact.shape[1],
+        image_split_ok=image_rank == image.shape[1] + coimage.shape[1],
     )
 
 

@@ -3,6 +3,7 @@ import importlib
 import math
 import sys
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_mirrored_basis_spans_the_direct_kernel(mirror_metrics, name):
     g = mirror_metrics[name]
     for theory, laplacian in LAPLACIANS.items():
         for p in range(g.n + 1):
-            for q in range(p):
+            for q in range(g.n + 1):  # mirrored (p > q) and direct (p <= q) spaces
                 basis = coh.cohomology_space(g, theory, p, q).basis
                 direct = hodge.harmonic_basis(g, getattr(hodge, laplacian)(g, p, q))
                 assert basis.shape == direct.shape, (theory, p, q)
@@ -206,15 +207,16 @@ def test_mirrored_space_keeps_its_cross_check(models, monkeypatch, theory):
 
 @pytest.mark.parametrize("name", ["iwasawa", "double_kt"])
 def test_no_laplacian_is_built_above_the_diagonal(models, monkeypatch, name):
+    # every frame Laplacian is assembled from the frame (closed, exact) pair
     built = []
-    for laplacian in LAPLACIANS.values():
-        original = getattr(hodge, laplacian)
+    original = hodge.closed_and_exact
 
-        def record(g, p, q, original=original):
+    def record(g, theory, p, q=None):
+        if theory in LAPLACIANS:
             built.append((p, q))
-            return original(g, p, q)
+        return original(g, theory, p, q)
 
-        monkeypatch.setattr(hodge, laplacian, record)
+    monkeypatch.setattr(hodge, "closed_and_exact", record)
     g = _conditioned_metric(models[name], 10.0, seed=3)
     n = g.n
     for theory in LAPLACIANS:
@@ -243,6 +245,55 @@ def test_real_derham_count_matches_the_complex_kernel(mirror_metrics, name):
         lap = hodge.laplacian_derham(g, k)
         complex_kernel = hermitian_kernel(lap, tol=hodge.rank_cut(g, lap, 2, 4))
         assert hodge.derham_harmonic_dimension(g, k) == complex_kernel.shape[1], k
+
+
+# ---------------------------------------------------------------------------
+# the (closed, exact) pair that defines each theory
+
+
+@pytest.mark.parametrize("name", MIRROR_MODELS)
+def test_closed_kills_exact_in_model_and_frame_coordinates(mirror_metrics, name):
+    # relative to the norms of the two factors, each floored at S, the largest
+    # del or delbar block: frame blocks that vanish exactly carry rounding noise
+    g = mirror_metrics[name]
+    n = g.n
+    model_blocks = (partial(alg.del_matrix, g.model), partial(alg.delbar_matrix, g.model))
+    frame_blocks = (partial(hodge.del_matrix, g), partial(hodge.delbar_matrix, g))
+    tables = (
+        (model_blocks, lambda theory, p, q: alg.closed_and_exact(theory, n, p, q, *model_blocks)),
+        (frame_blocks, partial(hodge.closed_and_exact, g)),
+    )
+    for blocks, table in tables:
+        s = max(np.linalg.norm(b(p, q)) for b in blocks for p in range(n + 1) for q in range(n + 1))
+        for theory, p, q in _space_keys(n):
+            if q is None:
+                dim = sum(alg.space_dim(n, a, b) for a, b in alg.bidegrees_of_degree(n, p))
+            else:
+                dim = alg.space_dim(n, p, q)
+            closed, exact = table(theory, p, q)
+            assert closed.shape[1] == exact.shape[0] == dim, (theory, p, q)
+            scale = max(np.linalg.norm(closed), s) * max(np.linalg.norm(exact), s)
+            assert np.linalg.norm(closed @ exact) <= 1e-12 * scale, (theory, p, q)
+
+
+def test_unknown_theory_is_rejected(metrics):
+    g = metrics["iwasawa"]
+    blocks = (partial(alg.del_matrix, g.model), partial(alg.delbar_matrix, g.model))
+    with pytest.raises(ValueError, match="unknown theory"):
+        alg.closed_and_exact("hodge", g.n, 1, 1, *blocks)
+    with pytest.raises(ValueError, match="unknown theory"):
+        hodge.closed_and_exact(g, "hodge", 1, 1)
+    with pytest.raises(ValueError, match="unknown theory"):
+        coh.cohomology_space(g, "hodge", 1, 1)
+
+
+@pytest.mark.parametrize(("theory", "p", "q"), [("dolbeault", 1, 1), ("derham", 2, None)])
+def test_decompositions_and_classes_need_bc_or_aeppli(metrics, theory, p, q):
+    g = metrics["iwasawa"]
+    with pytest.raises(ValueError):
+        hodge.three_space_decomposition(g, theory, p, q)
+    with pytest.raises(ValueError):
+        coh.class_of(coh.cohomology_space(g, theory, p, q), alg.zero_form(g.n, 1, 1))
 
 
 def test_dims_metric_independent(models, rng):
@@ -315,11 +366,16 @@ def test_class_of_zero_form(metrics):
     assert np.allclose(cls.coords, 0)
 
 
-def test_class_rejects_non_closed(metrics):
+def test_class_rejects_non_closed(metrics, models):
     g = metrics["kodaira_thurston"]
     space = coh.cohomology_space(g, "bc", 1, 1)
     with pytest.raises(PreconditionError):
         coh.class_of(space, alg.delbar_form(g.model, alg.basis_form(2, (2,), ())) * 1.0 + alg.basis_form(2, (2,), (2,)))
+    # the identity metric of the Iwasawa manifold is not SKT: del delbar omega != 0
+    g = hodge.identity_metric(models["iwasawa"])
+    assert alg.del_form(g.model, alg.delbar_form(g.model, g.omega)).norm() > 0.1
+    with pytest.raises(PreconditionError, match="del delbar-closed"):
+        coh.class_of(coh.cohomology_space(g, "aeppli", 1, 1), g.omega)
 
 
 def test_harmonic_representative_projects(metrics, rng):
@@ -595,7 +651,7 @@ def test_harmonic_parts_reuse_the_cohomology_spaces(models, monkeypatch, name):
     coh.cohomology_space(g, "aeppli", 1, 1)
     coh.cohomology_space(g, "bc", n - 1, n - 1)
     calls = []
-    for fn in ("laplacian_a", "laplacian_bc", "hermitian_kernel"):
+    for fn in ("laplacian", "laplacian_a", "laplacian_bc", "hermitian_kernel"):
 
         def record(*args, fn=fn, original=getattr(hodge, fn), **kwargs):
             calls.append(fn)
