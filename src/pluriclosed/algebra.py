@@ -73,6 +73,8 @@ __all__ = [
     "random_form",
 ]
 
+TOL_STRUCTURE = 1e-12  # d^2 = 0 and unimodularity, relative to the largest structure constant
+
 
 class MultiIndex(NamedTuple):
     """Basis label phi^holo wedge phibar^anti; both tuples strictly increasing, 1-based."""
@@ -641,25 +643,29 @@ class ValidationReport:
         }
 
 
-def validate_model(model: LieModel, tol: float = 1e-12) -> ValidationReport:
+def _max_abs(*mats: np.ndarray) -> float:
+    return max(float(np.max(np.abs(m), initial=0.0)) for m in mats)
+
+
+def validate_model(model: LieModel) -> ValidationReport:
     """Check d^2 = 0 on 1-forms, integrability, and unimodularity.
 
     Failures are reported, never raised.  d^2 = 0 on the coframe extends to
     the whole algebra because d is a derivation; unimodularity is the exact
     validity of Stokes on invariant top-degree forms, tested by requiring the
-    differential of every (2n-1)-form to have no volume component.
+    differential of every (2n-1)-form to have no volume component.  The d^2
+    and volume residuals are relative to c^2 and c, c the largest structure
+    constant, so rescaling the coframe keeps both verdicts.
     """
     n = model.n
-    residual = 0.0
+    size = residual = 0.0
     for p, q in ((1, 0), (0, 1)):
-        dd_hh = del_matrix(model, p + 1, q) @ del_matrix(model, p, q)
-        dd_aa = delbar_matrix(model, p, q + 1) @ delbar_matrix(model, p, q)
-        dd_mix = del_matrix(model, p, q + 1) @ delbar_matrix(model, p, q) + delbar_matrix(
-            model, p + 1, q
-        ) @ del_matrix(model, p, q)
-        for mat in (dd_hh, dd_aa, dd_mix):
-            if mat.size:
-                residual = max(residual, float(np.max(np.abs(mat))))
+        d1, db1 = del_matrix(model, p, q), delbar_matrix(model, p, q)
+        dd_hh = del_matrix(model, p + 1, q) @ d1
+        dd_aa = delbar_matrix(model, p, q + 1) @ db1
+        dd_mix = del_matrix(model, p, q + 1) @ db1 + delbar_matrix(model, p + 1, q) @ d1
+        size = max(size, _max_abs(d1, db1))
+        residual = max(residual, _max_abs(dd_hh, dd_aa, dd_mix))
 
     # structure equations can only carry (2,0) and (1,1) parts; re-checked here
     integrable = all(
@@ -667,15 +673,11 @@ def validate_model(model: LieModel, tol: float = 1e-12) -> ValidationReport:
         for f20, f11 in zip(model.d20, model.d11)
     )
 
-    vol_row = 0.0
-    for mat in (delbar_matrix(model, n, n - 1), del_matrix(model, n - 1, n)):
-        if mat.size:
-            vol_row = max(vol_row, float(np.max(np.abs(mat))))
-
+    vol_row = _max_abs(delbar_matrix(model, n, n - 1), del_matrix(model, n - 1, n))
     return ValidationReport(
-        d_squared_zero=residual <= tol,
+        d_squared_zero=residual <= TOL_STRUCTURE * size**2,
         integrable=integrable,
-        unimodular=vol_row <= tol,
+        unimodular=vol_row <= TOL_STRUCTURE * size,
         d_squared_residual=residual,
         volume_row_norm=vol_row,
     )

@@ -38,6 +38,8 @@ __all__ = [
     "power_exactness_witness",
 ]
 
+TOL_AEPPLI = 1e-8  # relative residual of the Aeppli-harmonicity lemma and its preconditions
+
 
 @dataclass
 class MetricClassification:
@@ -68,9 +70,7 @@ class MetricClassification:
         }
 
 
-def classify_metric(
-    g: hodge.HermitianMetric, tol: float = 1e-9, strict: bool = False
-) -> MetricClassification:
+def classify_metric(g: hodge.HermitianMetric, strict: bool = False) -> MetricClassification:
     """Evaluate the six taxonomy predicates for a metric.
 
     kahler: d omega = 0; balanced: d omega^{n-1} = 0; gauduchon:
@@ -89,7 +89,7 @@ def classify_metric(
     del_power, delbar_power = alg.d_form(model, power)
 
     residuals = {
-        "kahler": math.hypot(del_omega.norm(), delbar_omega.norm()) / omega_scale,
+        "kahler": hodge.kahler_residual(g),
         "balanced": math.hypot(del_power.norm(), delbar_power.norm()) / power_scale,
         "gauduchon": alg.del_form(model, delbar_power).norm() / power_scale,
         "skt": alg.del_form(model, delbar_omega).norm() / omega_scale,
@@ -116,12 +116,12 @@ def classify_metric(
         residuals["hermitian_symplectic_02_reading"] = del_omega.norm() / omega_scale
 
     out = MetricClassification(
-        kahler=residuals["kahler"] <= tol,
-        balanced=residuals["balanced"] <= tol,
-        gauduchon=residuals["gauduchon"] <= tol,
-        strongly_gauduchon=residuals["strongly_gauduchon"] <= tol,
-        skt=residuals["skt"] <= tol,
-        hermitian_symplectic=residuals["hermitian_symplectic"] <= tol,
+        kahler=residuals["kahler"] <= hodge.TOL_EQ,
+        balanced=residuals["balanced"] <= hodge.TOL_EQ,
+        gauduchon=residuals["gauduchon"] <= hodge.TOL_EQ,
+        strongly_gauduchon=residuals["strongly_gauduchon"] <= hodge.TOL_EQ,
+        skt=residuals["skt"] <= hodge.TOL_EQ,
+        hermitian_symplectic=residuals["hermitian_symplectic"] <= hodge.TOL_EQ,
         residuals=residuals,
         witnesses={"strongly_gauduchon": gamma, "hermitian_symplectic": alpha},
     )
@@ -238,34 +238,30 @@ class AeppliHarmonicResiduals:
         return (self.del_adjoint, self.delbar_adjoint, self.laplacian)
 
 
-def aeppli_harmonic_check(
-    g: hodge.HermitianMetric, phi: Form, tol: float = 1e-8
-) -> AeppliHarmonicResiduals:
+def aeppli_harmonic_check(g: hodge.HermitianMetric, phi: Form) -> AeppliHarmonicResiduals:
     """Residuals of del*(omega ^ phi), delbar*(omega ^ phi), Delta_A(omega ^ phi).
 
     Defined for an SKT metric and a primitive, del- and delbar-closed
     (p,q)-form phi with p + q = n - 1; all three residuals then vanish.
-    Preconditions are verified, not assumed, and reported per condition.
+    Preconditions are verified to the relative residual ``TOL_AEPPLI``, not
+    assumed, and reported per condition.
     """
     model = g.model
     n = g.n
     p, q = phi.bidegree
     if p + q != n - 1:
         raise PreconditionError(f"phi must have total degree n-1={n-1}, got {p + q}")
-    scale = max(hodge.l2_norm(g, phi), 1e-30)
     violations: dict[str, float] = {}
-    skt_res = alg.del_form(model, alg.delbar_form(model, g.omega)).norm()
-    if skt_res > tol * g.omega.norm():
-        violations["metric_not_skt"] = skt_res
-    prim_res = hodge.l2_norm(g, hodge.lambda_contraction(g, phi))
-    if prim_res > tol * scale:
-        violations["phi_not_primitive"] = prim_res
-    del_res = alg.del_form(model, phi).norm()
-    if del_res > tol * phi.norm():
-        violations["del_phi_nonzero"] = del_res
-    delbar_res = alg.delbar_form(model, phi).norm()
-    if delbar_res > tol * phi.norm():
-        violations["delbar_phi_nonzero"] = delbar_res
+    for name, res, size in (
+        ("metric_not_skt",
+         alg.del_form(model, alg.delbar_form(model, g.omega)).norm(), g.omega.norm()),
+        ("phi_not_primitive",
+         hodge.l2_norm(g, hodge.lambda_contraction(g, phi)), hodge.l2_norm(g, phi)),
+        ("del_phi_nonzero", alg.del_form(model, phi).norm(), phi.norm()),
+        ("delbar_phi_nonzero", alg.delbar_form(model, phi).norm(), phi.norm()),
+    ):
+        if res > TOL_AEPPLI * size:
+            violations[name] = res
     if violations:
         raise PreconditionError("aeppli_harmonic_check preconditions failed", violations)
 
@@ -285,18 +281,18 @@ def aeppli_harmonic_check(
 
 
 def power_exactness_witness(
-    model: LieModel, a: Form, beta: Form, gamma: Form, power: int, tol: float = 1e-9
+    model: LieModel, a: Form, beta: Form, gamma: Form, power: int
 ) -> tuple[Form, Form]:
     """Potentials for a^power given potentials for a.
 
     If a is del- and delbar-closed and a = del beta + delbar gamma, then
     beta' = beta ^ a^{power-1} and gamma' = gamma ^ a^{power-1} satisfy
-    a^power = del beta' + delbar gamma'; the identity is re-verified to
-    ``tol`` before returning.
+    a^power = del beta' + delbar gamma'.  Hypotheses and result are
+    verified to the relative residual ``hodge.TOL_EQ``: the hypotheses
+    against |a|, the result against the sizes of its three terms.
     """
     if power < 1:
         raise PreconditionError("power must be >= 1")
-    scale = max(a.norm(), 1.0)
     violations: dict[str, float] = {}
     for name, res in (
         ("del_a", alg.del_form(model, a).norm()),
@@ -304,7 +300,7 @@ def power_exactness_witness(
         ("a_minus_del_beta_minus_delbar_gamma",
          (a - alg.del_form(model, beta) - alg.delbar_form(model, gamma)).norm()),
     ):
-        if res > tol * scale:
+        if res > hodge.TOL_EQ * a.norm():
             violations[name] = res
     if violations:
         raise PreconditionError("power_exactness_witness preconditions failed", violations)
@@ -313,9 +309,8 @@ def power_exactness_witness(
     beta_out = alg.wedge(beta, rest)
     gamma_out = alg.wedge(gamma, rest)
     target = alg.wedge_power(a, power)
-    residual = (
-        target - alg.del_form(model, beta_out) - alg.delbar_form(model, gamma_out)
-    ).norm()
-    if residual > tol * max(1.0, target.norm()):
+    del_out, delbar_out = alg.del_form(model, beta_out), alg.delbar_form(model, gamma_out)
+    residual = (target - del_out - delbar_out).norm()
+    if residual > hodge.TOL_EQ * (target.norm() + del_out.norm() + delbar_out.norm()):
         raise CrossCheckError(f"power witnesses failed verification (residual {residual:.3e})")
     return beta_out, gamma_out

@@ -99,7 +99,7 @@ def _bless_golden(report: dict, model_name: str, command: str) -> None:
 
 def cmd_validate(args) -> int:
     model = _load_model(args)
-    report = alg.validate_model(model, tol=args.tol_eq).as_dict()
+    report = alg.validate_model(model).as_dict()
     report["model"] = model.name
     report["n"] = model.n
     print(emit(report, args.format))
@@ -138,7 +138,7 @@ def cmd_cohomology(args) -> int:
 def cmd_classify(args) -> int:
     model = _load_model(args)
     g = _load_metric(model, args)
-    result = cls_mod.classify_metric(g, tol=args.tol_eq, strict=args.strict)
+    result = cls_mod.classify_metric(g, strict=args.strict)
     report = {
         "model": model.name,
         "flags": result.flags(),
@@ -157,18 +157,16 @@ def cmd_decompose(args) -> int:
     n = model.n
     rep = args.scale * _load_class_form(model, g, args.cls, n - 1, n - 1)
     space = coh.cohomology_space(g, "bc", n - 1, n - 1)
-    cls = coh.class_of(space, rep, tol=args.tol_eq)
+    cls = coh.class_of(space, rep)
     primitive, lam = coh.lefschetz_decompose_class(g, cls)
-    hyper = coh.primitive_hyperplane(g, tol=args.tol_eq)
+    hyper = coh.primitive_hyperplane(g)
     report = {
         "model": model.name,
         "lambda": [lam.real, lam.imag],
         "primitive_part_norm": float(np.linalg.norm(primitive.coords)),
         "hyperplane_dimension": hyper.dimension,
         "space_dimension": space.dimension,
-        "side": coh.lambda_sign_partition(g, cls, tol=args.tol_eq)
-        if coh.is_real_class(cls)
-        else "not-real",
+        "side": coh.lambda_sign_partition(g, cls) if coh.is_real_class(cls) else "not-real",
     }
     print(emit(report, args.format))
     return EXIT_OK
@@ -179,7 +177,7 @@ def cmd_cone_skt(args) -> int:
     g = _load_metric(model, args)
     rep = args.scale * _load_class_form(model, g, args.cls, 1, 1)
     space = coh.cohomology_space(g, "aeppli", 1, 1)
-    cls = coh.class_of(space, rep, tol=args.tol_eq)
+    cls = coh.class_of(space, rep)
     result = cones.skt_cone_feasibility(cls, seed=args.seed)
     report = {
         "model": model.name,
@@ -199,7 +197,7 @@ def cmd_cone_copsef(args) -> int:
     n = model.n
     rep = args.scale * _load_class_form(model, g, args.cls, n - 1, n - 1)
     space = coh.cohomology_space(g, "bc", n - 1, n - 1)
-    cls = coh.class_of(space, rep, tol=args.tol_eq)
+    cls = coh.class_of(space, rep)
     if args.probes:
         docs = json.loads(Path(args.probes).read_text(encoding="utf-8"))
         probes = [
@@ -210,7 +208,7 @@ def cmd_cone_copsef(args) -> int:
         ]
     else:
         probes = [cones.skt_probe_from_metric(g, "metric")]
-    result = cones.copsef_pairing_test(cls, probes, tol=args.tol_eq)
+    result = cones.copsef_pairing_test(cls, probes)
     report = {
         "model": model.name,
         "verdict": result.verdict,
@@ -247,7 +245,7 @@ def cmd_check_lemmas(args) -> int:
     if lap_scale > 0:
         worst /= lap_scale
     report["star_intertwining_residual"] = worst
-    if worst > args.tol_eq:
+    if worst > hodge.TOL_EQ:
         failures.append("star_intertwining")
 
     # closed star formula on random primitive forms
@@ -257,13 +255,13 @@ def cmd_check_lemmas(args) -> int:
         for q in range(n + 1):
             for _ in range(4):
                 v = hodge.random_primitive_form(g, p, q, rng)
-                if v is None or v.norm() < 1e-9:
+                if v is None:
                     continue
                 worst = max(worst, hodge.primitive_star_check(g, v))
                 count += 1
     report["primitive_star_residual"] = worst
     report["primitive_star_samples"] = count
-    if worst > args.tol_eq:
+    if worst > hodge.TOL_EQ:
         failures.append("primitive_star")
 
     # three-space splittings
@@ -277,7 +275,7 @@ def cmd_check_lemmas(args) -> int:
                 dims_ok = dims_ok and rep.dims_sum_ok and rep.closed_split_ok
     report["decomposition_orthogonality_residual"] = worst
     report["decomposition_dimensions_ok"] = dims_ok
-    if worst > args.tol_eq or not dims_ok:
+    if worst > hodge.TOL_EQ or not dims_ok:
         failures.append("three_space_decomposition")
 
     # adjoint formula del* = -star delbar star on unimodular models
@@ -294,13 +292,13 @@ def cmd_check_lemmas(args) -> int:
                 if lhs.size:
                     worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         report["adjoint_formula_residual"] = worst
-        if worst > args.tol_eq:
+        if worst > hodge.TOL_EQ * hodge.complex_scale(g):  # entries of del* scale as S
             failures.append("adjoint_formula")
 
     # Aeppli harmonicity of omega wedge phi for closed primitive phi, when SKT;
     # residuals relative to |omega wedge phi| S^k, k the order of the operator
     skt_res = alg.del_form(model, alg.delbar_form(model, g.omega)).norm()
-    if skt_res <= args.tol_eq * g.omega.norm():
+    if skt_res <= hodge.TOL_EQ * g.omega.norm():
         worst = 0.0
         tested = 0
         s = hodge.complex_scale(g)
@@ -310,14 +308,14 @@ def cmd_check_lemmas(args) -> int:
             constraints = np.vstack([closed, hodge.lambda_matrix(g, p, q)])
             for col in nullspace(constraints, tol=hodge.rank_cut(g, constraints, 1)).T:
                 phi = hodge.from_frame(g, col, p, q)
-                res = cls_mod.aeppli_harmonic_check(g, phi, tol=args.tol_eq * 10)
+                res = cls_mod.aeppli_harmonic_check(g, phi)
                 for value, order_scale in zip(res.as_tuple(), order_scales):
                     scale = res.wedge_norm * order_scale
                     worst = max(worst, value / scale if scale > 0 else value)
                 tested += 1
         report["aeppli_harmonic_residual"] = worst
         report["aeppli_harmonic_samples"] = tested
-        if worst > 1e-8:
+        if worst > cls_mod.TOL_AEPPLI:
             failures.append("aeppli_harmonic")
     else:
         report["aeppli_harmonic_residual"] = None
@@ -344,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         if metric:
             p.add_argument("--metric", help="path to a metric JSON (default: identity)")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--tol-eq", type=float, default=1e-9, dest="tol_eq")
 
     p = sub.add_parser("validate", help="structure-equation sanity report")
     common(p, metric=False)

@@ -181,7 +181,7 @@ def _frame_coords(g: hodge.HermitianMetric, basis: np.ndarray, u: Form) -> np.nd
     return g.volume * (basis.conj().T @ hodge.to_frame(g, u))
 
 
-def class_of(space: CohomologySpace, u: Form, tol: float = 1e-9) -> CohomologyClass:
+def class_of(space: CohomologySpace, u: Form) -> CohomologyClass:
     """Class of a form, after checking that the theory's ``closed`` operator kills it."""
     if space.theory not in ("bc", "aeppli"):
         raise ValueError("classes are only built for the bc and aeppli theories")
@@ -189,7 +189,7 @@ def class_of(space: CohomologySpace, u: Form, tol: float = 1e-9) -> CohomologyCl
     del_, delbar = partial(alg.del_matrix, model), partial(alg.delbar_matrix, model)
     closed, _ = alg.closed_and_exact(space.theory, g.n, u.p, u.q, del_, delbar)
     bad = float(np.linalg.norm(closed @ u.vec))
-    if bad > tol * max(u.norm(), 1.0):
+    if bad > hodge.TOL_EQ * u.norm():
         what = "del- and delbar-closed" if space.theory == "bc" else "del delbar-closed"
         raise PreconditionError(f"form is not {what}", {"residual": bad})
     return CohomologyClass(space=space, coords=_frame_coords(g, space.basis, u), representative=u)
@@ -200,11 +200,13 @@ def harmonic_representative(cls: CohomologyClass) -> Form:
     return hodge.from_frame(space.metric, space.basis @ cls.coords, space.p, space.q)
 
 
-def is_real_class(cls: CohomologyClass, tol: float = 1e-9) -> bool:
+def is_real_class(cls: CohomologyClass) -> bool:
+    """Reality of the harmonic representative, in L2 against the stored one."""
     if cls.space.p != cls.space.q:
         return False
-    rep = harmonic_representative(cls)
-    return (alg.conjugate(rep) - rep).norm() <= tol * max(1.0, rep.norm())
+    g, rep = cls.space.metric, harmonic_representative(cls)
+    size = hodge.l2_norm(g, cls.representative)
+    return hodge.l2_norm(g, alg.conjugate(rep) - rep) <= hodge.TOL_EQ * size
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +240,9 @@ def duality_pairing(c_bc: CohomologyClass, c_a: CohomologyClass) -> complex:
 # primitive hyperplane and the Lefschetz-type splitting
 
 
-def require_skt(g: hodge.HermitianMetric, tol: float = 1e-9) -> None:
+def require_skt(g: hodge.HermitianMetric) -> None:
     residual = alg.del_form(g.model, alg.delbar_form(g.model, g.omega)).norm()
-    if residual > tol * g.omega.norm():
+    if residual > hodge.TOL_EQ * g.omega.norm():
         raise PreconditionError("metric is not SKT", {"del_delbar_omega": residual})
 
 
@@ -274,17 +276,17 @@ class PrimitiveHyperplane:
         ]
 
 
-def primitive_hyperplane(g: hodge.HermitianMetric, tol: float = 1e-9) -> PrimitiveHyperplane:
+def primitive_hyperplane(g: hodge.HermitianMetric) -> PrimitiveHyperplane:
     """Hyperplane of omega-primitive BC (n-1,n-1)-classes of an SKT metric."""
-    require_skt(g, tol=tol)
+    require_skt(g)
     n = g.n
     space = cohomology_space(g, "bc", n - 1, n - 1)
     # integral of b wedge omega = omega wedge b, read off the top frame
     # coefficient: e^{1..n} ^ ebar^{1..n} = vol * phi^{1..n} ^ phibar^{1..n}
     top = hodge.lefschetz_matrix(g, n - 1, n - 1) @ space.basis
     functional = (g.volume / (1j) ** (n * n % 4)) * top[0]
-    norm = float(np.linalg.norm(functional))
-    if norm <= tol:
+    # the functional is b -> <b, omega_{n-1}>_L2, of norm |(omega_{n-1})_h| <= |omega_{n-1}|
+    if np.linalg.norm(functional) <= hodge.TOL_EQ * hodge.l2_norm(g, hodge.omega_power(g, n - 1)):
         raise CrossCheckError(
             "wedge functional vanished on all of H^{n-1,n-1}_BC; "
             "an SKT metric must cut out a hyperplane"
@@ -321,7 +323,8 @@ def lefschetz_decompose_class(
     lambda is computed twice: from the closed formula
     lambda = (integral of rep wedge omega) / |omega_h|^2 and as the orthogonal
     projection coefficient of the harmonic representative onto the line of
-    (omega_{n-1})_h.  The two routes must agree to 1e-8, relative to max(1, |lambda|).
+    (omega_{n-1})_h.  The two routes must agree to 1e-8 of |rep| / |(omega_{n-1})_h|
+    in L2, the largest lambda that a representative of its size can give.
     """
     require_skt(g)
     if not alg.is_unimodular(g.model):
@@ -346,7 +349,8 @@ def lefschetz_decompose_class(
         raise CrossCheckError("harmonic part of omega_{n-1} is numerically degenerate")
     lam_projection = hodge.inner(g, harmonic_representative(cls), power_h) / power_sq
 
-    if abs(lam_formula - lam_projection) > 1e-8 * max(1.0, abs(lam_formula)):
+    lam_scale = hodge.l2_norm(g, cls.representative) / np.sqrt(power_sq)
+    if abs(lam_formula - lam_projection) > 1e-8 * lam_scale:
         raise CrossCheckError(
             f"lambda routes disagree: formula {lam_formula} vs projection {lam_projection}"
         )
@@ -360,19 +364,17 @@ def lefschetz_decompose_class(
     return primitive, lam_formula
 
 
-def lambda_sign_partition(
-    g: hodge.HermitianMetric, cls: CohomologyClass, tol: float = 1e-9
-) -> str:
+def lambda_sign_partition(g: hodge.HermitianMetric, cls: CohomologyClass) -> str:
     """'positive', 'primitive' or 'negative' side of the primitive hyperplane.
 
-    Only defined for real classes; lambda is real there and its sign is
-    tested against ``tol``.
+    Only defined for real classes; lambda is real there.  The class is
+    primitive when its component lambda (omega_{n-1})_h is below
+    ``hodge.TOL_EQ`` times its representative, both measured in L2.
     """
-    if not is_real_class(cls, tol=tol):
+    if not is_real_class(cls):
         raise PreconditionError("sign partition is defined on real classes only")
     _, lam = lefschetz_decompose_class(g, cls)
-    value = lam.real
-    scale = max(1.0, float(np.linalg.norm(cls.coords)))
-    if abs(value) <= tol * scale:
+    component = abs(lam.real) * hodge.l2_norm(g, harmonic_part_of_omega_power(g))
+    if component <= hodge.TOL_EQ * hodge.l2_norm(g, cls.representative):
         return "primitive"
-    return "positive" if value > 0 else "negative"
+    return "positive" if lam.real > 0 else "negative"

@@ -299,14 +299,12 @@ class CopsefPairingReport:
     )
 
 
-def copsef_pairing_test(
-    cls: CohomologyClass, probes: list[SktProbe], tol: float = 1e-9
-) -> CopsefPairingReport:
+def copsef_pairing_test(cls: CohomologyClass, probes: list[SktProbe]) -> CopsefPairingReport:
     """Pair a real BC (n-1,n-1)-class against verified SKT probes.
 
-    Any pairing below -tol (suitably normalized) excludes the class from the
-    cone of closed weakly-positive forms; a fully consistent report is
-    explicitly not a membership proof.
+    Any pairing below -hodge.TOL_EQ |representative| |witness| excludes the
+    class from the cone of closed weakly-positive forms; a fully consistent
+    report is explicitly not a membership proof.
     """
     space = cls.space
     g = space.metric
@@ -325,7 +323,7 @@ def copsef_pairing_test(
         if probe.witness.bidegree != (1, 1):
             raise PreconditionError(f"probe {idx} witness is not a (1,1)-form")
         skt_res = alg.del_form(model, alg.delbar_form(model, probe.witness)).norm()
-        if skt_res > tol * probe.witness.norm():
+        if skt_res > hodge.TOL_EQ * probe.witness.norm():
             raise PreconditionError(
                 f"probe {idx} witness is not SKT", {"del_delbar": skt_res}
             )
@@ -335,8 +333,7 @@ def copsef_pairing_test(
         value = integrate_pairing(model, cls.representative, probe.witness).real
         label = probe.label or f"probe-{idx}"
         pairings.append((label, value))
-        scale = max(1.0, cls.representative.norm() * probe.witness.norm())
-        if value < -tol * scale:
+        if value < -hodge.TOL_EQ * cls.representative.norm() * probe.witness.norm():
             violations.append((label, value))
     warning = "empty probe list: nothing was tested" if not probes else None
     return CopsefPairingReport(

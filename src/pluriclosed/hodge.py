@@ -90,6 +90,7 @@ __all__ = [
     "lambda_contraction",
     "lambda_matrix",
     "is_primitive",
+    "kahler_residual",
     "is_kahler",
     "closed_and_exact",
     "laplacian",
@@ -112,7 +113,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-_PRIMITIVE_TOL = 1e-9  # relative residual of both primitivity tests
+TOL_EQ = 1e-9  # relative residual under which an equation of a verdict counts as satisfied
 
 
 @dataclass(eq=False)
@@ -420,14 +421,14 @@ def is_primitive(g: HermitianMetric, u: Form) -> bool:
     x = to_frame(g, u)  # L2 norms are sqrt(vol) times frame 2-norms, a factor that cancels
     scale = max(float(np.linalg.norm(x)), 1e-30)
     contraction = float(np.linalg.norm(lambda_matrix(g, u.p, u.q) @ x))
-    by_contraction = contraction <= _PRIMITIVE_TOL * scale
+    by_contraction = contraction <= TOL_EQ * scale
     power = n - u.degree + 1
     if power < 0:
         by_power = by_contraction
     else:
         opnorm = max(_lefschetz_power_opnorm(n, power, u.p, u.q), 1.0)
         power_image = _unitary_lefschetz(n, power, u.p, u.q) @ x
-        by_power = float(np.linalg.norm(power_image)) <= _PRIMITIVE_TOL * scale * opnorm
+        by_power = float(np.linalg.norm(power_image)) <= TOL_EQ * scale * opnorm
     if by_contraction != by_power:
         raise CrossCheckError(
             "primitivity tests disagree (contraction vs power); threshold failure"
@@ -477,9 +478,13 @@ def random_primitive_form(
     return from_frame(g, null @ weights, p, q)
 
 
+def kahler_residual(g: HermitianMetric) -> float:
+    """|d omega| / |omega| in model coefficients, invariant under rescaling the metric."""
+    return math.hypot(*(f.norm() for f in alg.d_form(g.model, g.omega))) / g.omega.norm()
+
+
 def is_kahler(g: HermitianMetric) -> bool:
-    d_omega = alg.d_form(g.model, g.omega)
-    return max(f.norm() for f in d_omega) <= 1e-10 * g.omega.norm()
+    return kahler_residual(g) <= TOL_EQ
 
 
 # ---------------------------------------------------------------------------

@@ -319,7 +319,7 @@ def test_criterion_13_power_exactness(models):
     a = alg.del_form(model, beta)
     worst = 0.0
     for power in (1, 2, 3):
-        b_out, g_out = classify.power_exactness_witness(model, a, beta, gamma, power, tol=1e-9)
+        b_out, g_out = classify.power_exactness_witness(model, a, beta, gamma, power)
         residual = (
             alg.wedge_power(a, power)
             - alg.del_form(model, b_out)

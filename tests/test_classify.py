@@ -253,3 +253,19 @@ def test_power_exactness_rejects_bad_potentials(models):
     with pytest.raises(PreconditionError) as err:
         classify.power_exactness_witness(model, a, 2 * beta, gamma, 2)
     assert "a_minus_del_beta_minus_delbar_gamma" in err.value.violations
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 3e-10, 1e-8, 1.0])
+def test_classify_and_hodge_share_the_kahler_verdict(eps):
+    # d phi^2 = eps phi^1 ^ phibar^1 under the identity metric: one residual,
+    # |d omega| / |omega| = eps, and one threshold decide both
+    doc = {"name": "kt_eps", "n": 2,
+           "dphi": [[], [{"type": "11", "i": 1, "j": 1, "coeff": [eps, 0.0]}]]}
+    g = hodge.identity_metric(alg.parse_model(doc))
+    kahler = classify.classify_metric(g).kahler
+    assert kahler == hodge.is_kahler(g) == (eps <= hodge.TOL_EQ)
+    if kahler:
+        hodge.quasi_isometry_bounds(g, 1, 1)
+    else:
+        with pytest.raises(PreconditionError):
+            hodge.quasi_isometry_bounds(g, 1, 1)

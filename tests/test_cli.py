@@ -313,7 +313,7 @@ def test_cohomology_dimensions_ignore_metric_scale(tmp_path, name, scale):
     assert dims == [row["dim"] for row in golden["table"]]
 
 
-COMMON_FLAGS = {"--help", "--model", "--format", "--tol-eq"}
+COMMON_FLAGS = {"--help", "--model", "--format"}
 COMMAND_FLAGS = [
     (["validate"], set()),
     (["cohomology"], {"--metric", "--bless"}),
@@ -329,11 +329,72 @@ COMMAND_FLAGS = [
     "command,flags", COMMAND_FLAGS, ids=[" ".join(command) for command, _ in COMMAND_FLAGS]
 )
 def test_parser_accepts_only_the_flags_a_command_reads(capsys, command, flags):
-    # rank cuts are derived, never configured, and only cone skt and
-    # check-lemmas draw random samples
+    # rank cuts and equation thresholds are fixed, never configured, and
+    # only cone skt and check-lemmas draw random samples
     from pluriclosed.cli import build_parser
 
     with pytest.raises(SystemExit):
         build_parser().parse_args([*command, "--help"])
     accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert accepted == COMMON_FLAGS | flags
+    assert "--tol-eq" not in accepted
+
+
+# equation thresholds are relative: rescaling the class by s keeps every
+# verdict, from the rejection of a class that is not closed to the sign of lambda
+NON_REAL_11 = {"p": 1, "q": 1, "terms": [{"holo": [1], "anti": [2], "coeff": [1.0, 0.0]}]}
+CLASS_SCALE_CASES = [
+    ("iwasawa-omega-not-ddbar-closed", ["cone", "skt", "--model", "iwasawa"], 1, (1, None)),
+    ("non-real-class", ["cone", "skt", "--model", "torus2", "--class", NON_REAL_11], 1, (1, None)),
+    ("torus-lambda-sign", ["decompose", "--model", "torus2"], 1, (0, "positive")),
+    ("negative-copsef-pairing", ["cone", "copsef", "--model", "torus2"], -1, (0, "violated")),
+]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+@pytest.mark.parametrize(
+    "argv,sign,expected",
+    [case[1:] for case in CLASS_SCALE_CASES],
+    ids=[case[0] for case in CLASS_SCALE_CASES],
+)
+def test_equation_verdicts_ignore_class_scale(tmp_path, argv, sign, expected, scale):
+    argv = [_write(tmp_path, "form.json", a) if isinstance(a, dict) else a for a in argv]
+    completed = run_cli(*argv, f"--scale={sign * scale}")
+    payload = json.loads(completed.stdout) if completed.returncode == 0 else {}
+    verdict = payload.get("verdict", payload.get("side"))
+    assert (completed.returncode, verdict) == expected, completed.stderr
+
+
+@pytest.mark.parametrize("t", [1e-9, 1e-3, 1e3])
+def test_decompose_ignores_metric_scale(tmp_path, t):
+    # the wedge functional is measured against omega_{n-1} and lambda's sign
+    # band against the representative, both in L2, so t * h_std splits the
+    # canonical class with lambda = 1
+    import numpy as np
+
+    h = t * np.asarray(fx.load_document("metric_kt_standard")["h"])
+    metric = _write(tmp_path, "metric.json", {"name": "scaled", "h": h.tolist()})
+    completed = run_cli("decompose", "--model", "kodaira_thurston", "--metric", metric)
+    assert completed.returncode == 0, completed.stderr
+    payload = json.loads(completed.stdout)
+    assert abs(payload["lambda"][0] - 1.0) < 1e-9
+    assert payload["side"] == "positive"
+
+
+@pytest.mark.parametrize("name", [*fx.available_models(), "trace_1e-10"])
+def test_validate_reports_the_unimodularity_the_engine_gates_on(tmp_path, name):
+    # d phi^1 = 1e-10 phi^1 ^ phibar^1 has trace 1e-10, its only structure
+    # constant: not unimodular at any coframe scale, still a valid model
+    from pluriclosed import algebra as alg
+
+    if name in fx.available_models():
+        doc, model_arg = fx.load_document(name), name
+    else:
+        doc = {"name": name, "n": 1,
+               "dphi": [[{"type": "11", "i": 1, "j": 1, "coeff": [1e-10, 0.0]}]]}
+        model_arg = _write(tmp_path, "model.json", doc)
+    completed = run_cli("validate", "--model", model_arg)
+    assert completed.returncode == 0, completed.stderr
+    unimodular = json.loads(completed.stdout)["unimodular"]
+    assert unimodular == alg.is_unimodular(alg.parse_model(doc))
+    assert unimodular == (name not in ("nonunimodular", "trace_1e-10"))

@@ -718,6 +718,23 @@ def test_sign_partition_hyperplane_is_primitive(metrics):
         assert coh.lambda_sign_partition(g, real_cls) == "primitive"
 
 
+@pytest.mark.parametrize("eps,side", [(0.0, "primitive"), (1e-6, "positive"), (-1e-6, "negative")])
+def test_sign_partition_is_resolved_against_the_representative(models, eps, side):
+    # a real del delbar-exact part of unit size leaves rounding of that size in
+    # the harmonic projection: reality, the lambda routes and the sign band are
+    # measured against the representative, so the zero class is real and primitive
+    model = models["double_kt"]
+    g = hodge.identity_metric(model)
+    space = coh.cohomology_space(g, "bc", 3, 3)
+    beta = alg.random_form(4, 2, 2, np.random.default_rng(0))
+    exact = alg.del_form(model, alg.delbar_form(model, beta))
+    exact = (0.5 / exact.norm()) * (exact + alg.conjugate(exact))
+    cls = coh.class_of(space, exact + eps * coh.harmonic_part_of_omega_power(g))
+    assert np.linalg.norm(cls.coords) < 1e-5
+    assert coh.is_real_class(cls)
+    assert coh.lambda_sign_partition(g, cls) == side
+
+
 def test_sign_partition_rejects_non_real(metrics):
     g = metrics["torus2"]
     space = coh.cohomology_space(g, "bc", 1, 1)
