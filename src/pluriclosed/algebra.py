@@ -201,7 +201,7 @@ def _conjugate_rows(rows: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
 def is_real_form(u: Form, tol: float = 1e-12) -> bool:
     if (u.p, u.q) != (u.q, u.p):
         return False
-    return (conjugate(u) - u).norm() <= tol * max(1.0, u.norm())
+    return (conjugate(u) - u).norm() <= tol * u.norm()
 
 
 # ---------------------------------------------------------------------------

@@ -85,14 +85,14 @@ def classify_metric(g: hodge.HermitianMetric, strict: bool = False) -> MetricCla
     omega_scale = omega.norm()
     power_scale = power.norm()
 
-    del_omega, delbar_omega = alg.d_form(model, omega)
+    del_omega = alg.del_form(model, omega)
     del_power, delbar_power = alg.d_form(model, power)
 
     residuals = {
         "kahler": hodge.kahler_residual(g),
         "balanced": math.hypot(del_power.norm(), delbar_power.norm()) / power_scale,
         "gauduchon": alg.del_form(model, delbar_power).norm() / power_scale,
-        "skt": alg.del_form(model, delbar_omega).norm() / omega_scale,
+        "skt": hodge.skt_residual(model, omega),
     }
 
     # strongly Gauduchon: del omega^{n-1} = delbar Gamma for a (n, n-2)-form Gamma
@@ -172,11 +172,10 @@ def skt_class_nonzero(g: hodge.HermitianMetric) -> SktNonvanishing:
     n = g.n
     omega_norm = hodge.l2_norm(g, g.omega)
 
-    # least squares in the unitary frame, L2-isometric up to sqrt(vol):
-    # columns of the Aeppli-exact Im del + Im delbar inside (1,1)
+    # least squares in the L2-isometric frame: columns of the Aeppli-exact
+    # Im del + Im delbar inside (1,1)
     _, columns = hodge.closed_and_exact(g, "aeppli", 1, 1)
-    scale = math.sqrt(g.volume)
-    sol, distance = min_norm_lstsq(scale * columns, scale * hodge.to_frame(g, g.omega))
+    sol, distance = min_norm_lstsq(columns, hodge.to_frame(g, g.omega))
     if distance <= 1e-9 * omega_norm:
         raise CrossCheckError(
             "omega appears del/delbar-exact; impossible for an SKT metric, "
@@ -210,13 +209,13 @@ def skt_class_nonzero(g: hodge.HermitianMetric) -> SktNonvanishing:
 
 
 def weak_positivity_topform(u: Form, n: int) -> str:
-    """Sign of a real (n,n)-form against the positive volume element, zero up to 1e-12."""
+    """Sign of a real (n,n)-form against the positive volume element; zero only for 0."""
     if u.bidegree != (n, n):
         raise PreconditionError(f"expected an ({n},{n})-form, got {u.bidegree}")
     if not alg.is_real_form(u):
         raise PreconditionError("form is not real")
     value = alg.integrate_top(u, n)
-    if abs(value) <= 1e-12:
+    if value == 0:
         return "zero"
     return "positive" if value.real > 0 else "negative"
 
@@ -253,8 +252,7 @@ def aeppli_harmonic_check(g: hodge.HermitianMetric, phi: Form) -> AeppliHarmonic
         raise PreconditionError(f"phi must have total degree n-1={n-1}, got {p + q}")
     violations: dict[str, float] = {}
     for name, res, size in (
-        ("metric_not_skt",
-         alg.del_form(model, alg.delbar_form(model, g.omega)).norm(), g.omega.norm()),
+        ("metric_not_skt", hodge.skt_residual(model, g.omega), 1.0),
         ("phi_not_primitive",
          hodge.l2_norm(g, hodge.lambda_contraction(g, phi)), hodge.l2_norm(g, phi)),
         ("del_phi_nonzero", alg.del_form(model, phi).norm(), phi.norm()),
@@ -266,13 +264,11 @@ def aeppli_harmonic_check(g: hodge.HermitianMetric, phi: Form) -> AeppliHarmonic
         raise PreconditionError("aeppli_harmonic_check preconditions failed", violations)
 
     w = hodge.lefschetz_matrix(g, p, q) @ hodge.to_frame(g, phi)  # omega ^ phi, (p+1, q+1)
-    root_vol = math.sqrt(g.volume)  # L2 norm of a frame vector over its 2-norm
     return AeppliHarmonicResiduals(
-        del_adjoint=root_vol * float(np.linalg.norm(hodge.del_matrix(g, p, q + 1).conj().T @ w)),
-        delbar_adjoint=root_vol
-        * float(np.linalg.norm(hodge.delbar_matrix(g, p + 1, q).conj().T @ w)),
-        laplacian=root_vol * float(np.linalg.norm(hodge.laplacian_a(g, p + 1, q + 1) @ w)),
-        wedge_norm=root_vol * float(np.linalg.norm(w)),
+        del_adjoint=float(np.linalg.norm(hodge.del_matrix(g, p, q + 1).conj().T @ w)),
+        delbar_adjoint=float(np.linalg.norm(hodge.delbar_matrix(g, p + 1, q).conj().T @ w)),
+        laplacian=float(np.linalg.norm(hodge.laplacian_a(g, p + 1, q + 1) @ w)),
+        wedge_norm=float(np.linalg.norm(w)),
     )
 
 

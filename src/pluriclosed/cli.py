@@ -297,8 +297,7 @@ def cmd_check_lemmas(args) -> int:
 
     # Aeppli harmonicity of omega wedge phi for closed primitive phi, when SKT;
     # residuals relative to |omega wedge phi| S^k, k the order of the operator
-    skt_res = alg.del_form(model, alg.delbar_form(model, g.omega)).norm()
-    if skt_res <= hodge.TOL_EQ * g.omega.norm():
+    if hodge.skt_residual(model, g.omega) <= hodge.TOL_EQ:
         worst = 0.0
         tested = 0
         s = hodge.complex_scale(g)

@@ -67,9 +67,10 @@ class CohomologySpace:
     """One cohomology space with both computation routes recorded.
 
     ``q`` is None for de Rham, where ``p`` is the total degree.  ``basis``
-    is a matrix whose columns are the unitary-frame coordinates
-    (``hodge.to_frame``) of L2-orthonormal harmonic representatives; it is
-    None for de Rham, whose classes are not manipulated further.
+    is a matrix of orthonormal columns, the frame coordinates
+    (``hodge.to_frame``, L2-isometric) of L2-orthonormal harmonic
+    representatives; it is None for de Rham, whose classes are not
+    manipulated further.
 
     Two spaces are equal when they belong to the same metric object and
     have the same theory and bidegree: ``cohomology_space`` builds a new
@@ -176,11 +177,6 @@ def _space_data(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
     return hit
 
 
-def _frame_coords(g: hodge.HermitianMetric, basis: np.ndarray, u: Form) -> np.ndarray:
-    """L2 products <u, b_j> with the orthonormal frame columns b_j of ``basis``."""
-    return g.volume * (basis.conj().T @ hodge.to_frame(g, u))
-
-
 def class_of(space: CohomologySpace, u: Form) -> CohomologyClass:
     """Class of a form, after checking that the theory's ``closed`` operator kills it."""
     if space.theory not in ("bc", "aeppli"):
@@ -192,7 +188,8 @@ def class_of(space: CohomologySpace, u: Form) -> CohomologyClass:
     if bad > hodge.TOL_EQ * u.norm():
         what = "del- and delbar-closed" if space.theory == "bc" else "del delbar-closed"
         raise PreconditionError(f"form is not {what}", {"residual": bad})
-    return CohomologyClass(space=space, coords=_frame_coords(g, space.basis, u), representative=u)
+    coords = space.basis.conj().T @ hodge.to_frame(g, u)  # L2 products <u, b_j>
+    return CohomologyClass(space=space, coords=coords, representative=u)
 
 
 def harmonic_representative(cls: CohomologyClass) -> Form:
@@ -241,8 +238,8 @@ def duality_pairing(c_bc: CohomologyClass, c_a: CohomologyClass) -> complex:
 
 
 def require_skt(g: hodge.HermitianMetric) -> None:
-    residual = alg.del_form(g.model, alg.delbar_form(g.model, g.omega)).norm()
-    if residual > hodge.TOL_EQ * g.omega.norm():
+    residual = hodge.skt_residual(g.model, g.omega)
+    if residual > hodge.TOL_EQ:
         raise PreconditionError("metric is not SKT", {"del_delbar_omega": residual})
 
 
@@ -281,12 +278,11 @@ def primitive_hyperplane(g: hodge.HermitianMetric) -> PrimitiveHyperplane:
     require_skt(g)
     n = g.n
     space = cohomology_space(g, "bc", n - 1, n - 1)
-    # integral of b wedge omega = omega wedge b, read off the top frame
-    # coefficient: e^{1..n} ^ ebar^{1..n} = vol * phi^{1..n} ^ phibar^{1..n}
-    top = hodge.lefschetz_matrix(g, n - 1, n - 1) @ space.basis
-    functional = (g.volume / (1j) ** (n * n % 4)) * top[0]
-    # the functional is b -> <b, omega_{n-1}>_L2, of norm |(omega_{n-1})_h| <= |omega_{n-1}|
-    if np.linalg.norm(functional) <= hodge.TOL_EQ * hodge.l2_norm(g, hodge.omega_power(g, n - 1)):
+    # integral of b wedge omega = <b, omega_{n-1}>_L2, since star omega_{n-1} = omega;
+    # its norm is |(omega_{n-1})_h| <= |omega_{n-1}|
+    power = hodge.to_frame(g, hodge.omega_power(g, n - 1))
+    functional = power.conj() @ space.basis
+    if np.linalg.norm(functional) <= hodge.TOL_EQ * np.linalg.norm(power):
         raise CrossCheckError(
             "wedge functional vanished on all of H^{n-1,n-1}_BC; "
             "an SKT metric must cut out a hyperplane"
@@ -311,7 +307,7 @@ def harmonic_part_of_omega_power(g: hodge.HermitianMetric) -> Form:
 def _harmonic_part(space: CohomologySpace, u: Form) -> Form:
     """Orthogonal projection of u onto the harmonic representatives of a space."""
     g, basis = space.metric, space.basis
-    return hodge.from_frame(g, basis @ _frame_coords(g, basis, u), u.p, u.q)
+    return hodge.from_frame(g, basis @ (basis.conj().T @ hodge.to_frame(g, u)), u.p, u.q)
 
 
 def lefschetz_decompose_class(

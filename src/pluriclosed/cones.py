@@ -154,7 +154,7 @@ def skt_cone_feasibility(cls: CohomologyClass, seed: int = 0) -> ConeMembershipR
         # the witness must still represent cls and be del delbar-closed
         check = class_of(space, witness)
         drift = float(np.linalg.norm(check.coords - cls.coords))
-        if drift > 1e-8 * max(1.0, float(np.linalg.norm(cls.coords))):
+        if drift > 1e-8 * float(np.linalg.norm(cls.coords)):
             raise CrossCheckError(f"witness left its Aeppli class (drift {drift:.3e})")
         return ConeMembershipResult(
             verdict="feasible_with_witness",
@@ -322,8 +322,8 @@ def copsef_pairing_test(cls: CohomologyClass, probes: list[SktProbe]) -> CopsefP
             raise PreconditionError(f"probe {idx} carries no witness")
         if probe.witness.bidegree != (1, 1):
             raise PreconditionError(f"probe {idx} witness is not a (1,1)-form")
-        skt_res = alg.del_form(model, alg.delbar_form(model, probe.witness)).norm()
-        if skt_res > hodge.TOL_EQ * probe.witness.norm():
+        skt_res = hodge.skt_residual(model, probe.witness)
+        if skt_res > hodge.TOL_EQ:
             raise PreconditionError(
                 f"probe {idx} witness is not SKT", {"del_delbar": skt_res}
             )

@@ -11,12 +11,13 @@ identity metric has total volume 1).
 Every operator matrix of this module is written in unitary-frame
 coordinates, one complex per metric: del and delbar are the model's blocks
 conjugated once, Q del Q^{-1}, with Q the compound change of coframe on
-Lambda^{p,q}.  The Gram matrix of every Lambda^{p,q} is then vol * I, so
-every adjoint is a conjugate transpose, the star is a constant signed
-permutation, and L and Lambda are the metric-free wedge by
+Lambda^{p,q}.  Every adjoint is then a conjugate transpose, the star is a
+constant signed permutation, and L and Lambda are the metric-free wedge by
 i sum e^a wedge ebar^a and its conjugate transpose.  Forms stay in the model
 coframe and cross into and out of the frame only through ``to_frame`` and
-``from_frame``.
+``from_frame``, which carry the factor sqrt(vol): frame coordinates are
+L2-isometric, so L2 products, norms and orthonormal bases are the plain
+Hermitian ones of frame vectors.
 
 Harmonic spaces are kernels of one Laplacian, closed* closed + exact exact*,
 over the frame (closed, exact) pair of a theory (``closed_and_exact``).  The
@@ -92,6 +93,7 @@ __all__ = [
     "is_primitive",
     "kahler_residual",
     "is_kahler",
+    "skt_residual",
     "closed_and_exact",
     "laplacian",
     "laplacian_bc",
@@ -242,13 +244,13 @@ def _coframe_change(g: HermitianMetric, p: int, q: int, inverse: bool = False) -
 
 
 def to_frame(g: HermitianMetric, u: Form) -> np.ndarray:
-    """Unitary-frame coordinates of a model-coframe form."""
-    return _coframe_change(g, u.p, u.q) @ alg.to_vector(u, g.n)
+    """L2-isometric frame coordinates sqrt(vol) Q u of a model-coframe form."""
+    return math.sqrt(g.volume) * (_coframe_change(g, u.p, u.q) @ alg.to_vector(u, g.n))
 
 
 def from_frame(g: HermitianMetric, vec: np.ndarray, p: int, q: int) -> Form:
-    """Model-coframe (p,q)-form with the given unitary-frame coordinates."""
-    return Form(g.n, p, q, _coframe_change(g, p, q, inverse=True) @ vec)
+    """Model-coframe (p,q)-form with the given L2-isometric frame coordinates."""
+    return Form(g.n, p, q, _coframe_change(g, p, q, inverse=True) @ vec / math.sqrt(g.volume))
 
 
 def gram_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
@@ -258,14 +260,14 @@ def gram_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
 
 
 def inner(g: HermitianMetric, u: Form, v: Form) -> complex:
-    """L2 inner product <<u, v>> = vol * <to_frame u, to_frame v>.
+    """L2 inner product <<u, v>>, the Hermitian product of the frame coordinates.
 
     Linear in u and conjugate-linear in v; the frame monomials are
     orthonormal pointwise, so no Gram matrix is formed.
     """
     if u.bidegree != v.bidegree:
         return 0j
-    return g.volume * complex(to_frame(g, v).conj() @ to_frame(g, u))
+    return complex(to_frame(g, v).conj() @ to_frame(g, u))
 
 
 def l2_norm(g: HermitianMetric, u: Form) -> float:
@@ -418,7 +420,7 @@ def is_primitive(g: HermitianMetric, u: Form) -> bool:
     relative to the operator norm of the power map) and must agree.
     """
     n = g.n
-    x = to_frame(g, u)  # L2 norms are sqrt(vol) times frame 2-norms, a factor that cancels
+    x = to_frame(g, u)
     scale = max(float(np.linalg.norm(x)), 1e-30)
     contraction = float(np.linalg.norm(lambda_matrix(g, u.p, u.q) @ x))
     by_contraction = contraction <= TOL_EQ * scale
@@ -485,6 +487,12 @@ def kahler_residual(g: HermitianMetric) -> float:
 
 def is_kahler(g: HermitianMetric) -> bool:
     return kahler_residual(g) <= TOL_EQ
+
+
+def skt_residual(model: LieModel, w: Form) -> float:
+    """|del delbar w| / |w| in model coefficients; 0 for the zero form."""
+    size = w.norm()
+    return alg.del_form(model, alg.delbar_form(model, w)).norm() / size if size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +630,8 @@ def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
 
 
 def harmonic_basis(g: HermitianMetric, lap: np.ndarray) -> np.ndarray:
-    """L2-orthonormal kernel basis (columns, unitary-frame coordinates) of a frame Laplacian."""
-    return hermitian_kernel(lap, rank_cut(g, lap, 2, 4)) / math.sqrt(g.volume)
+    """Orthonormal kernel basis of a frame Laplacian: frame columns, so L2-orthonormal."""
+    return hermitian_kernel(lap, rank_cut(g, lap, 2, 4))
 
 
 def harmonic_space(g: HermitianMetric, lap: np.ndarray, p: int, q: int) -> list[Form]:
@@ -639,16 +647,16 @@ def harmonic_projection(g: HermitianMetric, basis: list[Form], u: Form) -> Form:
     return out
 
 
-def orthonormal_span(g: HermitianMetric, columns: np.ndarray, tol: float) -> np.ndarray:
-    """L2-orthonormal basis of the span of unitary-frame columns, cut at ``tol``."""
-    return column_space(columns, tol) / math.sqrt(g.volume)
+def orthonormal_span(columns: np.ndarray, tol: float) -> np.ndarray:
+    """L2-orthonormal basis of the span of frame columns, cut at ``tol``."""
+    return column_space(columns, tol)
 
 
-def subspace_residual(g: HermitianMetric, a: np.ndarray, b: np.ndarray) -> float:
+def subspace_residual(a: np.ndarray, b: np.ndarray) -> float:
     """Largest |<a_i, b_j>| between two L2-orthonormal families of frame columns."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return 0.0
-    return g.volume * float(np.max(np.abs(b.conj().T @ a)))
+    return float(np.max(np.abs(b.conj().T @ a)))
 
 
 @dataclass
@@ -697,10 +705,10 @@ def three_space_decomposition(
     lap = paper_laplacian(g, p, q)
     closed, exact = closed_and_exact(g, theory, p, q)
     kernel = harmonic_basis(g, lap)
-    image = orthonormal_span(g, exact, tol=rank_cut(g, exact, orders[1]))
-    coimage = orthonormal_span(g, closed.conj().T, tol=rank_cut(g, closed, orders[0]))
+    image = orthonormal_span(exact, tol=rank_cut(g, exact, orders[1]))
+    coimage = orthonormal_span(closed.conj().T, tol=rank_cut(g, closed, orders[0]))
     pairs = ((kernel, image), (kernel, coimage), (image, coimage))
-    residual = max(subspace_residual(g, a, b) for a, b in pairs)
+    residual = max(subspace_residual(a, b) for a, b in pairs)
     closed_dim = closed.shape[1] - numeric_rank(closed, tol=rank_cut(g, closed, orders[0]))
     closed_split_ok = closed_dim == kernel.shape[1] + image.shape[1]
     image_rank = numeric_rank(lap, tol=rank_cut(g, lap, 2, 4))
@@ -757,8 +765,7 @@ def quasi_isometry_bounds(
         return (0.0, 0.0)
     image = _lefschetz_power_matrix(n, k, p)
     if restrict_harmonic:
-        # the frame is L2-isometric up to sqrt(vol) on both sides
-        image = image @ harmonic_basis(g, laplacian_derham(g, p)) * math.sqrt(g.volume)
+        image = image @ harmonic_basis(g, laplacian_derham(g, p))
     cols = image.shape[1]
     if cols == 0:
         return (0.0, 0.0)
@@ -779,5 +786,5 @@ def lefschetz_harmonic_rank(g: HermitianMetric, k: int, p: int) -> tuple[int, in
     target = harmonic_basis(g, laplacian_derham(g, p + 2 * k))
     if k == 0:
         return (domain.shape[1], target.shape[1])
-    coords = g.volume * (target.conj().T @ (_lefschetz_power_matrix(n, k, p) @ domain))
+    coords = target.conj().T @ (_lefschetz_power_matrix(n, k, p) @ domain)
     return (numeric_rank(coords), target.shape[1])

@@ -105,6 +105,14 @@ def test_conjugate_basics():
     assert (alg.conjugate(alg.conjugate(u)) - u).is_zero()
 
 
+def test_is_real_form_is_scale_free():
+    # the reality residual is measured against |u| itself, at every scale
+    w = alg.basis_form(3, (1,), (1,))
+    for s in (1e-13, 1.0, 1e13):
+        assert not alg.is_real_form(s * w), s
+        assert alg.is_real_form((1j * s) * w), s
+
+
 def test_conjugate_intertwines_differentials(models, rng):
     for name in ("iwasawa", "kodaira_thurston", "nonunimodular"):
         model = models[name]

@@ -1,10 +1,40 @@
+import json
+
 import numpy as np
 import pytest
 
 from pluriclosed import algebra as alg
 from pluriclosed import classify
+from pluriclosed import cli
+from pluriclosed import cohomology as coh
 from pluriclosed import hodge
 from pluriclosed.errors import PreconditionError
+
+
+@pytest.mark.parametrize("eps", [1e-5, 4e-5, 4.2e-5, 1e-3])
+def test_skt_verdicts_agree_across_the_threshold(tmp_path, capsys, eps):
+    # d phi^3 = -eps phi^1 ^ phi^2 under the identity metric has SKT residual
+    # eps^2 / sqrt 3, which crosses hodge.TOL_EQ between eps = 4e-5 and 4.2e-5;
+    # classify, require_skt and the check-lemmas gate read the one residual
+    doc = {
+        "name": "iwasawa_eps",
+        "n": 3,
+        "dphi": [[], [], [{"type": "20", "i": 1, "j": 2, "coeff": [-eps, 0.0]}]],
+    }
+    g = hodge.identity_metric(alg.parse_model(doc))
+    skt = classify.classify_metric(g).skt
+    assert skt == (hodge.skt_residual(g.model, g.omega) <= hodge.TOL_EQ)
+    try:
+        coh.require_skt(g)
+        required = True
+    except PreconditionError:
+        required = False
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["check-lemmas", "--model", str(path)]) == 0
+    gated = json.loads(capsys.readouterr().out)["aeppli_harmonic_residual"] is not None
+    assert skt == required == gated
+    assert skt == (eps < 4.1e-5)
 
 
 def test_truth_table_torus(metrics):
@@ -115,11 +145,13 @@ def test_skt_certificate_rejects_non_skt(metrics):
 
 
 def test_weak_positivity_verdicts(metrics):
+    # a real (n,n)-form has one coefficient, so only the zero form reads zero
     g = metrics["torus2"]
     dv = hodge.volume_form(g)
-    assert classify.weak_positivity_topform(dv, 2) == "positive"
+    for s in (1e-13, 1.0, 1e13):
+        assert classify.weak_positivity_topform(s * dv, 2) == "positive", s
+        assert classify.weak_positivity_topform(-s * dv, 2) == "negative", s
     assert classify.weak_positivity_topform(alg.zero_form(2, 2, 2), 2) == "zero"
-    assert classify.weak_positivity_topform(-1 * dv, 2) == "negative"
 
 
 def test_weak_positivity_rejects_non_real(metrics):

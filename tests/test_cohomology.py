@@ -170,8 +170,8 @@ def test_mirrored_basis_spans_the_direct_kernel(mirror_metrics, name):
                 basis = coh.cohomology_space(g, theory, p, q).basis
                 direct = hodge.harmonic_basis(g, getattr(hodge, laplacian)(g, p, q))
                 assert basis.shape == direct.shape, (theory, p, q)
-                # L2-orthonormal frame columns B give the projector vol * B B^H
-                gap = g.volume * (basis @ basis.conj().T - direct @ direct.conj().T)
+                # L2-orthonormal frame columns B give the projector B B^H
+                gap = basis @ basis.conj().T - direct @ direct.conj().T
                 assert np.max(np.abs(gap), initial=0.0) <= 1e-10, (theory, p, q)
 
 
@@ -294,6 +294,21 @@ def test_decompositions_and_classes_need_bc_or_aeppli(metrics, theory, p, q):
         hodge.three_space_decomposition(g, theory, p, q)
     with pytest.raises(ValueError):
         coh.class_of(coh.cohomology_space(g, theory, p, q), alg.zero_form(g.n, 1, 1))
+
+
+def test_space_bases_are_orthonormal(models, rng):
+    # frame coordinates are L2-isometric, so L2-orthonormal bases have B^H B = I
+    for name in ("iwasawa", "kodaira_thurston"):
+        model = models[name]
+        n = model.n
+        scaled = [hodge.metric_from_matrix(model, t * np.eye(n)) for t in (1e-3, 1e3)]
+        for g in (hodge.random_metric(model, rng), *scaled):
+            for theory in ("bc", "aeppli", "dolbeault"):
+                for p in range(n + 1):
+                    for q in range(n + 1):
+                        basis = coh.cohomology_space(g, theory, p, q).basis
+                        gap = basis.conj().T @ basis - np.eye(basis.shape[1])
+                        assert np.max(np.abs(gap), initial=0.0) <= 1e-12, (theory, p, q)
 
 
 def test_dims_metric_independent(models, rng):
@@ -499,21 +514,24 @@ def test_wedge_map_well_defined_on_representatives(metrics, rng):
 
 
 def test_wedge_functional_depends_only_on_aeppli_class(metrics, rng):
-    # replacing omega by omega + del(conj a) + delbar(a) does not move the functional
-    for name in ("kt_standard", "double_kt"):
-        g = metrics[name]
-        model = g.model
-        n = model.n
-        hp = coh.primitive_hyperplane(g)
-        a = 0.05 * alg.random_form(n, 1, 0, rng)
-        moved = g.omega + alg.del_form(model, alg.conjugate(a)) + alg.delbar_form(model, a)
-        functional = np.array(
-            [
-                coh.integrate_pairing(model, hodge.from_frame(g, b, n - 1, n - 1), moved)
-                for b in hp.space.basis.T
-            ]
-        )
-        assert np.max(np.abs(functional - hp.functional)) < 1e-9
+    # replacing omega by omega + del(conj a) + delbar(a) does not move the
+    # functional; under t * h_std the volume is t^n, and the L2 product
+    # <b, omega_{n-1}> must still be the integral of b wedge omega
+    for t in (1.0, 1e-3, 1e3):
+        for name in ("kt_standard", "double_kt"):
+            g = hodge.metric_from_matrix(metrics[name].model, t * metrics[name].h)
+            model = g.model
+            n = model.n
+            hp = coh.primitive_hyperplane(g)
+            a = 0.05 * t * alg.random_form(n, 1, 0, rng)
+            moved = g.omega + alg.del_form(model, alg.conjugate(a)) + alg.delbar_form(model, a)
+            functional = np.array(
+                [
+                    coh.integrate_pairing(model, hodge.from_frame(g, b, n - 1, n - 1), moved)
+                    for b in hp.space.basis.T
+                ]
+            )
+            assert np.max(np.abs(functional - hp.functional)) < 1e-9 * t ** (n / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from pluriclosed import algebra as alg
 from pluriclosed import cohomology as coh
 from pluriclosed import cones
 from pluriclosed import hodge
-from pluriclosed.errors import PreconditionError
+from pluriclosed.errors import CrossCheckError, PreconditionError
 
 
 def _aeppli_class(g, form):
@@ -85,6 +85,22 @@ def test_witness_stays_in_class_and_skt(metrics):
     assert alg.del_form(model, alg.delbar_form(model, witness)).norm() < 1e-10
     again = coh.class_of(cls.space, witness)
     assert np.max(np.abs(again.coords - cls.coords)) < 1e-8
+
+
+def test_witness_drift_check_is_relative_to_the_class(metrics, monkeypatch):
+    # a witness pushed off its class by 1e-6 of the class must be caught,
+    # however small the class is
+    g = metrics["torus2"]
+    cls = _aeppli_class(g, 1e-12 * g.omega)
+    rep = coh.harmonic_representative(cls)
+    original = hodge.form_of_hermitian_matrix
+
+    def off_class(m):
+        return original(m) + 1e-6 * rep
+
+    monkeypatch.setattr(hodge, "form_of_hermitian_matrix", off_class)
+    with pytest.raises(CrossCheckError, match="left its Aeppli class"):
+        cones.skt_cone_feasibility(cls, seed=0)
 
 
 def test_rejects_non_real_class(metrics):
@@ -203,11 +219,12 @@ def test_copsef_rejects_probe_without_witness(metrics):
 
 
 def test_copsef_rejects_indefinite_probe(metrics):
+    # the zero witness has SKT residual 0 and fails on positivity
     g = metrics["torus2"]
-    probe_form = alg.basis_form(2, (1,), (1,), 1j) - alg.basis_form(2, (2,), (2,), 1j)
-    indefinite = cones.SktProbe(witness=probe_form, label="indefinite")
-    with pytest.raises(PreconditionError):
-        cones.copsef_pairing_test(_bc_power_class(g), [indefinite])
+    indefinite = alg.basis_form(2, (1,), (1,), 1j) - alg.basis_form(2, (2,), (2,), 1j)
+    for probe_form in (indefinite, alg.zero_form(2, 1, 1)):
+        with pytest.raises(PreconditionError, match="not positive definite"):
+            cones.copsef_pairing_test(_bc_power_class(g), [cones.SktProbe(witness=probe_form)])
 
 
 def test_weak_positivity_matrix_is_the_pairing_integral(rng):

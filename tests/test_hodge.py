@@ -204,6 +204,25 @@ def test_adjoint_involution(models, rng):
         assert (image - alg.delbar_form(model, u)).norm() < 1e-10
 
 
+def test_frame_coordinates_are_l2_isometric(models, rng):
+    # |to_frame u|^2 is the L2 norm that the model-coframe Gram matrix gives,
+    # and a harmonic basis has orthonormal frame columns; no metric has vol = 1
+    for name in ("iwasawa", "kodaira_thurston"):
+        model = models[name]
+        n = model.n
+        scaled = [hodge.metric_from_matrix(model, t * np.eye(n)) for t in (1e-3, 1e3)]
+        for g in (hodge.random_metric(model, rng), *scaled):
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    u = alg.random_form(n, p, q, rng)
+                    x = hodge.to_frame(g, u)
+                    l2 = (u.vec.conj() @ hodge.gram_matrix(g, p, q) @ u.vec).real
+                    assert abs(x.conj() @ x - l2) <= 1e-12 * l2, (name, g.volume, p, q)
+                    basis = hodge.harmonic_basis(g, hodge.laplacian(g, "bc", p, q))
+                    eye = np.eye(basis.shape[1])
+                    assert np.max(np.abs(basis.conj().T @ basis - eye), initial=0.0) <= 1e-12
+
+
 def test_adjoint_is_gram_adjoint(models, rng):
     # the frame conjugate transpose is the adjoint for the model-coframe L2 product
     model = models["kodaira_thurston"]
