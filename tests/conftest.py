@@ -10,7 +10,10 @@ exact arithmetic.
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +56,22 @@ def metrics(models) -> dict[str, hodge.HermitianMetric]:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture()
+def bench_module(monkeypatch):
+    """Import a module of ``bench/`` (not collected) from a path entry added for one test."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+
+    def load(name: str):
+        monkeypatch.syspath_prepend(str(bench))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as checked out
+        try:
+            return importlib.import_module(name)
+        finally:
+            sys.modules.pop(name, None)  # a generic name: keep it out of other tests
+
+    return load
 
 
 # ---------------------------------------------------------------------------

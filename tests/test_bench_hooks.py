@@ -12,26 +12,13 @@ import contextlib
 import importlib
 import io
 import json
-import sys
-from pathlib import Path
 
 from pluriclosed import cli
 from pluriclosed import fixtures as fx
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-
-def _bench_module(monkeypatch, name: str):
-    monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as checked out
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.modules.pop(name, None)  # a generic name: keep it out of other tests
-
-
-def test_every_traced_layer_function_exists(monkeypatch):
-    spans = _bench_module(monkeypatch, "spans")
+def test_every_traced_layer_function_exists(bench_module):
+    spans = bench_module("spans")
     missing = []
     for layer, (module, names) in spans.LAYERS.items():
         home = importlib.import_module(f"pluriclosed.{module}")
@@ -43,8 +30,8 @@ def test_every_traced_layer_function_exists(monkeypatch):
     assert not missing, missing
 
 
-def test_benchmark_command_mix_keeps_its_exit_codes(monkeypatch, tmp_path):
-    inputs = _bench_module(monkeypatch, "inputs")
+def test_benchmark_command_mix_keeps_its_exit_codes(bench_module, tmp_path):
+    inputs = bench_module("inputs")
     docs = {name: fx.load_document(name) for name in fx.available_models()}
 
     def write_document(doc: dict) -> str:

@@ -1,10 +1,7 @@
 import gc
-import importlib
 import math
-import sys
 import weakref
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,25 +95,14 @@ def test_ill_conditioned_metrics_match_exact_oracle(models, oracle_dims, c):
                 assert space.dimension == oracle_dims[name, theory, p, q], (name, seed, theory, p, q)
 
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _bench_modules(monkeypatch):
-    """``bench/inputs.py`` and ``bench/reference.py`` (an exact mod-p rank of
-    the same complex, on its own representation), imported read-only."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as checked out
-    try:
-        return importlib.import_module("inputs"), importlib.import_module("reference")
-    finally:
-        for generic in ("inputs", "reference"):  # keep generic names out of other tests
-            sys.modules.pop(generic, None)
+# bench/reference.py is an exact mod-p rank of the same complex, on its own
+# representation
 
 
 @pytest.mark.parametrize("name", ["kt3", "iwasawa6"])
-def test_n6_quotient_dimensions_match_exact_reference(monkeypatch, name):
+def test_n6_quotient_dimensions_match_exact_reference(bench_module, name):
     # n = 6 model matrices split into many small blocks
-    inputs, reference = _bench_modules(monkeypatch)
+    inputs, reference = bench_module("inputs"), bench_module("reference")
     doc = inputs.kt_product(3) if name == "kt3" else inputs.iwasawa_type(6)
     model = alg.parse_model(doc)
     exact = reference.reference_dimensions(doc)
@@ -125,10 +111,10 @@ def test_n6_quotient_dimensions_match_exact_reference(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["kt2_t1", "iwasawa5"])
-def test_n5_full_sweep_matches_exact_reference(monkeypatch, name):
+def test_n5_full_sweep_matches_exact_reference(bench_module, name):
     # every space, both routes, under a condition-10 metric: mirrored
     # Bott-Chern and Aeppli spaces and real de Rham counts included
-    inputs, reference = _bench_modules(monkeypatch)
+    inputs, reference = bench_module("inputs"), bench_module("reference")
     doc = inputs.kt_product(2, 1) if name == "kt2_t1" else inputs.iwasawa_type(5)
     g = _conditioned_metric(alg.parse_model(doc), 10.0, seed=0)
     exact = reference.reference_dimensions(doc)
