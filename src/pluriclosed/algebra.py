@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -60,7 +60,6 @@ __all__ = [
     "deldelbar_matrix",
     "block_matrix",
     "d_matrix",
-    "total_differential",
     "closed_and_exact",
     "wedge_matrix",
     "operator_matrix",
@@ -376,7 +375,7 @@ def integrate_top(u: Form, n: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# index tables: wedge and contraction by basis monomials, per (n, bidegree)
+# index tables: wedge by basis monomials, and del and delbar composed from it
 #
 # A multi-index is also a bitmask (bit i-1 for index i).  The tables are
 # model-free, built on first use and kept for the life of the process.
@@ -415,7 +414,7 @@ def _wedge_table(n: int, a: int, b: int, p: int, q: int) -> tuple[np.ndarray, ..
     """
     basis = multiindices(n, p, q)
     if not basis or space_dim(n, p + a, q + b) == 0:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+        return tuple(np.zeros(0, dtype=np.int32) for _ in range(4))
     popcount, rank = _subset_tables(n)
     holo = np.array([_mask(mi.holo) for mi in basis], dtype=np.int64)
     anti = np.array([_mask(mi.anti) for mi in basis], dtype=np.int64)
@@ -432,49 +431,43 @@ def _wedge_table(n: int, a: int, b: int, p: int, q: int) -> tuple[np.ndarray, ..
             pairs += popcount[j & ((1 << (x - 1)) - 1)]
         row = rank[h | mh] * width + rank[j | ma]
         parts.append((np.full(c.size, r), c, row, 1 - 2 * (pairs % 2)))
-    return tuple(_frozen(np.concatenate(col)) for col in zip(*parts))
-
-
-def _wedge_stack(n: int, coeffs: np.ndarray, a: int, b: int, p: int, q: int) -> np.ndarray:
-    """[W(w_1) | ... | W(w_m)]: Lambda^{p,q} (+) ... (+) Lambda^{p,q} -> Lambda^{p+a,q+b}.
-
-    W(w) is the matrix of w wedge . for the (a,b)-form w whose canonical
-    coefficients are a row of ``coeffs`` (shape m x dim Lambda^{a,b}).
-    """
-    r, c, row, sign = _wedge_table(n, a, b, p, q)
-    m, width = coeffs.shape[0], space_dim(n, p, q)
-    out = np.zeros((space_dim(n, p + a, q + b), m, width), dtype=complex)
-    out[row, :, c] = (coeffs[:, r] * sign).T  # (row, c) pairs are distinct: no accumulation
-    return out.reshape(out.shape[0], m * width)
+    return tuple(_frozen(np.concatenate(col).astype(np.int32)) for col in zip(*parts))
 
 
 @lru_cache(maxsize=None)
-def _contraction_table(n: int, anti: bool, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked contractions [i_1; ...; i_n] on Lambda^{p,q}, as a signed gather.
+def _differential_table(n: int, kind: str, p: int, q: int) -> tuple[np.ndarray, ...]:
+    """del or delbar on Lambda^{p,q} as model-free (entry, coefficient, sign) triples.
 
-    i_k removes phi^k (phibar^k if ``anti``) from a monomial with the sign
+    The derivation identity d = sum_g (dg wedge .) i_g runs over the 2n
+    generators g = phi^k, phibar^k, with d(phibar^k) = conjugate d(phi^k):
+    del    = sum_k W(d20_k) i_k + W(conj d11_k) ibar_k,
+    delbar = sum_k W(d11_k) i_k + W(conj d20_k) ibar_k.
+    i_k removes phi^k (ibar_k phibar^k) from a monomial with the sign
     (-1)^position, antiholomorphic positions counted after the p holomorphic
     ones; it is the transpose of phi^k wedge . (phibar^k wedge .).  Each
-    monomial contains exactly p generators phi^k (q generators phibar^k), so
-    the 0/+-1 matrix has that many entries per column, returned as (cols,
-    signs) of shape (dim Lambda^{p,q}, p or q): for a stack
-    S = [W_1 | ... | W_n] over Lambda^{p-1,q} (Lambda^{p,q-1}),
-    S @ [i_1; ...; i_n] = (S[:, cols] * signs).sum(axis=2).
+    product of a contraction and a wedge term is one triple: the flat entry
+    row * dim Lambda^{p,q} + column of the block, the index of its structure
+    constant in a model's one coefficient vector, the rows d20_k, d11_k,
+    conj d11_k and conj d20_k in turn (``_differential``), and the product
+    of the two signs.
     """
     dim = space_dim(n, p, q)
-    if dim == 0:
-        return np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
-    a, b = (0, 1) if anti else (1, 0)
-    k, mid, src, sign = _wedge_table(n, a, b, p - a, q - b)
-    order = np.argsort(src, kind="stable")  # per source monomial: generators ascending
-    cols = k * space_dim(n, p - a, q - b) + mid
-    per = q if anti else p
-    return _frozen(cols[order].reshape(dim, per)), _frozen(sign[order].reshape(dim, per))
-
-
-def _gather(stack: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    cols, signs = table
-    return (stack[:, cols] * signs).sum(axis=2)
+    entry, coeff, signs = [np.zeros(0, np.int32)], [np.zeros(0, np.int16)], [np.zeros(0, np.int8)]
+    w20, w11 = n * space_dim(n, 2, 0), n * space_dim(n, 1, 1)
+    if kind == "del":
+        halves = (((2, 0), 0), ((1, 1), w20 + w11))
+    else:
+        halves = (((1, 1), w20), ((0, 2), w20 + 2 * w11))
+    for (ga, gb), ((a, b), offset) in zip(((1, 0), (0, 1)), halves):
+        k, mid, src, contract = _wedge_table(n, ga, gb, p - ga, q - gb)  # g_k ^ e_mid = +-e_src
+        r, c, row, sign = _wedge_table(n, a, b, p - ga, q - gb)  # e_r ^ e_c = sign e_row
+        if mid.size:
+            # every monomial e_c meets the same number of e_r: one row of wedge terms each
+            terms = np.argsort(c, kind="stable").reshape(space_dim(n, p - ga, q - gb), -1)[mid]
+            entry.append((row[terms] * dim + src[:, None]).ravel())
+            coeff.append((offset + k[:, None] * space_dim(n, a, b) + r[terms]).ravel())
+            signs.append((contract[:, None] * sign[terms]).ravel())
+    return tuple(_frozen(np.concatenate(col).astype(col[0].dtype)) for col in (entry, coeff, signs))
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +475,24 @@ def _gather(stack: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarr
 
 
 def _differential(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:
-    """del or delbar on Lambda^{p,q} from the derivation identity d = sum_g (dg wedge .) i_g.
-
-    The sum runs over the 2n generators g = phi^k, phibar^k, with
-    d(phibar^k) = conjugate d(phi^k):
-    del    = sum_k W(d20_k) i_k + W(conj d11_k) ibar_k,
-    delbar = sum_k W(d11_k) i_k + W(conj d20_k) ibar_k.
-    """
+    """del or delbar on Lambda^{p,q}, cached: ``_differential_table`` summed over the dg_k."""
+    if (kind, p, q) in model._cache:
+        return model._cache[kind, p, q]
     n = model.n
-    d20 = np.array([f.vec for f in model.d20])
-    d11 = np.array([f.vec for f in model.d11])
-    if kind == "del":
-        holo = _wedge_stack(n, d20, 2, 0, p - 1, q)
-        anti = _wedge_stack(n, _conjugate_rows(d11, n, 1, 1), 1, 1, p, q - 1)
-    else:
-        holo = _wedge_stack(n, d11, 1, 1, p - 1, q)
-        anti = _wedge_stack(n, _conjugate_rows(d20, n, 2, 0), 0, 2, p, q - 1)
-    return _gather(holo, _contraction_table(n, False, p, q)) + _gather(
-        anti, _contraction_table(n, True, p, q)
-    )
+    if "constants" not in model._cache:
+        d20 = np.array([f.vec for f in model.d20])
+        d11 = np.array([f.vec for f in model.d11])
+        rows = (d20, d11, _conjugate_rows(d11, n, 1, 1), _conjugate_rows(d20, n, 2, 0))
+        model._cache["constants"] = np.concatenate([row.ravel() for row in rows])
+    entry, index, sign = _differential_table(n, kind, p, q)
+    coeffs = model._cache["constants"][index]
+    shape = (space_dim(n, p + (kind == "del"), q + (kind == "delbar")), space_dim(n, p, q))
+    size = shape[0] * shape[1]
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(entry, coeffs.real * sign, minlength=size)
+    out.imag = np.bincount(entry, coeffs.imag * sign, minlength=size)
+    model._cache[kind, p, q] = _frozen(out.reshape(shape))
+    return model._cache[kind, p, q]
 
 
 def del_form(model: LieModel, u: Form) -> Form:
@@ -522,21 +514,14 @@ def d_form(model: LieModel, u: Form) -> tuple[Form, Form]:
 # matrices over the canonical bases
 
 
-def _cached_matrix(model: LieModel, key, builder) -> np.ndarray:
-    hit = model._cache.get(key)
-    if hit is None:
-        hit = model._cache[key] = _frozen(builder())
-    return hit
-
-
 def del_matrix(model: LieModel, p: int, q: int) -> np.ndarray:
     """Matrix of del: Lambda^{p,q} -> Lambda^{p+1,q}; zero-sized off range."""
-    return _cached_matrix(model, ("del", p, q), lambda: _differential(model, "del", p, q))
+    return _differential(model, "del", p, q)
 
 
 def delbar_matrix(model: LieModel, p: int, q: int) -> np.ndarray:
     """Matrix of delbar: Lambda^{p,q} -> Lambda^{p,q+1}."""
-    return _cached_matrix(model, ("delbar", p, q), lambda: _differential(model, "delbar", p, q))
+    return _differential(model, "delbar", p, q)
 
 
 def deldelbar_matrix(model: LieModel, p: int, q: int) -> np.ndarray:
@@ -569,35 +554,33 @@ def block_matrix(n: int, sources, targets, parts) -> np.ndarray:
     return mat
 
 
-def total_differential(n: int, k: int, del_, delbar) -> np.ndarray:
-    """d: Lambda^k -> Lambda^{k+1} from the blocks of del and delbar (see ``closed_and_exact``)."""
-    src, tgt = bidegrees_of_degree(n, k), bidegrees_of_degree(n, k + 1)
-    return block_matrix(n, src, tgt, {(1, 0): del_, (0, 1): delbar})
-
-
 def d_matrix(model: LieModel, k: int) -> np.ndarray:
     """Block matrix of d: Lambda^k -> Lambda^{k+1} over the bidegree splitting."""
-    return total_differential(model.n, k, partial(del_matrix, model), partial(delbar_matrix, model))
+    n = model.n
+    parts = {
+        (1, 0): lambda p, q: del_matrix(model, p, q),
+        (0, 1): lambda p, q: delbar_matrix(model, p, q),
+    }
+    return block_matrix(n, bidegrees_of_degree(n, k), bidegrees_of_degree(n, k + 1), parts)
 
 
-def closed_and_exact(theory: str, n: int, p: int, q: int | None, del_, delbar):
+def closed_and_exact(model: LieModel, theory: str, p: int, q: int | None):
     """The operators that define a cohomology theory: its space is ker closed / im exact.
 
-    ``del_`` and ``delbar`` are block functions (p, q) -> matrix, in model
-    (``del_matrix``) or frame (``hodge.del_matrix``) coordinates alike.  For
-    de Rham p is the degree and q is unused.
+    The blocks are those of ``model``: the model's own coframe, or the
+    unitary frame of a metric through ``hodge.frame_model``, alike.  For de
+    Rham p is the degree and q is unused.
     """
     if theory == "bc":
-        closed = np.vstack([del_(p, q), delbar(p, q)])
-        exact = del_(p - 1, q) @ delbar(p - 1, q - 1)
+        closed = np.vstack([del_matrix(model, p, q), delbar_matrix(model, p, q)])
+        exact = del_matrix(model, p - 1, q) @ delbar_matrix(model, p - 1, q - 1)
     elif theory == "aeppli":
-        closed = del_(p, q + 1) @ delbar(p, q)
-        exact = np.hstack([del_(p - 1, q), delbar(p, q - 1)])
+        closed = del_matrix(model, p, q + 1) @ delbar_matrix(model, p, q)
+        exact = np.hstack([del_matrix(model, p - 1, q), delbar_matrix(model, p, q - 1)])
     elif theory == "dolbeault":
-        closed, exact = delbar(p, q), delbar(p, q - 1)
+        closed, exact = delbar_matrix(model, p, q), delbar_matrix(model, p, q - 1)
     elif theory == "derham":
-        closed = total_differential(n, p, del_, delbar)
-        exact = total_differential(n, p - 1, del_, delbar)
+        closed, exact = d_matrix(model, p), d_matrix(model, p - 1)
     else:
         raise ValueError(f"unknown theory {theory!r}")
     return closed, exact
@@ -605,7 +588,10 @@ def closed_and_exact(theory: str, n: int, p: int, q: int | None, del_, delbar):
 
 def wedge_matrix(n: int, w: Form, p: int, q: int) -> np.ndarray:
     """Matrix of (w wedge .): Lambda^{p,q} -> Lambda^{p+w.p, q+w.q}."""
-    return _wedge_stack(n, to_vector(w, n)[None, :], w.p, w.q, p, q)
+    r, c, row, sign = _wedge_table(n, w.p, w.q, p, q)
+    out = np.zeros((space_dim(n, p + w.p, q + w.q), space_dim(n, p, q)), dtype=complex)
+    out[row, c] = to_vector(w, n)[r] * sign  # (row, c) pairs are distinct: no accumulation
+    return out
 
 
 def operator_matrix(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:

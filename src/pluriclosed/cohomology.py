@@ -28,8 +28,7 @@ H^{n-1,n-1}_BC with its lambda coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,9 +61,9 @@ __all__ = [
 THEORIES = ("bc", "aeppli", "dolbeault", "derham")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class CohomologySpace:
-    """One cohomology space with both computation routes recorded.
+    """One cohomology space, computed by both routes, which agree.
 
     ``q`` is None for de Rham, where ``p`` is the total degree.  ``basis``
     is a matrix of orthonormal columns, the frame coordinates
@@ -81,21 +80,8 @@ class CohomologySpace:
     p: int
     q: int | None
     metric: hodge.HermitianMetric
-    dimension: int
-    quotient_dimension: int
-    harmonic_dimension: int
-    basis: np.ndarray | None
-
-    def _key(self) -> tuple:
-        return (id(self.metric), self.theory, self.p, self.q)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CohomologySpace):
-            return NotImplemented
-        return self._key() == other._key()  # both spaces keep their metrics alive
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    dimension: int = field(compare=False)
+    basis: np.ndarray | None = field(compare=False)
 
 
 @dataclass(eq=False)
@@ -123,9 +109,7 @@ def quotient_dimension(model: LieModel, theory: str, p: int, q: int | None) -> i
     so a space costs two calls of ``linalg.numeric_rank`` (singular values
     only, block by block) and no singular vectors.
     """
-    closed, exact = alg.closed_and_exact(
-        theory, model.n, p, q, partial(alg.del_matrix, model), partial(alg.delbar_matrix, model)
-    )
+    closed, exact = alg.closed_and_exact(model, theory, p, q)
     return closed.shape[1] - numeric_rank(closed) - numeric_rank(exact)
 
 
@@ -134,16 +118,7 @@ def cohomology_space(
 ) -> CohomologySpace:
     """Compute one space via both routes and insist that they agree."""
     dim, basis = _space_data(g, theory, p, q)
-    return CohomologySpace(
-        theory=theory,
-        p=p,
-        q=q,
-        metric=g,
-        dimension=dim,
-        quotient_dimension=dim,
-        harmonic_dimension=dim,
-        basis=basis,
-    )
+    return CohomologySpace(theory=theory, p=p, q=q, metric=g, dimension=dim, basis=basis)
 
 
 def _space_data(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
@@ -181,9 +156,8 @@ def class_of(space: CohomologySpace, u: Form) -> CohomologyClass:
     """Class of a form, after checking that the theory's ``closed`` operator kills it."""
     if space.theory not in ("bc", "aeppli"):
         raise ValueError("classes are only built for the bc and aeppli theories")
-    g, model = space.metric, space.metric.model
-    del_, delbar = partial(alg.del_matrix, model), partial(alg.delbar_matrix, model)
-    closed, _ = alg.closed_and_exact(space.theory, g.n, u.p, u.q, del_, delbar)
+    g = space.metric
+    closed, _ = alg.closed_and_exact(g.model, space.theory, u.p, u.q)
     bad = float(np.linalg.norm(closed @ u.vec))
     if bad > hodge.TOL_EQ * u.norm():
         what = "del- and delbar-closed" if space.theory == "bc" else "del delbar-closed"

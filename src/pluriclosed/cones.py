@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -76,6 +75,7 @@ TOL_PD = 1e-7  # absolute threshold on unit-normalized class representatives
 TOL_PROBE = 1e-9  # closedness and positivity threshold of a stored probe
 GAP = 1e-9  # the barrier stops at duality gap GAP * scale
 MAX_NEWTON_STEPS = 200  # per barrier; a central path takes about 50
+PROBE_SAMPLES = 8  # random closed candidates among the stored probes
 
 
 @dataclass
@@ -377,14 +377,13 @@ def _dual_certificate(model: LieModel, z: np.ndarray, alpha0: Form) -> dict | No
 def _form_of_positivity_matrix(m: np.ndarray, n: int) -> Form:
     """The real (n-1,n-1)-form t with weak_positivity_matrix(t, n) = m (m Hermitian).
 
-    The map is linear and one-to-one: each basis monomial of
-    Lambda^{n-1,n-1} lands on one entry.
+    The map is a signed permutation times a phase, read back from the wedge
+    table that builds ``weak_positivity_matrix``.
     """
-    dim = n * n
-    columns = [
-        weak_positivity_matrix(alg.from_vector(e, n, n - 1, n - 1), n).ravel() for e in np.eye(dim)
-    ]
-    t = alg.from_vector(np.linalg.solve(np.array(columns).T, m.ravel()), n, n - 1, n - 1)
+    r, c, _, sign = alg._wedge_table(n, n - 1, n - 1, 1, 1)
+    vec = np.zeros(n * n, dtype=complex)
+    vec[r] = m.T.ravel()[c] * sign / _positivity_phase(n)
+    t = alg.from_vector(vec, n, n - 1, n - 1)
     return 0.5 * (t + alg.conjugate(t))
 
 
@@ -403,7 +402,12 @@ def weak_positivity_matrix(t: Form, n: int) -> np.ndarray:
         raise ValueError("expected an (n-1,n-1)-form")
     # the one row of t wedge . : Lambda^{1,1} -> Lambda^{n,n}, columns phi^j ^ phibar^k
     top = alg.wedge_matrix(n, t, 1, 1)[0]
-    return (1j / (1j) ** (n * n % 4)) * top.reshape(n, n).T
+    return _positivity_phase(n) * top.reshape(n, n).T
+
+
+def _positivity_phase(n: int) -> complex:
+    """i over the phase i^{n^2} of the reference volume element."""
+    return 1j / (1j) ** (n * n % 4)
 
 
 @dataclass
@@ -434,9 +438,7 @@ def _try_probe(model: LieModel, t: Form, label: str) -> ClosedPositiveProbe | No
     )
 
 
-def closed_positive_probes(
-    model: LieModel, count: int = 8, seed: int = 0
-) -> list[ClosedPositiveProbe]:
+def closed_positive_probes(model: LieModel, seed: int = 0) -> list[ClosedPositiveProbe]:
     """Stored co-positive probe family for separation certificates.
 
     Candidates: the (n-1)-power of the identity metric, the coordinate
@@ -459,11 +461,10 @@ def closed_positive_probes(
         if p:
             probes.append(p)
 
-    del_, delbar = partial(alg.del_matrix, model), partial(alg.delbar_matrix, model)
-    closed = nullspace(alg.closed_and_exact("bc", n, n - 1, n - 1, del_, delbar)[0])
+    closed = nullspace(alg.closed_and_exact(model, "bc", n - 1, n - 1)[0])
     if closed.shape[1]:
         rng = np.random.default_rng(seed)
-        for idx in range(count):
+        for idx in range(PROBE_SAMPLES):
             z = rng.standard_normal(closed.shape[1]) + 1j * rng.standard_normal(closed.shape[1])
             t = alg.from_vector(closed @ z, n, n - 1, n - 1)
             t = 0.5 * (t + alg.conjugate(t))

@@ -9,12 +9,13 @@ orthonormal pointwise, and the L2 product carries the metric volume det(h)
 identity metric has total volume 1).
 
 Every operator matrix of this module is written in unitary-frame
-coordinates, one complex per metric: del and delbar are the model's blocks
-conjugated once, Q del Q^{-1}, with Q the compound change of coframe on
-Lambda^{p,q}.  Every adjoint is then a conjugate transpose, the star is a
-constant signed permutation, and L and Lambda are the metric-free wedge by
-i sum e^a wedge ebar^a and its conjugate transpose.  Forms stay in the model
-coframe and cross into and out of the frame only through ``to_frame`` and
+coordinates, one complex per metric: del and delbar are the blocks of the
+model of the unitary coframe's structure constants (``frame_model``), equal
+to Q del Q^{-1} with Q the compound change of coframe on Lambda^{p,q}.
+Every adjoint is then a conjugate transpose, the star is a constant signed
+permutation, and L and Lambda are the metric-free wedge by i sum e^a wedge
+ebar^a and its conjugate transpose.  Forms stay in the model coframe and
+cross into and out of the frame only through ``to_frame`` and
 ``from_frame``, which carry the factor sqrt(vol): frame coordinates are
 L2-isometric, so L2 products, norms and orthonormal bases are the plain
 Hermitian ones of frame vectors.
@@ -38,17 +39,17 @@ unambiguous.
 
 Rank decisions on frame operators cut at max(shape) * eps * max(|M|, S^k):
 |M| is the Frobenius norm of the matrix and S the largest Frobenius norm of
-a frame del or delbar block, raised to the order k of the operator.
-Conjugation leaves blocks that vanish in exact arithmetic at 1e-50 or so
-instead of 0; a cut relative to such a block alone would count its noise as
-rank, while the floor from the whole complex does not.
+a frame del or delbar block, raised to the order k of the operator.  A
+matrix that vanishes in exact arithmetic is left at rounding size, eps S^k;
+a cut relative to such a matrix alone would count its noise as rank, while
+the floor from the whole complex does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -79,6 +80,7 @@ __all__ = [
     "l2_norm",
     "volume_form",
     "omega_power",
+    "frame_model",
     "del_matrix",
     "delbar_matrix",
     "complex_scale",
@@ -287,23 +289,29 @@ def volume_form(g: HermitianMetric) -> Form:
     return omega_power(g, g.n)
 
 
-def _frame_differential(g: HermitianMetric, kind: str, p: int, q: int) -> np.ndarray:
-    """Frame matrix Q del Q^{-1} or Q delbar Q^{-1} (kind "del" or "delbar") on Lambda^{p,q}."""
-    if kind == "del":
-        model_mat, tgt = alg.del_matrix(g.model, p, q), (p + 1, q)
-    else:
-        model_mat, tgt = alg.delbar_matrix(g.model, p, q), (p, q + 1)
-    return _frozen(_coframe_change(g, *tgt) @ model_mat @ _coframe_change(g, p, q, inverse=True))
+def frame_model(g: HermitianMetric) -> LieModel:
+    """The model of the unitary coframe e = L^T phi; its del and delbar are Q del Q^{-1}.
+
+    d e^a = sum_j L_ja d phi^j, so the frame's (2,0) and (1,1) rows are
+    L^T D Q^T, with D the model's rows and Q the change of coframe.
+    """
+    if "frame" not in g._cache:
+        parts = []
+        for forms, (p, q) in ((g.model.d20, (2, 0)), (g.model.d11, (1, 1))):
+            coeffs = g.cholesky.T @ np.array([f.vec for f in forms]) @ _coframe_change(g, p, q).T
+            parts.append(tuple(Form(g.n, p, q, row) for row in coeffs))
+        g._cache["frame"] = LieModel(g.model.name, g.n, *parts)
+    return g._cache["frame"]
 
 
 def del_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     """Matrix of del: Lambda^{p,q} -> Lambda^{p+1,q} in the unitary frame."""
-    return _cached(g, ("del", p, q), lambda: _frame_differential(g, "del", p, q))
+    return alg.del_matrix(frame_model(g), p, q)
 
 
 def delbar_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     """Matrix of delbar: Lambda^{p,q} -> Lambda^{p,q+1} in the unitary frame."""
-    return _cached(g, ("delbar", p, q), lambda: _frame_differential(g, "delbar", p, q))
+    return alg.delbar_matrix(frame_model(g), p, q)
 
 
 def complex_scale(g: HermitianMetric) -> float:
@@ -549,8 +557,7 @@ def laplacian_a(g: HermitianMetric, p: int, q: int) -> np.ndarray:
 
 def closed_and_exact(g: HermitianMetric, theory: str, p: int, q: int | None = None):
     """The (closed, exact) pair of a theory (``alg.closed_and_exact``) in the unitary frame."""
-    del_, delbar = partial(del_matrix, g), partial(delbar_matrix, g)
-    return alg.closed_and_exact(theory, g.n, p, q, del_, delbar)
+    return alg.closed_and_exact(frame_model(g), theory, p, q)
 
 
 def laplacian(g: HermitianMetric, theory: str, p: int, q: int | None = None) -> np.ndarray:

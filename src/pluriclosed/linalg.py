@@ -3,8 +3,8 @@
 A rank cut comes from one of two rules.  Without ``tol``, ``numeric_rank``
 and ``nullspace`` cut relative to the matrix itself, at
 tau = max(shape) * machine-eps * sigma_max (``rank_tolerance``).  That suits
-the metric-free model matrices, whose structure constants are exact.  Frame
-matrices of a metric are conjugated, and blocks that vanish in exact
+the metric-free model matrices, whose structure constants are exact.  The
+frame's structure constants are rounded, and matrices that vanish in exact
 arithmetic carry rounding noise there, so the Hodge layer passes the cut of
 ``hodge.rank_cut``, with a floor from the whole frame complex;
 ``column_space``, ``hermitian_kernel`` and ``symmetric_kernel_dimension``

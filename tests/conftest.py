@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +36,15 @@ DOUBLE_KT_DOC = {
         [{"type": "11", "i": 3, "j": 3, "coeff": [1.0, 0.0]}],
     ],
 }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Child interpreters (the CLI and import tests) import the package this session imported."""
+    src = str(Path(alg.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture(scope="session")

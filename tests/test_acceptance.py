@@ -66,8 +66,9 @@ def test_criterion_03_hodge_isomorphism(models):
         for theory in ("bc", "aeppli"):
             for p in range(n + 1):
                 for q in range(n + 1):
-                    space = coh.cohomology_space(g, theory, p, q)
-                    assert space.quotient_dimension == space.harmonic_dimension
+                    quotient = coh.quotient_dimension(model, theory, p, q)
+                    lap = hodge.laplacian(g, theory, p, q)
+                    assert quotient == hodge.harmonic_basis(g, lap).shape[1], (name, theory, p, q)
                     checked += 1
     _report(3, "hodge-isomorphism", True, f"{checked} spaces, quotient == kernel exactly")
 

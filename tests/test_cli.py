@@ -260,6 +260,18 @@ def test_malformed_metric_exits_two(tmp_path, h, path):
     _assert_parse_error(completed, path)
 
 
+
+@pytest.mark.parametrize(
+    "top",
+    [None, 5, {"h": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}],
+    ids=["null", "number", "metric-object"],
+)
+def test_probe_file_that_is_not_a_list_exits_two(tmp_path, top):
+    # a single metric object is not a one-probe list either
+    probes = _write(tmp_path, "probes.json", top)
+    completed = run_cli("cone", "copsef", "--model", "torus2", "--probes", probes)
+    _assert_parse_error(completed, "probes:")
+
 @pytest.mark.parametrize(
     "command,value", [("cohomology", "NaN"), ("validate", "NaN"), ("cohomology", "Infinity")]
 )

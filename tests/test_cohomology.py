@@ -243,14 +243,13 @@ def test_closed_kills_exact_in_model_and_frame_coordinates(mirror_metrics, name)
     # del or delbar block: frame blocks that vanish exactly carry rounding noise
     g = mirror_metrics[name]
     n = g.n
-    model_blocks = (partial(alg.del_matrix, g.model), partial(alg.delbar_matrix, g.model))
-    frame_blocks = (partial(hodge.del_matrix, g), partial(hodge.delbar_matrix, g))
     tables = (
-        (model_blocks, lambda theory, p, q: alg.closed_and_exact(theory, n, p, q, *model_blocks)),
-        (frame_blocks, partial(hodge.closed_and_exact, g)),
+        (g.model, partial(alg.closed_and_exact, g.model)),
+        (hodge.frame_model(g), partial(hodge.closed_and_exact, g)),
     )
-    for blocks, table in tables:
-        s = max(np.linalg.norm(b(p, q)) for b in blocks for p in range(n + 1) for q in range(n + 1))
+    for model, table in tables:
+        blocks = (alg.del_matrix, alg.delbar_matrix)
+        s = max(np.linalg.norm(b(model, p, q)) for b in blocks for p in range(n + 1) for q in range(n + 1))
         for theory, p, q in _space_keys(n):
             if q is None:
                 dim = sum(alg.space_dim(n, a, b) for a, b in alg.bidegrees_of_degree(n, p))
@@ -264,9 +263,8 @@ def test_closed_kills_exact_in_model_and_frame_coordinates(mirror_metrics, name)
 
 def test_unknown_theory_is_rejected(metrics):
     g = metrics["iwasawa"]
-    blocks = (partial(alg.del_matrix, g.model), partial(alg.delbar_matrix, g.model))
     with pytest.raises(ValueError, match="unknown theory"):
-        alg.closed_and_exact("hodge", g.n, 1, 1, *blocks)
+        alg.closed_and_exact(g.model, "hodge", 1, 1)
     with pytest.raises(ValueError, match="unknown theory"):
         hodge.closed_and_exact(g, "hodge", 1, 1)
     with pytest.raises(ValueError, match="unknown theory"):

@@ -412,7 +412,7 @@ def test_openness_probes(metrics, rng):
 def test_closed_positive_probes_certified(models):
     for name in ("torus2", "iwasawa", "kodaira_thurston"):
         model = models[name]
-        for probe in cones.closed_positive_probes(model, count=4, seed=0):
+        for probe in cones.closed_positive_probes(model, seed=0):
             assert probe.closedness_residual < 1e-9
             assert probe.min_positivity_eigenvalue >= -1e-9
             assert alg.is_real_form(probe.form, tol=1e-9)
@@ -482,3 +482,12 @@ def test_weak_positivity_matrix_is_the_pairing_integral(rng):
             for k in range(1, n + 1):
                 probe = alg.basis_form(n, (j,), (k,), 1j)
                 assert m[k - 1, j - 1] == alg.integrate_top(alg.wedge(t, probe), n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_form_of_positivity_matrix_inverts_the_positivity_map(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = 0.5 * (a + a.conj().T)
+    t = cones._form_of_positivity_matrix(m, n)
+    assert t.bidegree == (n - 1, n - 1) and alg.is_real_form(t)
+    np.testing.assert_allclose(cones.weak_positivity_matrix(t, n), m, rtol=0, atol=1e-15)

@@ -1,7 +1,11 @@
+from itertools import combinations
+
+import mpmath as mp
 import numpy as np
 import pytest
 
 from pluriclosed import algebra as alg
+from pluriclosed import fixtures as fx
 from pluriclosed import hodge
 from pluriclosed.errors import CrossCheckError, MetricError, PreconditionError
 from pluriclosed.linalg import nullspace
@@ -266,6 +270,91 @@ def test_frame_boundary_maps(models, rng):
                         col = hodge.to_frame(g, model_op(model, hodge.from_frame(g, e, p, q)))
                         assert np.max(np.abs(mat[:, k] - col), initial=0.0) < 1e-12, (name, p, q)
 
+
+
+FIXTURE_NAMES = (*fx.available_models(), "double_kt")
+
+
+def _frame_test_metrics(model, bench_module):
+    """A random metric and one of condition number 1e6."""
+    rng = np.random.default_rng(11)
+    conditioned = bench_module("inputs").conditioned_matrix(model.n, 1e6, rng)
+    return hodge.random_metric(model, rng), hodge.metric_from_matrix(model, conditioned)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_frame_blocks_are_the_model_blocks_conjugated(models, bench_module, name):
+    # the frame model's own assembly against Q del Q^{-1}, Q the compound
+    # change of coframe, to 1e-13 S (S the largest frame block norm) plus the
+    # rounding of that product, eps |Q| |del| |Q^{-1}|: at condition 1e6 the
+    # product itself is off by about 1e-13 S
+    model = models[name]
+    n = model.n
+    eps = np.finfo(float).eps
+    for g in _frame_test_metrics(model, bench_module):
+        s = hodge.complex_scale(g)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for frame_op, model_op, (dp, dq) in (
+                    (hodge.del_matrix, alg.del_matrix, (1, 0)),
+                    (hodge.delbar_matrix, alg.delbar_matrix, (0, 1)),
+                ):
+                    tgt = hodge._coframe_change(g, p + dp, q + dq)
+                    src = hodge._coframe_change(g, p, q, inverse=True)
+                    block = model_op(model, p, q)
+                    rounding = 8 * eps * np.linalg.norm(np.abs(tgt) @ np.abs(block) @ np.abs(src))
+                    gap = np.linalg.norm(frame_op(g, p, q) - tgt @ block @ src)
+                    assert gap <= 1e-13 * s + rounding, (p, q, frame_op.__name__, gap / s)
+
+
+def _mp_change(lower, p: int, q: int, inverse: bool = False):
+    """Q (Q^{-1} if inverse) on Lambda^{p,q} in extended precision, from a Cholesky factor."""
+    base = lower if inverse else lower**-1
+
+    def compound(k):
+        sets = list(combinations(range(base.rows), k))
+        if k == 0:
+            return [[1]]
+        return [[mp.det(mp.matrix([[base[i, j] for j in b] for i in a])) for b in sets] for a in sets]
+
+    holo, anti = compound(p), compound(q)
+    return mp.matrix([[h * mp.conj(a) for h in hrow for a in arow] for hrow in holo for arow in anti])
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "nonunimodular"])
+def test_frame_blocks_match_the_conjugation_in_extended_precision(models, bench_module, name):
+    # Q del Q^{-1} in 40 digits from the same Cholesky factor, at condition
+    # 1e6: the frame assembly stays at the rounding of S, the float product not
+    model = models[name]
+    n = model.n
+    _, g = _frame_test_metrics(model, bench_module)
+    s = hodge.complex_scale(g)
+    with mp.workdps(40):
+        lower = mp.matrix(g.cholesky.tolist())
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for op, (dp, dq) in ((alg.del_matrix, (1, 0)), (alg.delbar_matrix, (0, 1))):
+                    block = op(model, p, q)
+                    if block.size == 0:
+                        continue
+                    exact = (
+                        _mp_change(lower, p + dp, q + dq)
+                        * mp.matrix(block.tolist())
+                        * _mp_change(lower, p, q, inverse=True)
+                    )
+                    frame = op(hodge.frame_model(g), p, q)
+                    gap = np.linalg.norm(frame - np.array(exact.tolist(), dtype=complex))
+                    assert gap <= 1e-14 * s, (p, q, gap / s)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_frame_model_validates_like_the_model(models, bench_module, name):
+    model = models[name]
+    unimodular = alg.validate_model(model).unimodular
+    for g in _frame_test_metrics(model, bench_module):
+        report = alg.validate_model(hodge.frame_model(g))
+        assert report.d_squared_zero and report.integrable
+        assert report.unimodular == unimodular
 
 def test_adjoint_star_formulas(models, rng):
     # del* = -star delbar star and delbar* = -star del star on unimodular models
