@@ -211,27 +211,26 @@ def is_real_form(u: Form, tol: float = 1e-12) -> bool:
 class LieModel:
     """Complex Lie-algebra model: structure equations of the (1,0)-coframe.
 
-    ``d20[k]`` and ``d11[k]`` are the (2,0) and (1,1) parts of d(phi^{k+1});
-    a (0,2) part is excluded by construction, which is the integrability of
-    the complex structure.
+    ``d20`` is an n x C(n,2) and ``d11`` an n x n^2 read-only array: row k
+    holds the coefficients of the (2,0) and the (1,1) part of d(phi^{k+1})
+    over the canonical bases of Lambda^{2,0} and Lambda^{1,1}.  There is no
+    (0,2) part, which is the integrability of the complex structure.
     """
 
     name: str
     n: int
-    d20: tuple[Form, ...]
-    d11: tuple[Form, ...]
+    d20: np.ndarray
+    d11: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if len(self.d20) != self.n or len(self.d11) != self.n:
-            raise ValueError("structure equations must list all n generators")
-        for k, (f20, f11) in enumerate(zip(self.d20, self.d11), start=1):
-            if f20.bidegree != (2, 0) or f11.bidegree != (1, 1):
-                raise ValueError(f"d(phi^{k}) parts carry wrong bidegrees")
-            if f20.n != self.n or f11.n != self.n:
-                raise ValueError(f"d(phi^{k}) is not a form on n = {self.n}")
+        for attr, width in (("d20", space_dim(self.n, 2, 0)), ("d11", self.n**2)):
+            rows = np.array(getattr(self, attr), dtype=complex)
+            if rows.shape != (self.n, width):
+                raise ValueError(f"{attr} must be {self.n} x {width}, got {rows.shape}")
+            setattr(self, attr, _frozen(rows))
 
 
 def parse_model(document: str | dict) -> LieModel:
@@ -261,14 +260,12 @@ def parse_model(document: str | dict) -> LieModel:
         raise ParseError(f"expected a list of {n} term lists", "dphi")
 
     index20, index11 = basis_index(n, 2, 0), basis_index(n, 1, 1)
-    d20: list[Form] = []
-    d11: list[Form] = []
+    d20 = np.zeros((n, len(index20)), dtype=complex)
+    d11 = np.zeros((n, len(index11)), dtype=complex)
     for k, terms in enumerate(dphi):
         path_k = f"dphi[{k}]"
         if not isinstance(terms, list):
             raise ParseError("expected a list of terms", path_k)
-        c20 = np.zeros(len(index20), dtype=complex)
-        c11 = np.zeros(len(index11), dtype=complex)
         for t, term in enumerate(terms):
             path = f"{path_k}[{t}]"
             if not isinstance(term, dict):
@@ -285,12 +282,10 @@ def parse_model(document: str | dict) -> LieModel:
             if kind == "20":
                 if i >= j:
                     raise ParseError("'20' terms need strictly increasing i < j", f"{path}.i")
-                c20[index20[MultiIndex((i, j), ())]] += c
+                d20[k, index20[MultiIndex((i, j), ())]] += c
             else:
-                c11[index11[MultiIndex((i,), (j,))]] += c
-        d20.append(Form(n, 2, 0, c20))
-        d11.append(Form(n, 1, 1, c11))
-    return LieModel(name=name, n=n, d20=tuple(d20), d11=tuple(d11))
+                d11[k, index11[MultiIndex((i,), (j,))]] += c
+    return LieModel(name=name, n=n, d20=d20, d11=d11)
 
 
 def _parse_coeff(coeff, path: str) -> complex:
@@ -308,13 +303,15 @@ def _parse_coeff(coeff, path: str) -> complex:
 
 def model_to_document(model: LieModel) -> dict:
     """Inverse of parse_model, up to term ordering."""
+    labels = [("20", *mi.holo) for mi in multiindices(model.n, 2, 0)]
+    labels += [("11", *mi.holo, *mi.anti) for mi in multiindices(model.n, 1, 1)]
     dphi = []
-    for f20, f11 in zip(model.d20, model.d11):
+    for row in np.hstack([model.d20, model.d11]):
         terms = []
-        for mi, c in _terms(f20):
-            terms.append({"type": "20", "i": mi.holo[0], "j": mi.holo[1], "coeff": [c.real, c.imag]})
-        for mi, c in _terms(f11):
-            terms.append({"type": "11", "i": mi.holo[0], "j": mi.anti[0], "coeff": [c.real, c.imag]})
+        for t in np.flatnonzero(row):
+            kind, i, j = labels[t]
+            c = complex(row[t])
+            terms.append({"type": kind, "i": i, "j": j, "coeff": [c.real, c.imag]})
         dphi.append(terms)
     return {"name": model.name, "n": model.n, "dphi": dphi}
 
@@ -436,7 +433,7 @@ def _wedge_table(n: int, a: int, b: int, p: int, q: int) -> tuple[np.ndarray, ..
 
 @lru_cache(maxsize=None)
 def _differential_table(n: int, kind: str, p: int, q: int) -> tuple[np.ndarray, ...]:
-    """del or delbar on Lambda^{p,q} as model-free (entry, coefficient, sign) triples.
+    """del or delbar on Lambda^{p,q} as model-free (entry, coefficient, signs) columns.
 
     The derivation identity d = sum_g (dg wedge .) i_g runs over the 2n
     generators g = phi^k, phibar^k, with d(phibar^k) = conjugate d(phi^k):
@@ -445,29 +442,36 @@ def _differential_table(n: int, kind: str, p: int, q: int) -> tuple[np.ndarray, 
     i_k removes phi^k (ibar_k phibar^k) from a monomial with the sign
     (-1)^position, antiholomorphic positions counted after the p holomorphic
     ones; it is the transpose of phi^k wedge . (phibar^k wedge .).  Each
-    product of a contraction and a wedge term is one triple: the flat entry
-    row * dim Lambda^{p,q} + column of the block, the index of its structure
-    constant in a model's one coefficient vector, the rows d20_k, d11_k,
-    conj d11_k and conj d20_k in turn (``_differential``), and the product
-    of the two signs.
+    product of a contraction and a wedge term gives the flat entry row * dim
+    Lambda^{p,q} + column of the block, the index of its structure constant
+    in the model's rows d20 and d11 laid end to end, and the product of the
+    two signs for its real part (negated for the imaginary part of a
+    conjugated constant).
     """
     dim = space_dim(n, p, q)
-    entry, coeff, signs = [np.zeros(0, np.int32)], [np.zeros(0, np.int16)], [np.zeros(0, np.int8)]
-    w20, w11 = n * space_dim(n, 2, 0), n * space_dim(n, 1, 1)
-    if kind == "del":
-        halves = (((2, 0), 0), ((1, 1), w20 + w11))
+    entry, coeff = [np.zeros(0, np.int32)], [np.zeros(0, np.int16)]
+    re_signs, im_signs = [np.zeros(0, np.int8)], [np.zeros(0, np.int8)]
+    w20 = n * space_dim(n, 2, 0)
+    if kind == "del":  # (wedge bidegree, offset of its rows in d20 | d11, conjugated)
+        halves = (((2, 0), 0, False), ((1, 1), w20, True))
     else:
-        halves = (((1, 1), w20), ((0, 2), w20 + 2 * w11))
-    for (ga, gb), ((a, b), offset) in zip(((1, 0), (0, 1)), halves):
+        halves = (((1, 1), w20, False), ((0, 2), 0, True))
+    for (ga, gb), ((a, b), offset, conj) in zip(((1, 0), (0, 1)), halves):
         k, mid, src, contract = _wedge_table(n, ga, gb, p - ga, q - gb)  # g_k ^ e_mid = +-e_src
         r, c, row, sign = _wedge_table(n, a, b, p - ga, q - gb)  # e_r ^ e_c = sign e_row
         if mid.size:
             # every monomial e_c meets the same number of e_r: one row of wedge terms each
             terms = np.argsort(c, kind="stable").reshape(space_dim(n, p - ga, q - gb), -1)[mid]
+            index, signs = r[terms], contract[:, None] * sign[terms]
+            if conj:  # entry (I, J) of conj u is (-1)^{ab} conj of entry (J, I) of u
+                holo, anti = divmod(index, math.comb(n, b))
+                index, signs = anti * math.comb(n, a) + holo, signs * (-1) ** (a * b)
             entry.append((row[terms] * dim + src[:, None]).ravel())
-            coeff.append((offset + k[:, None] * space_dim(n, a, b) + r[terms]).ravel())
-            signs.append((contract[:, None] * sign[terms]).ravel())
-    return tuple(_frozen(np.concatenate(col).astype(col[0].dtype)) for col in (entry, coeff, signs))
+            coeff.append((offset + k[:, None] * space_dim(n, a, b) + index).ravel())
+            re_signs.append(signs.ravel())
+            im_signs.append((-signs if conj else signs).ravel())
+    columns = (entry, coeff, re_signs, im_signs)
+    return tuple(_frozen(np.concatenate(col).astype(col[0].dtype)) for col in columns)
 
 
 # ---------------------------------------------------------------------------
@@ -479,18 +483,13 @@ def _differential(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:
     if (kind, p, q) in model._cache:
         return model._cache[kind, p, q]
     n = model.n
-    if "constants" not in model._cache:
-        d20 = np.array([f.vec for f in model.d20])
-        d11 = np.array([f.vec for f in model.d11])
-        rows = (d20, d11, _conjugate_rows(d11, n, 1, 1), _conjugate_rows(d20, n, 2, 0))
-        model._cache["constants"] = np.concatenate([row.ravel() for row in rows])
-    entry, index, sign = _differential_table(n, kind, p, q)
-    coeffs = model._cache["constants"][index]
+    entry, index, re_sign, im_sign = _differential_table(n, kind, p, q)
+    coeffs = np.concatenate([model.d20.ravel(), model.d11.ravel()])[index]
     shape = (space_dim(n, p + (kind == "del"), q + (kind == "delbar")), space_dim(n, p, q))
     size = shape[0] * shape[1]
     out = np.empty(size, dtype=complex)
-    out.real = np.bincount(entry, coeffs.real * sign, minlength=size)
-    out.imag = np.bincount(entry, coeffs.imag * sign, minlength=size)
+    out.real = np.bincount(entry, coeffs.real * re_sign, minlength=size)
+    out.imag = np.bincount(entry, coeffs.imag * im_sign, minlength=size)
     model._cache[kind, p, q] = _frozen(out.reshape(shape))
     return model._cache[kind, p, q]
 
@@ -620,17 +619,11 @@ class ValidationReport:
     volume_row_norm: float
 
     def as_dict(self) -> dict:
-        return {
-            "d_squared_zero": self.d_squared_zero,
-            "integrable": self.integrable,
-            "unimodular": self.unimodular,
-            "d_squared_residual": self.d_squared_residual,
-            "volume_row_norm": self.volume_row_norm,
-        }
+        return self.__dict__.copy()
 
 
-def _max_abs(*mats: np.ndarray) -> float:
-    return max(float(np.max(np.abs(m), initial=0.0)) for m in mats)
+def _max_abs(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat), initial=0.0))
 
 
 def validate_model(model: LieModel) -> ValidationReport:
@@ -641,28 +634,16 @@ def validate_model(model: LieModel) -> ValidationReport:
     validity of Stokes on invariant top-degree forms, tested by requiring the
     differential of every (2n-1)-form to have no volume component.  The d^2
     and volume residuals are relative to c^2 and c, c the largest structure
-    constant, so rescaling the coframe keeps both verdicts.
+    constant, so rescaling the coframe keeps both verdicts.  Integrability
+    holds by construction: a LieModel has no (0,2) rows.
     """
-    n = model.n
-    size = residual = 0.0
-    for p, q in ((1, 0), (0, 1)):
-        d1, db1 = del_matrix(model, p, q), delbar_matrix(model, p, q)
-        dd_hh = del_matrix(model, p + 1, q) @ d1
-        dd_aa = delbar_matrix(model, p, q + 1) @ db1
-        dd_mix = del_matrix(model, p, q + 1) @ db1 + delbar_matrix(model, p + 1, q) @ d1
-        size = max(size, _max_abs(d1, db1))
-        residual = max(residual, _max_abs(dd_hh, dd_aa, dd_mix))
-
-    # structure equations can only carry (2,0) and (1,1) parts; re-checked here
-    integrable = all(
-        f20.bidegree == (2, 0) and f11.bidegree == (1, 1)
-        for f20, f11 in zip(model.d20, model.d11)
-    )
-
-    vol_row = _max_abs(delbar_matrix(model, n, n - 1), del_matrix(model, n - 1, n))
+    d1 = d_matrix(model, 1)
+    size = _max_abs(d1)
+    residual = _max_abs(d_matrix(model, 2) @ d1)
+    vol_row = _max_abs(d_matrix(model, 2 * model.n - 1))
     return ValidationReport(
         d_squared_zero=residual <= TOL_STRUCTURE * size**2,
-        integrable=integrable,
+        integrable=True,
         unimodular=vol_row <= TOL_STRUCTURE * size,
         d_squared_residual=residual,
         volume_row_norm=vol_row,

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -441,25 +440,18 @@ def _try_probe(model: LieModel, t: Form, label: str) -> ClosedPositiveProbe | No
 def closed_positive_probes(model: LieModel, seed: int = 0) -> list[ClosedPositiveProbe]:
     """Stored co-positive probe family for separation certificates.
 
-    Candidates: the (n-1)-power of the identity metric, the coordinate
-    monomials i^{(n-1)^2} phi^K wedge phibar^K over |K| = n-1, and random
+    Candidates: the (n-1)-power of the identity metric and the coordinate
+    monomials i^{(n-1)^2} phi^K wedge phibar^K over |K| = n-1, the forms of
+    positivity matrix I and e_j e_j^T (j the index K leaves out), and random
     real d-closed forms that happen to have a PSD positivity matrix.  Only
     candidates passing the closedness and positivity certificates are kept.
     """
     n = model.n
-    probes: list[ClosedPositiveProbe] = []
-
-    reference = hodge.identity_metric(model)
-    p = _try_probe(model, hodge.omega_power(reference, n - 1), "identity-power")
-    if p:
-        probes.append(p)
-
-    phase = (1j) ** ((n - 1) ** 2 % 4)
-    for subset in combinations(range(1, n + 1), n - 1):
-        t = alg.basis_form(n, subset, subset, phase)
-        p = _try_probe(model, t, f"monomial-{''.join(map(str, subset))}")
-        if p:
-            probes.append(p)
+    probes = [_try_probe(model, _form_of_positivity_matrix(np.eye(n), n), "identity-power")]
+    for j in reversed(range(n)):  # K leaves out j + 1: K in lexicographic order
+        label = "monomial-" + "".join(str(i + 1) for i in range(n) if i != j)
+        probes.append(_try_probe(model, _form_of_positivity_matrix(np.diag(np.eye(n)[j]), n), label))
+    probes = [p for p in probes if p]
 
     closed = nullspace(alg.closed_and_exact(model, "bc", n - 1, n - 1)[0])
     if closed.shape[1]:

@@ -10,15 +10,16 @@ identity metric has total volume 1).
 
 Every operator matrix of this module is written in unitary-frame
 coordinates, one complex per metric: del and delbar are the blocks of the
-model of the unitary coframe's structure constants (``frame_model``), equal
-to Q del Q^{-1} with Q the compound change of coframe on Lambda^{p,q}.
+model of the unitary coframe's structure constants (``frame_model``).
 Every adjoint is then a conjugate transpose, the star is a constant signed
 permutation, and L and Lambda are the metric-free wedge by i sum e^a wedge
 ebar^a and its conjugate transpose.  Forms stay in the model coframe and
 cross into and out of the frame only through ``to_frame`` and
-``from_frame``, which carry the factor sqrt(vol): frame coordinates are
-L2-isometric, so L2 products, norms and orthonormal bases are the plain
-Hermitian ones of frame vectors.
+``from_frame``: a (p,q) coefficient vector read as its C(n,p) x C(n,q)
+matrix U has the frame coordinates sqrt(vol) A_p U A_q^H, A_k the k-th
+compound of L^{-1}, and the compounds of L take them back.  Frame
+coordinates are L2-isometric, so L2 products, norms and orthonormal bases
+are the plain Hermitian ones of frame vectors.
 
 Harmonic spaces are kernels of one Laplacian, closed* closed + exact exact*,
 over the frame (closed, exact) pair of a theory (``closed_and_exact``).  The
@@ -215,7 +216,9 @@ def _cached(g: HermitianMetric, key, build):
 
 
 def _compound(m: np.ndarray, k: int) -> np.ndarray:
-    """k-th compound of m: the determinants of all k x k minors, sets in lexicographic order."""
+    """k-th compound of m: all k x k minors, sets in lexicographic order; empty outside 0..n."""
+    if not 0 <= k <= m.shape[0]:
+        return np.zeros((0, 0), dtype=complex)
     if k == 0:
         return np.ones((1, 1), dtype=complex)
     sets = np.array(list(combinations(range(m.shape[0]), k)))
@@ -223,42 +226,40 @@ def _compound(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def _compounds(g: HermitianMetric, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k-th compounds of L^{-1} and of L, for the Cholesky factor L of the metric."""
+    """k-th compounds of L^{-1} and of L, for the Cholesky factor L of the metric.
+
+    phi^j = sum_a (L^{-1})_{aj} e^a, so those of L^{-1} take the holomorphic
+    (conjugated: the antiholomorphic) indices of a monomial from the model
+    coframe to the unitary frame, and by Cauchy-Binet those of L take them back.
+    """
     lower = g.cholesky
     return _cached(
         g, ("compound", k), lambda: (_compound(np.linalg.inv(lower), k), _compound(lower, k))
     )
 
 
-def _coframe_change(g: HermitianMetric, p: int, q: int, inverse: bool = False) -> np.ndarray:
-    """Q on Lambda^{p,q}, model-coframe coordinates to unitary-frame ones (Q^{-1} if inverse).
-
-    phi^j = sum_a (L^{-1})_{aj} e^a, so Q is the Kronecker product of the
-    compounds of L^{-1} on the holomorphic and (conjugated) antiholomorphic
-    indices; by Cauchy-Binet the same compounds of L invert it.  Only the
-    compounds are kept, one pair per degree.
-    """
-    if not (0 <= p <= g.n and 0 <= q <= g.n):
-        return np.zeros((0, 0), dtype=complex)
-    holo, anti = _compounds(g, p)[inverse], _compounds(g, q)[inverse].conj()
-    rows, cols = holo.shape[0] * anti.shape[0], holo.shape[1] * anti.shape[1]
-    return (holo[:, None, :, None] * anti[None, :, None, :]).reshape(rows, cols)
+def _sandwich(holo: np.ndarray, anti: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """holo U anti^H for each (p,q) coefficient row, read as its C(n,p) x C(n,q) matrix U."""
+    mats = rows.reshape(*rows.shape[:-1], holo.shape[1], anti.shape[1])
+    return (holo @ mats @ anti.conj().T).reshape(rows.shape)
 
 
 def to_frame(g: HermitianMetric, u: Form) -> np.ndarray:
-    """L2-isometric frame coordinates sqrt(vol) Q u of a model-coframe form."""
-    return math.sqrt(g.volume) * (_coframe_change(g, u.p, u.q) @ alg.to_vector(u, g.n))
+    """L2-isometric frame coordinates sqrt(vol) A_p U A_q^H, A the compounds of L^{-1}."""
+    holo, anti = _compounds(g, u.p)[0], _compounds(g, u.q)[0]
+    return math.sqrt(g.volume) * _sandwich(holo, anti, alg.to_vector(u, g.n))
 
 
 def from_frame(g: HermitianMetric, vec: np.ndarray, p: int, q: int) -> Form:
     """Model-coframe (p,q)-form with the given L2-isometric frame coordinates."""
-    return Form(g.n, p, q, _coframe_change(g, p, q, inverse=True) @ vec / math.sqrt(g.volume))
+    holo, anti = _compounds(g, p)[1], _compounds(g, q)[1]
+    return Form(g.n, p, q, _sandwich(holo, anti, vec) / math.sqrt(g.volume))
 
 
 def gram_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
-    """L2 Gram matrix vol * Q^H Q on Lambda^{p,q} over the model coframe basis."""
-    qmat = _coframe_change(g, p, q)
-    return g.volume * (qmat.conj().T @ qmat)
+    """L2 Gram matrix vol kron(A_p^H A_p, conj(A_q^H A_q)) on Lambda^{p,q}, model coframe basis."""
+    holo, anti = _compounds(g, p)[0], _compounds(g, q)[0]
+    return g.volume * np.kron(holo.conj().T @ holo, (anti.conj().T @ anti).conj())
 
 
 def inner(g: HermitianMetric, u: Form, v: Form) -> complex:
@@ -292,15 +293,15 @@ def volume_form(g: HermitianMetric) -> Form:
 def frame_model(g: HermitianMetric) -> LieModel:
     """The model of the unitary coframe e = L^T phi; its del and delbar are Q del Q^{-1}.
 
-    d e^a = sum_j L_ja d phi^j, so the frame's (2,0) and (1,1) rows are
-    L^T D Q^T, with D the model's rows and Q the change of coframe.
+    d e^a = sum_j L_ja d phi^j: the model's rows move into the frame like
+    any other (2,0)- and (1,1)-forms, and L^T recombines them.
     """
     if "frame" not in g._cache:
-        parts = []
-        for forms, (p, q) in ((g.model.d20, (2, 0)), (g.model.d11, (1, 1))):
-            coeffs = g.cholesky.T @ np.array([f.vec for f in forms]) @ _coframe_change(g, p, q).T
-            parts.append(tuple(Form(g.n, p, q, row) for row in coeffs))
-        g._cache["frame"] = LieModel(g.model.name, g.n, *parts)
+        rows = [
+            g.cholesky.T @ _sandwich(_compounds(g, p)[0], _compounds(g, q)[0], d)
+            for d, (p, q) in ((g.model.d20, (2, 0)), (g.model.d11, (1, 1)))
+        ]
+        g._cache["frame"] = LieModel(g.model.name, g.n, *rows)
     return g._cache["frame"]
 
 

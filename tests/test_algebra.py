@@ -11,13 +11,28 @@ from pluriclosed.errors import ParseError
 def test_parse_torus():
     model = alg.parse_model(json.dumps({"name": "t", "n": 3, "dphi": [[], [], []]}))
     assert model.n == 3
-    assert all(f.is_zero() for f in model.d20 + model.d11)
+    assert model.d20.shape == (3, 3) and model.d11.shape == (3, 9)
+    assert not model.d20.any() and not model.d11.any()
 
 
 def test_parse_iwasawa_structure(models):
     iw = models["iwasawa"]
-    assert iw.d20[2].coefficient((1, 2), ()) == -1
-    assert iw.d11[2].is_zero()
+    assert iw.d20[2, alg.basis_index(3, 2, 0)[alg.MultiIndex((1, 2), ())]] == -1
+    assert np.count_nonzero(iw.d20) == 1 and not iw.d11.any()
+
+
+def test_model_arrays_are_checked_and_read_only():
+    with pytest.raises(ValueError):
+        alg.LieModel("x", 3, np.zeros((3, 2)), np.zeros((3, 9)))
+    with pytest.raises(ValueError):
+        alg.LieModel("x", 2, np.zeros((2, 1)), np.zeros((2, 2)))
+    rows20 = np.zeros((2, 1))
+    model = alg.LieModel("x", 2, rows20, np.zeros((2, 4)))
+    rows20[0, 0] = 1.0  # the model keeps its own copy
+    assert not model.d20.any()
+    for rows in (model.d20, model.d11):
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
 
 
 def test_parse_duplicate_index_rejected():
@@ -34,6 +49,11 @@ def test_parse_duplicate_index_rejected():
         ({"name": "x", "n": 1, "dphi": [[{"type": "11", "i": 1, "j": 2, "coeff": [1, 0]}]]}, ".j"),
         ({"name": "x", "n": 1, "dphi": [[{"type": "11", "i": 1, "j": 1, "coeff": [1]}]]}, ".coeff"),
         ({"name": "", "n": 1, "dphi": [[]]}, "name"),
+        # a (0,2) part would break integrability: no model can carry one
+        ({"name": "x", "n": 2, "dphi": [[], [{"type": "02", "i": 1, "j": 2, "coeff": [1, 0]}]]},
+         "dphi[1][0].type"),
+        ({"name": "x", "n": 2, "dphi": [[{"type": 20, "i": 1, "j": 2, "coeff": [1, 0]}], []]},
+         "dphi[0][0].type"),
     ],
 )
 def test_parse_errors_name_the_path(doc, path):

@@ -283,6 +283,14 @@ def test_non_finite_model_coefficient_exits_two(tmp_path, command, value):
     _assert_parse_error(run_cli(command, "--model", model), "dphi[1][0].coeff")
 
 
+def test_validate_rejects_a_02_term_with_exit_two(tmp_path):
+    # integrability holds by construction: no model carries a (0,2) part
+    doc = fx.load_document("kodaira_thurston")
+    doc["dphi"][1][0]["type"] = "02"
+    model = _write(tmp_path, "model.json", doc)
+    _assert_parse_error(run_cli("validate", "--model", model), "dphi[1][0].type")
+
+
 def test_form_document_boolean_degree_exits_two(tmp_path):
     doc = {"p": True, "q": 1, "terms": [{"holo": [1], "anti": [1], "coeff": [1, 0]}]}
     form = _write(tmp_path, "class.json", doc)
@@ -350,6 +358,27 @@ def test_parser_accepts_only_the_flags_a_command_reads(capsys, command, flags):
     accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert accepted == COMMON_FLAGS | flags
     assert "--tol-eq" not in accepted
+
+
+BAD_FLAG_VALUES = [
+    (command, flag, value)
+    for command, flags in COMMAND_FLAGS
+    for flag in sorted(flags & {"--scale", "--seed"})
+    for value in ("nan", "inf", "-inf", *(["-1"] if flag == "--seed" else []))
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value", BAD_FLAG_VALUES, ids=[f"{' '.join(c)} {f}={v}" for c, f, v in BAD_FLAG_VALUES]
+)
+def test_non_finite_scale_and_negative_seed_exit_two(capsys, command, flag, value):
+    # rejected by the parser, naming the flag, before any model is read
+    from pluriclosed.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--model", "torus2", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 # equation thresholds are relative: rescaling the class by s keeps every

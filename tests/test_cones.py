@@ -423,6 +423,25 @@ def test_kt_has_monomial_probe(models):
     assert "monomial-1" in labels
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fixed_probes_are_the_identity_power_and_the_monomials(n):
+    # built from their positivity matrices, bit for bit the forms of a metric
+    # power and of hand-phased monomials, in the same order
+    from itertools import combinations
+
+    model = alg.parse_model({"name": "torus", "n": n, "dphi": [[] for _ in range(n)]})
+    expected = [("identity-power", hodge.omega_power(hodge.identity_metric(model), n - 1))]
+    phase = (1j) ** ((n - 1) ** 2 % 4)
+    for subset in combinations(range(1, n + 1), n - 1):
+        label = f"monomial-{''.join(map(str, subset))}"
+        expected.append((label, alg.basis_form(n, subset, subset, phase)))
+    probes = cones.closed_positive_probes(model)[: len(expected)]
+    assert [p.label for p in probes] == [label for label, _ in expected]
+    for probe, (_, form) in zip(probes, expected):
+        assert probe.form.bidegree == form.bidegree
+        assert np.array_equal(probe.form.vec, form.vec)
+
+
 # ---------------------------------------------------------------------------
 # pairing tests against SKT probes
 
