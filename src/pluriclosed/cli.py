@@ -68,13 +68,17 @@ def _load_metric(model: alg.LieModel, args) -> hodge.HermitianMetric:
     return hodge.identity_metric(model)
 
 
-def _load_class(args, theory: str) -> coh.CohomologyClass:
-    """The class of --scale times --class: an Aeppli (1,1)- or a Bott-Chern (n-1,n-1)-class.
+def _load_class(args, theory: str) -> tuple[coh.CohomologyClass, float]:
+    """The class of --scale times --class, in units of a power of two, and that unit.
 
-    --class is "omega", a form-document path, or "omega-power", the harmonic
-    part of omega^{n-1}/(n-1)!, which is d-closed for every metric (the raw
-    power is closed only for balanced ones) and is the power itself on the
-    torus fixtures.
+    --class is an Aeppli (1,1)- or a Bott-Chern (n-1,n-1)-class: "omega", a
+    form-document path, or "omega-power", the harmonic part of
+    omega^{n-1}/(n-1)!, which is d-closed for every metric (the raw power is
+    closed only for balanced ones) and is the power itself on the torus
+    fixtures.  --scale is split as m * unit with 1 <= |m| < 2 and unit a
+    power of two: the class is built from m times the form, so that no norm
+    of it overflows or underflows, and a command multiplies the linear
+    quantities it reports by unit, which is exact.  At --scale 1 the unit is 1.
     """
     model = _load_model(args)
     g = _load_metric(model, args)
@@ -87,7 +91,10 @@ def _load_class(args, theory: str) -> coh.CohomologyClass:
         base = alg.form_from_document(fixtures.load_document(args.cls), model.n)
     if base.bidegree != (p, p):
         raise PreconditionError(f"class representative must have bidegree ({p},{p})")
-    return coh.class_of(coh.cohomology_space(g, theory, p, p), args.scale * base)
+    exponent = math.frexp(args.scale)[1] - 1 if args.scale else 0
+    mantissa = math.ldexp(args.scale, -exponent)
+    cls = coh.class_of(coh.cohomology_space(g, theory, p, p), mantissa * base)
+    return cls, math.ldexp(1.0, exponent)
 
 
 def _bless_golden(report: dict, model_name: str, command: str) -> None:
@@ -157,14 +164,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    cls = _load_class(args, "bc")
+    cls, unit = _load_class(args, "bc")
     g = cls.space.metric
     primitive, lam = coh.lefschetz_decompose_class(g, cls)
     hyper = coh.primitive_hyperplane(g)
     report = {
         "model": g.model.name,
-        "lambda": [lam.real, lam.imag],
-        "primitive_part_norm": float(np.linalg.norm(primitive.coords)),
+        "lambda": [unit * lam.real, unit * lam.imag],
+        "primitive_part_norm": unit * float(np.linalg.norm(primitive.coords)),
         "hyperplane_dimension": hyper.dimension,
         "space_dimension": cls.space.dimension,
         "side": coh.lambda_sign_partition(g, cls) if coh.is_real_class(cls) else "not-real",
@@ -174,22 +181,25 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_cone_skt(args) -> int:
-    cls = _load_class(args, "aeppli")
+    cls, unit = _load_class(args, "aeppli")
     result = cones.skt_cone_feasibility(cls, seed=args.seed)
+    certificate = result.certificate
+    if certificate:
+        certificate = {**certificate, "pairing": unit * certificate["pairing"]}
     report = {
         "model": cls.space.metric.model.name,
         "verdict": result.verdict,
-        "best_min_eigenvalue": result.best_min_eigenvalue,
+        "best_min_eigenvalue": unit * result.best_min_eigenvalue,
         "iterations": result.iterations,
-        "certificate": result.certificate,
-        "witness": alg.form_to_document(result.witness) if result.witness else None,
+        "certificate": certificate,
+        "witness": alg.form_to_document(unit * result.witness) if result.witness else None,
     }
     print(emit(report, args.format))
     return EXIT_OK
 
 
 def cmd_cone_copsef(args) -> int:
-    cls = _load_class(args, "bc")
+    cls, unit = _load_class(args, "bc")
     g = cls.space.metric
     model = g.model
     if args.probes:
@@ -208,8 +218,8 @@ def cmd_cone_copsef(args) -> int:
     report = {
         "model": model.name,
         "verdict": result.verdict,
-        "pairings": [{"probe": label, "value": value} for label, value in result.pairings],
-        "violations": [{"probe": label, "value": value} for label, value in result.violations],
+        "pairings": [{"probe": label, "value": unit * v} for label, v in result.pairings],
+        "violations": [{"probe": label, "value": unit * v} for label, v in result.violations],
         "warning": result.warning,
         "note": result.note,
     }

@@ -20,6 +20,11 @@ forms, and the de Rham harmonic dimension is counted from the eigenvalues
 of that real matrix (``hodge.derham_harmonic_dimension``), with the cut of
 the complex one; no de Rham eigenvectors are formed, as none are used.
 
+Poincare duality does half of the de Rham work.  On a unimodular model
+b_k = b_{2n-k}, so a de Rham degree k > n takes its harmonic dimension
+from degree 2n - k, and again checks it against its own quotient rank.  A
+non-unimodular model, where the duality fails, computes every degree.
+
 On top of the spaces this module builds the duality pairing
 H^{n-1,n-1}_BC x H^{1,1}_A -> C by integration, the primitive hyperplane cut
 out by an SKT metric, and the induced Lefschetz-type splitting of
@@ -132,7 +137,10 @@ def _space_data(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
     hit = g._cache.get(key)
     if hit is None:
         qdim = quotient_dimension(g.model, theory, p, q)
-        if theory == "derham":
+        if theory == "derham" and p > g.n and alg.is_unimodular(g.model):
+            # Poincare duality: b_k = b_{2n-k} on a unimodular model
+            basis, hdim = None, _space_data(g, theory, 2 * g.n - p, None)[0]
+        elif theory == "derham":
             basis, hdim = None, hodge.derham_harmonic_dimension(g, p)
         elif theory in ("bc", "aeppli") and p > q:
             # conjugation maps the (q,p) harmonic space onto this one

@@ -22,7 +22,9 @@ coordinates are L2-isometric, so L2 products, norms and orthonormal bases
 are the plain Hermitian ones of frame vectors.
 
 Harmonic spaces are kernels of one Laplacian, closed* closed + exact exact*,
-over the frame (closed, exact) pair of a theory (``closed_and_exact``).  The
+over the frame (closed, exact) pair of a theory (``closed_and_exact``); the
+de Rham one is summed slab by slab from the del and delbar blocks
+(``laplacian_derham``), as d only joins neighbouring bidegrees.  The
 paper's fourth-order ``laplacian_bc`` and ``laplacian_a`` have the same
 kernels and are kept as written, for the checks that test them.
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -119,6 +121,7 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 TOL_EQ = 1e-9  # relative residual under which an equation of a verdict counts as satisfied
+_GATHER_COLUMNS = 256  # columns per block of ``real_frame_matrix``: all of Lambda^k up to n = 5
 
 
 @dataclass(eq=False)
@@ -576,9 +579,52 @@ def laplacian_delbar(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     return laplacian(g, "dolbeault", p, q)
 
 
+@lru_cache(maxsize=None)
+def _derham_slabs(n: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """dim Lambda^k and the nonempty slabs of ``laplacian_derham``.
+
+    A slab is (p, w1, w2, h1, h2, start, stop): slab p has the columns of
+    (p, k-p) and (p+1, k-1-p), widths w1 and w2, at start:stop of Lambda^k,
+    and the rows of (p+1, k-p) (a row of d_k, height h1) and of (p, k-1-p)
+    (a column of d_{k-1}, height h2).
+    """
+    width = [alg.space_dim(n, p, k - p) for p in range(-1, n + 2)]  # (p, k-p) at p + 1
+    edge = list(accumulate(width, initial=0))
+    slabs = []
+    for p in range(-1, n + 1):
+        w1, w2 = width[p + 1], width[p + 2]
+        h1, h2 = alg.space_dim(n, p + 1, k - p), alg.space_dim(n, p, k - 1 - p)
+        if w1 + w2 and h1 + h2:
+            slabs.append((p, w1, w2, h1, h2, edge[p + 1], edge[p + 3]))
+    return edge[-1], tuple(slabs)
+
+
 def laplacian_derham(g: HermitianMetric, k: int) -> np.ndarray:
-    """de Rham Laplacian d d* + d* d on total degree k, blocked over bidegrees."""
-    return laplacian(g, "derham", k)
+    """de Rham Laplacian d* d + d d* on total degree k, assembled slab by slab.
+
+    Delta_d is D^H D for D = (d_k ; d_{k-1}^H).  The bidegrees of a degree
+    are ordered by p, and D only joins neighbours: the row of d_k into
+    (p+1, k-p) is the column slab [del on (p, k-p) | delbar on (p+1, k-1-p)],
+    and the column of d_{k-1} out of (p, k-1-p) is the row slab
+    [delbar ; del] into the same two bidegrees.  Stacked, they are the slab
+    S_p of D on those two columns, and S_p^H S_p is added into its diagonal
+    slab of the output.  The blocks are the frame model's cached del and
+    delbar; no dense d is formed.
+    """
+    frame, (size, slabs) = frame_model(g), _derham_slabs(g.n, k)
+    lap = np.zeros((size, size), dtype=complex)
+    for p, w1, w2, h1, h2, start, stop in slabs:
+        slab = np.zeros((h1 + h2, w1 + w2), dtype=complex)
+        if h1 and w1:
+            slab[:h1, :w1] = alg.del_matrix(frame, p, k - p)
+        if h1 and w2:
+            slab[:h1, w1:] = alg.delbar_matrix(frame, p + 1, k - 1 - p)
+        if h2 and w1:
+            slab[h1:, :w1] = alg.delbar_matrix(frame, p, k - 1 - p).conj().T
+        if h2 and w2:
+            slab[h1:, w1:] = alg.del_matrix(frame, p, k - 1 - p).conj().T
+        lap[start:stop, start:stop] += slab.conj().T @ slab
+    return lap
 
 
 @lru_cache(maxsize=None)
@@ -613,13 +659,21 @@ def _real_frame(n: int, k: int) -> tuple[np.ndarray, ...]:
 
 
 def real_frame_matrix(mat: np.ndarray, n: int, k: int) -> np.ndarray:
-    """U^H mat U for a frame matrix on Lambda^k, by index gathers (U has two entries a column).
+    """Re(U^H mat U) for a frame matrix on Lambda^k, one block of columns at a time.
 
-    Real up to rounding whenever mat commutes with conjugation, as Delta_d does.
+    U has two entries a column (``_real_frame``), so a block of columns of
+    mat U is two column gathers and its rows of U^H mat U two row gathers;
+    each block's real part goes straight into one real output, and no
+    complex matrix of the full size is formed.  That is all of U^H mat U
+    whenever mat commutes with conjugation, as Delta_d does.
     """
     a, b, alpha, beta = _real_frame(n, k)
-    cols = mat[:, a] * alpha + mat[:, b] * beta
-    return alpha.conj()[:, None] * cols[a] + beta.conj()[:, None] * cols[b]
+    out = np.empty(mat.shape)
+    for start in range(0, a.size, _GATHER_COLUMNS):
+        cols = slice(start, start + _GATHER_COLUMNS)
+        block = mat[:, a[cols]] * alpha[cols] + mat[:, b[cols]] * beta[cols]
+        out[:, cols] = (alpha.conj()[:, None] * block[a] + beta.conj()[:, None] * block[b]).real
+    return out
 
 
 def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
@@ -630,7 +684,10 @@ def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
     The cut is the one ``harmonic_basis`` takes on the complex matrix.
     """
     lap = laplacian_derham(g, k)
-    return symmetric_kernel_dimension(real_frame_matrix(lap, g.n, k).real, rank_cut(g, lap, 2, 4))
+    cut = rank_cut(g, lap, 2, 4)
+    real = real_frame_matrix(lap, g.n, k)
+    del lap  # the complex matrix is not needed past the gather
+    return symmetric_kernel_dimension(real, cut)
 
 
 # ---------------------------------------------------------------------------

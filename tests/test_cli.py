@@ -422,6 +422,39 @@ def test_decompose_ignores_metric_scale(tmp_path, t):
     assert payload["side"] == "positive"
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+def test_class_scale_far_from_one_keeps_verdicts(capsys, scale):
+    # --scale is split into a mantissa in [1, 2) and a power of two: the class
+    # is built at the mantissa, so no norm of it overflows or underflows (a
+    # RuntimeWarning fails the suite), and the reported linear quantities are
+    # the mantissa run's times the power of two, exactly
+    import math
+
+    from pluriclosed.cli import main
+
+    metric = str(fx.data_path("metric_kt_standard.json"))
+    mantissa, exponent = math.frexp(scale)
+    mantissa, unit = 2 * mantissa, math.ldexp(1.0, exponent - 1)
+
+    def report(*command, at):
+        argv = [*command, "--model", "kodaira_thurston", "--metric", metric, f"--scale={at!r}"]
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    decompose = report("decompose", at=scale)
+    assert decompose["side"] == "positive"
+    assert abs(decompose["lambda"][0] / scale - 1.0) < 1e-8
+    base = report("decompose", at=mantissa)
+    assert decompose["lambda"] == [unit * x for x in base["lambda"]]
+    assert decompose["primitive_part_norm"] == unit * base["primitive_part_norm"]
+
+    cone = report("cone", "skt", at=scale)
+    assert cone["verdict"] == "feasible_with_witness"
+    assert abs(cone["best_min_eigenvalue"] / scale - 0.5) < 1e-8
+    base = report("cone", "skt", at=mantissa)
+    assert cone["best_min_eigenvalue"] == unit * base["best_min_eigenvalue"]
+
+
 @pytest.mark.parametrize("name", [*fx.available_models(), "trace_1e-10"])
 def test_validate_reports_the_unimodularity_the_engine_gates_on(tmp_path, name):
     # d phi^1 = 1e-10 phi^1 ^ phibar^1 has trace 1e-10, its only structure

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -213,15 +214,50 @@ def test_no_laplacian_is_built_above_the_diagonal(models, monkeypatch, name):
     assert all(p <= q for p, q in built)
 
 
+def _real_frame_unitary(n: int, k: int) -> np.ndarray:
+    """The real frame U of Lambda^k as a dense matrix, from its two-term gather."""
+    a, b, alpha, beta = hodge._real_frame(n, k)
+    u = np.zeros((a.size, a.size), dtype=complex)
+    np.add.at(u, (a, np.arange(a.size)), alpha)
+    np.add.at(u, (b, np.arange(a.size)), beta)
+    return u
+
+
 @pytest.mark.parametrize("name", MIRROR_MODELS)
 def test_real_frame_is_unitary_and_makes_the_derham_laplacian_real(mirror_metrics, name):
     g = mirror_metrics[name]
     for k in range(2 * g.n + 1):
-        size = sum(alg.space_dim(g.n, p, q) for p, q in alg.bidegrees_of_degree(g.n, k))
-        assert np.allclose(hodge.real_frame_matrix(np.eye(size), g.n, k), np.eye(size), atol=1e-15)
+        u = _real_frame_unitary(g.n, k)
+        assert np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-15)
         lap = hodge.laplacian_derham(g, k)
-        real = hodge.real_frame_matrix(lap, g.n, k)
-        assert np.max(np.abs(real.imag)) <= 1e-13 * np.max(np.abs(lap)), k
+        full = u.conj().T @ lap @ u
+        scale = np.max(np.abs(lap), initial=0.0)
+        assert np.max(np.abs(full.imag), initial=0.0) <= 1e-13 * scale, k
+        gap = hodge.real_frame_matrix(lap, g.n, k) - full.real
+        assert np.max(np.abs(gap), initial=0.0) <= 1e-13 * scale, k
+
+
+@pytest.mark.parametrize("k", [4, 6, 7])
+def test_chunked_real_frame_gather_matches_the_dense_product(k):
+    # n = 6 degrees have 495 to 924 columns: several blocks of the gather
+    n, rng = 6, np.random.default_rng(k)
+    u = _real_frame_unitary(n, k)
+    mat = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    real = hodge.real_frame_matrix(mat, n, k)
+    assert real.dtype == np.float64
+    assert np.max(np.abs(real - (u.conj().T @ mat @ u).real)) <= 1e-13 * np.max(np.abs(mat))
+
+
+@pytest.mark.parametrize("name", MIRROR_MODELS)
+def test_slab_derham_laplacian_matches_the_dense_one(models, name):
+    # the slab-wise D^H D against closed* closed + exact exact* of the dense
+    # frame d, under a condition-1e3 metric
+    model = models[name] if name in models else alg.parse_model(IWASAWA4_DOC)
+    g = _conditioned_metric(model, 1e3, seed=1)
+    for k in range(2 * g.n + 1):
+        dense = hodge.laplacian(g, "derham", k)
+        gap = np.linalg.norm(hodge.laplacian_derham(g, k) - dense)
+        assert gap <= 1e-13 * np.linalg.norm(dense), k
 
 
 @pytest.mark.parametrize("name", MIRROR_MODELS)
@@ -231,6 +267,69 @@ def test_real_derham_count_matches_the_complex_kernel(mirror_metrics, name):
         lap = hodge.laplacian_derham(g, k)
         complex_kernel = hermitian_kernel(lap, tol=hodge.rank_cut(g, lap, 2, 4))
         assert hodge.derham_harmonic_dimension(g, k) == complex_kernel.shape[1], k
+
+
+# ---------------------------------------------------------------------------
+# Poincare duality: de Rham above the middle degree on unimodular models
+
+
+def _direct_derham_degrees(monkeypatch) -> list[int]:
+    called = []
+    original = hodge.derham_harmonic_dimension
+
+    def record(g, k):
+        called.append(k)
+        return original(g, k)
+
+    monkeypatch.setattr(hodge, "derham_harmonic_dimension", record)
+    return called
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "kodaira_thurston", "nonunimodular"])
+def test_derham_mirrors_only_unimodular_models(models, exact_models, monkeypatch, name):
+    called = _direct_derham_degrees(monkeypatch)
+    g = _conditioned_metric(models[name], 10.0, seed=0)
+    n = g.n
+    betti = [coh.cohomology_space(g, "derham", k).dimension for k in range(2 * n + 1)]
+    assert betti == [exact_models[name].dim("derham", k, None) for k in range(2 * n + 1)]
+    if alg.is_unimodular(g.model):
+        assert sorted(called) == list(range(n + 1))
+    else:  # Poincare duality fails, and every degree takes the direct route
+        assert sorted(called) == list(range(2 * n + 1))
+        assert betti != betti[::-1]
+
+
+def test_poincare_mirrored_degree_keeps_its_cross_check(models, monkeypatch):
+    quotient = coh.quotient_dimension
+    model = models["iwasawa"]
+    mirrored = model.n + 1
+
+    def off_by_one(model, theory, p, q):
+        return quotient(model, theory, p, q) + (theory == "derham" and p == mirrored)
+
+    monkeypatch.setattr(coh, "quotient_dimension", off_by_one)
+    g = _conditioned_metric(model, 10.0, seed=2)
+    coh.cohomology_space(g, "derham", model.n - 1)  # the mirror is cached first
+    with pytest.raises(CrossCheckError):
+        coh.cohomology_space(g, "derham", mirrored)
+    with pytest.raises(CrossCheckError):  # and computed on demand
+        coh.cohomology_space(_conditioned_metric(model, 10.0, seed=2), "derham", mirrored)
+
+
+def test_derham_count_peaks_below_three_complex_laplacians(bench_module):
+    # Iwasawa-type n = 6, degree 6: 924 x 924; the dense product and the
+    # complex gather peaked at 5 complex Laplacians
+    inputs = bench_module("inputs")
+    g = _conditioned_metric(alg.parse_model(inputs.iwasawa_type(6)), 10.0, seed=0)
+    hodge.complex_scale(g)  # the frame blocks, cached on the metric beforehand
+    size = sum(alg.space_dim(6, p, 6 - p) for p in range(7))
+    tracemalloc.start()
+    try:
+        assert hodge.derham_harmonic_dimension(g, 6) == 490
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * size**2
 
 
 # ---------------------------------------------------------------------------
