@@ -567,8 +567,8 @@ def closed_and_exact(model: LieModel, theory: str, p: int, q: int | None):
     """The operators that define a cohomology theory: its space is ker closed / im exact.
 
     The blocks are those of ``model``: the model's own coframe, or the
-    unitary frame of a metric through ``hodge.frame_model``, alike.  For de
-    Rham p is the degree and q is unused.
+    rescaled unitary frame of a metric through ``hodge.frame_model``,
+    alike.  For de Rham p is the degree and q is unused.
     """
     if theory == "bc":
         closed = np.vstack([del_matrix(model, p, q), delbar_matrix(model, p, q)])

@@ -173,9 +173,11 @@ def skt_class_nonzero(g: hodge.HermitianMetric) -> SktNonvanishing:
     omega_norm = hodge.l2_norm(g, g.omega)
 
     # least squares in the L2-isometric frame: columns of the Aeppli-exact
-    # Im del + Im delbar inside (1,1)
+    # Im del + Im delbar inside (1,1), blocks of the unit frame complex, so
+    # the true-scale potentials are the solution divided by S
     _, columns = hodge.closed_and_exact(g, "aeppli", 1, 1)
     sol, distance = min_norm_lstsq(columns, hodge.to_frame(g, g.omega))
+    sol = sol / (hodge.complex_scale(g) or 1.0)  # S = 0 on a torus, where sol = 0
     if distance <= 1e-9 * omega_norm:
         raise CrossCheckError(
             "omega appears del/delbar-exact; impossible for an SKT metric, "
@@ -226,7 +228,12 @@ def weak_positivity_topform(u: Form, n: int) -> str:
 
 @dataclass
 class AeppliHarmonicResiduals:
-    """L2 norms of del*, delbar* and Delta_A applied to w = omega ^ phi, and |w|."""
+    """L2 norms of del*, delbar* and Delta_A applied to w = omega ^ phi, and |w|.
+
+    The operators are those of the unit frame complex (``hodge.frame_model``),
+    each term divided by S to its order: del* and delbar* by S, the terms
+    of Delta_A by S^2 and S^4.
+    """
 
     del_adjoint: float
     delbar_adjoint: float

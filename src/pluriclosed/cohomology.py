@@ -148,7 +148,7 @@ def _space_data(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
             basis = alg._conjugate_rows(mirror.T, g.n, q, p).T
             hdim = basis.shape[1]
         else:
-            basis = hodge.harmonic_basis(g, hodge.laplacian(g, theory, p, q))
+            basis = hodge.harmonic_basis(hodge.laplacian(g, theory, p, q))
             hdim = basis.shape[1]
         if qdim != hdim:
             raise CrossCheckError(

@@ -53,7 +53,7 @@ from .cohomology import (
     require_skt,
 )
 from .errors import CrossCheckError, PreconditionError
-from .linalg import nullspace, rank_tolerance
+from .linalg import rank_tolerance
 
 __all__ = [
     "ConeMembershipResult",
@@ -74,7 +74,6 @@ TOL_PD = 1e-7  # absolute threshold on unit-normalized class representatives
 TOL_PROBE = 1e-9  # closedness and positivity threshold of a stored probe
 GAP = 1e-9  # the barrier stops at duality gap GAP * scale
 MAX_NEWTON_STEPS = 200  # per barrier; a central path takes about 50
-PROBE_SAMPLES = 8  # random closed candidates among the stored probes
 
 
 @dataclass
@@ -287,14 +286,14 @@ def _barrier(m0: np.ndarray, q: np.ndarray, scale: float) -> EigenvalueOptimum:
 # SKT membership
 
 
-def skt_cone_feasibility(cls: CohomologyClass, seed: int = 0) -> ConeMembershipResult:
+def skt_cone_feasibility(cls: CohomologyClass) -> ConeMembershipResult:
     """Decide SKT membership of a real Aeppli (1,1)-class.
 
     Maximizes the minimum eigenvalue over the representatives
     alpha_0 + 2 Re(del u).  A positive optimum gives a witness; otherwise
     the barrier's dual is the separating form, with the stored probes as
     fallback.  A stored probe pairing negatively with a class that has a
-    witness raises CrossCheckError.  ``seed`` drives the sampled probes.
+    witness raises CrossCheckError.
     """
     space = cls.space
     g = space.metric
@@ -317,7 +316,7 @@ def skt_cone_feasibility(cls: CohomologyClass, seed: int = 0) -> ConeMembershipR
     best_value = (
         optimum.value if math.isfinite(optimum.value) else float(np.linalg.eigvalsh(best_matrix)[0])
     )
-    separating = _separating_probe(model, alpha0, scale, seed)
+    separating = _separating_probe(model, alpha0, scale)
 
     if best_value / scale > TOL_PD:
         if separating is not None:
@@ -350,9 +349,9 @@ def skt_cone_feasibility(cls: CohomologyClass, seed: int = 0) -> ConeMembershipR
     )
 
 
-def _separating_probe(model: LieModel, alpha0: Form, scale: float, seed: int) -> dict | None:
+def _separating_probe(model: LieModel, alpha0: Form, scale: float) -> dict | None:
     """The first stored probe whose pairing with alpha0 is negative beyond TOL_PD."""
-    for probe in closed_positive_probes(model, seed=seed):
+    for probe in closed_positive_probes(model):
         value = integrate_pairing(model, probe.form, alpha0).real
         if value < -TOL_PD * max(probe.form.norm(), 1e-30) * scale:
             return {"probe": probe.label, "pairing": value}
@@ -437,13 +436,12 @@ def _try_probe(model: LieModel, t: Form, label: str) -> ClosedPositiveProbe | No
     )
 
 
-def closed_positive_probes(model: LieModel, seed: int = 0) -> list[ClosedPositiveProbe]:
+def closed_positive_probes(model: LieModel) -> list[ClosedPositiveProbe]:
     """Stored co-positive probe family for separation certificates.
 
     Candidates: the (n-1)-power of the identity metric and the coordinate
     monomials i^{(n-1)^2} phi^K wedge phibar^K over |K| = n-1, the forms of
-    positivity matrix I and e_j e_j^T (j the index K leaves out), and random
-    real d-closed forms that happen to have a PSD positivity matrix.  Only
+    positivity matrix I and e_j e_j^T (j the index K leaves out).  Only
     candidates passing the closedness and positivity certificates are kept.
     """
     n = model.n
@@ -451,19 +449,7 @@ def closed_positive_probes(model: LieModel, seed: int = 0) -> list[ClosedPositiv
     for j in reversed(range(n)):  # K leaves out j + 1: K in lexicographic order
         label = "monomial-" + "".join(str(i + 1) for i in range(n) if i != j)
         probes.append(_try_probe(model, _form_of_positivity_matrix(np.diag(np.eye(n)[j]), n), label))
-    probes = [p for p in probes if p]
-
-    closed = nullspace(alg.closed_and_exact(model, "bc", n - 1, n - 1)[0])
-    if closed.shape[1]:
-        rng = np.random.default_rng(seed)
-        for idx in range(PROBE_SAMPLES):
-            z = rng.standard_normal(closed.shape[1]) + 1j * rng.standard_normal(closed.shape[1])
-            t = alg.from_vector(closed @ z, n, n - 1, n - 1)
-            t = 0.5 * (t + alg.conjugate(t))
-            p = _try_probe(model, t, f"sampled-{idx}")
-            if p:
-                probes.append(p)
-    return probes
+    return [p for p in probes if p]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,12 @@ identity metric has total volume 1).
 
 Every operator matrix of this module is written in unitary-frame
 coordinates, one complex per metric: del and delbar are the blocks of the
-model of the unitary coframe's structure constants (``frame_model``).
-Every adjoint is then a conjugate transpose, the star is a constant signed
+model of the rescaled unitary coframe S e (``frame_model``), S the largest
+del or delbar block norm of e (``complex_scale``).  On the frame
+coordinates of e they act as del / S and delbar / S, so the largest block
+has norm 1 and every operator, product and Laplacian of the complex is
+dimensionless, with the kernels and images of the true-scale ones.  Every
+adjoint is then a conjugate transpose, the star is a constant signed
 permutation, and L and Lambda are the metric-free wedge by i sum e^a wedge
 ebar^a and its conjugate transpose.  Forms stay in the model coframe and
 cross into and out of the frame only through ``to_frame`` and
@@ -40,12 +44,12 @@ del* = -star delbar star etc. are tested invariants, not definitions,
 because their sign conventions vary across sources while the L2 adjoint is
 unambiguous.
 
-Rank decisions on frame operators cut at max(shape) * eps * max(|M|, S^k):
-|M| is the Frobenius norm of the matrix and S the largest Frobenius norm of
-a frame del or delbar block, raised to the order k of the operator.  A
-matrix that vanishes in exact arithmetic is left at rounding size, eps S^k;
-a cut relative to such a matrix alone would count its noise as rank, while
-the floor from the whole complex does not.
+Rank decisions on frame matrices cut at max(shape) * eps * max(|M|, 1)
+(``rank_cut``), |M| the Frobenius norm.  A matrix that vanishes in exact
+arithmetic is left at rounding size, eps times the unit block norm; a cut
+relative to such a matrix alone would count its noise as rank, while the
+floor 1 does not.  The floor serves operators of every order alike, so a
+metric scaled by any t decides the same ranks.
 """
 
 from __future__ import annotations
@@ -81,7 +85,6 @@ __all__ = [
     "gram_matrix",
     "inner",
     "l2_norm",
-    "volume_form",
     "omega_power",
     "frame_model",
     "del_matrix",
@@ -288,59 +291,57 @@ def omega_power(g: HermitianMetric, k: int) -> Form:
     )
 
 
-def volume_form(g: HermitianMetric) -> Form:
-    """dV = omega^n / n!."""
-    return omega_power(g, g.n)
-
-
 def frame_model(g: HermitianMetric) -> LieModel:
-    """The model of the unitary coframe e = L^T phi; its del and delbar are Q del Q^{-1}.
+    """The model of the rescaled unitary coframe S e, e = L^T phi, S = ``complex_scale(g)``.
 
     d e^a = sum_j L_ja d phi^j: the model's rows move into the frame like
-    any other (2,0)- and (1,1)-forms, and L^T recombines them.
+    any other (2,0)- and (1,1)-forms, and L^T recombines them.  Those of e
+    give the blocks Q del Q^{-1}, and S is the largest norm among them.  As
+    d(S e) = (1/S) sum c (S e) wedge (S e), the rows of S e are those of e
+    divided by S, and so are its blocks: they are assembled once, divided
+    and cached on the returned model.  A torus has S = 0 and keeps e.
     """
     if "frame" not in g._cache:
+        n = g.n
         rows = [
             g.cholesky.T @ _sandwich(_compounds(g, p)[0], _compounds(g, q)[0], d)
             for d, (p, q) in ((g.model.d20, (2, 0)), (g.model.d11, (1, 1)))
         ]
-        g._cache["frame"] = LieModel(g.model.name, g.n, *rows)
+        frame = LieModel(g.model.name, n, *rows)
+        scale = max(
+            float(np.linalg.norm(op(frame, p, q)))
+            for op in (alg.del_matrix, alg.delbar_matrix)
+            for p in range(n + 1)
+            for q in range(n + 1)
+        )
+        if scale:
+            unit = LieModel(g.model.name, n, *(r / scale for r in rows))
+            for key in list(frame._cache):  # one block at a time: divided, not reassembled
+                unit._cache[key] = _frozen(frame._cache.pop(key) / scale)
+            frame = unit
+        g._cache["S"], g._cache["frame"] = scale, frame
     return g._cache["frame"]
 
 
 def del_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
-    """Matrix of del: Lambda^{p,q} -> Lambda^{p+1,q} in the unitary frame."""
+    """Matrix of del: Lambda^{p,q} -> Lambda^{p+1,q} in the unitary frame, divided by S."""
     return alg.del_matrix(frame_model(g), p, q)
 
 
 def delbar_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
-    """Matrix of delbar: Lambda^{p,q} -> Lambda^{p,q+1} in the unitary frame."""
+    """Matrix of delbar: Lambda^{p,q} -> Lambda^{p,q+1} in the unitary frame, divided by S."""
     return alg.delbar_matrix(frame_model(g), p, q)
 
 
 def complex_scale(g: HermitianMetric) -> float:
-    """S, the largest Frobenius norm of a frame del or delbar block."""
-    n = g.n
-    return _cached(
-        g,
-        "S",
-        lambda: max(
-            float(np.linalg.norm(block(g, p, q)))
-            for block in (del_matrix, delbar_matrix)
-            for p in range(n + 1)
-            for q in range(n + 1)
-        ),
-    )
+    """S, the largest Frobenius norm of a del or delbar block of the unitary coframe e."""
+    frame_model(g)
+    return g._cache["S"]
 
 
-def rank_cut(g: HermitianMetric, mat: np.ndarray, *orders: int) -> float:
-    """Rank cut for a frame matrix of the given operator orders.
-
-    max(shape) * eps * max(|mat|, S^k for each order k), with |.| the
-    Frobenius norm and S the largest frame del or delbar block norm.
-    """
-    scale = complex_scale(g)
-    return max(mat.shape) * _EPS * max(float(np.linalg.norm(mat)), *(scale**k for k in orders))
+def rank_cut(mat: np.ndarray) -> float:
+    """Rank cut for a matrix of the frame complex: max(shape) * eps * max(|mat|, 1), Frobenius."""
+    return max(mat.shape) * _EPS * max(float(np.linalg.norm(mat)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +685,7 @@ def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
     The cut is the one ``harmonic_basis`` takes on the complex matrix.
     """
     lap = laplacian_derham(g, k)
-    cut = rank_cut(g, lap, 2, 4)
+    cut = rank_cut(lap)
     real = real_frame_matrix(lap, g.n, k)
     del lap  # the complex matrix is not needed past the gather
     return symmetric_kernel_dimension(real, cut)
@@ -694,14 +695,14 @@ def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
 # harmonic spaces and decompositions
 
 
-def harmonic_basis(g: HermitianMetric, lap: np.ndarray) -> np.ndarray:
+def harmonic_basis(lap: np.ndarray) -> np.ndarray:
     """Orthonormal kernel basis of a frame Laplacian: frame columns, so L2-orthonormal."""
-    return hermitian_kernel(lap, rank_cut(g, lap, 2, 4))
+    return hermitian_kernel(lap, rank_cut(lap))
 
 
 def harmonic_space(g: HermitianMetric, lap: np.ndarray, p: int, q: int) -> list[Form]:
     """Kernel basis of a Laplacian on Lambda^{p,q}, as Forms."""
-    return [from_frame(g, col, p, q) for col in harmonic_basis(g, lap).T]
+    return [from_frame(g, col, p, q) for col in harmonic_basis(lap).T]
 
 
 def harmonic_projection(g: HermitianMetric, basis: list[Form], u: Form) -> Form:
@@ -759,24 +760,24 @@ def three_space_decomposition(
     """Verify the orthogonal splitting induced by the Bott-Chern or Aeppli Laplacian.
 
     The harmonic part is the kernel of the six-term ``laplacian_bc`` or
-    ``laplacian_a``, so the paper's operators are checked too.  Each rank
-    decision cuts with the floor of the whole complex, raised to the order
-    of the operator: 1 for del and delbar, 2 for del delbar.
+    ``laplacian_a``, so the paper's operators are checked too.  Their terms
+    have orders 2 and 4, which the unit frame complex puts on one scale, so
+    every rank decision takes the same ``rank_cut``.
     """
     if theory not in ("bc", "aeppli"):
         raise ValueError("theory must be 'bc' or 'aeppli'")
     total = alg.space_dim(g.n, p, q)
-    paper_laplacian, orders = (laplacian_bc, (1, 2)) if theory == "bc" else (laplacian_a, (2, 1))
-    lap = paper_laplacian(g, p, q)
+    lap = (laplacian_bc if theory == "bc" else laplacian_a)(g, p, q)
     closed, exact = closed_and_exact(g, theory, p, q)
-    kernel = harmonic_basis(g, lap)
-    image = orthonormal_span(exact, tol=rank_cut(g, exact, orders[1]))
-    coimage = orthonormal_span(closed.conj().T, tol=rank_cut(g, closed, orders[0]))
+    kernel = harmonic_basis(lap)
+    image = orthonormal_span(exact, tol=rank_cut(exact))
+    closed_cut = rank_cut(closed)
+    coimage = orthonormal_span(closed.conj().T, tol=closed_cut)
     pairs = ((kernel, image), (kernel, coimage), (image, coimage))
     residual = max(subspace_residual(a, b) for a, b in pairs)
-    closed_dim = closed.shape[1] - numeric_rank(closed, tol=rank_cut(g, closed, orders[0]))
+    closed_dim = closed.shape[1] - numeric_rank(closed, tol=closed_cut)
     closed_split_ok = closed_dim == kernel.shape[1] + image.shape[1]
-    image_rank = numeric_rank(lap, tol=rank_cut(g, lap, 2, 4))
+    image_rank = numeric_rank(lap, tol=rank_cut(lap))
     if theory == "aeppli":  # the report names im (del delbar)* the exact part
         image, coimage = coimage, image
     return DecompositionReport(
@@ -830,7 +831,7 @@ def quasi_isometry_bounds(
         return (0.0, 0.0)
     image = _lefschetz_power_matrix(n, k, p)
     if restrict_harmonic:
-        image = image @ harmonic_basis(g, laplacian_derham(g, p))
+        image = image @ harmonic_basis(laplacian_derham(g, p))
     cols = image.shape[1]
     if cols == 0:
         return (0.0, 0.0)
@@ -847,8 +848,8 @@ def lefschetz_harmonic_rank(g: HermitianMetric, k: int, p: int) -> tuple[int, in
     n = g.n
     if p + 2 * k > 2 * n:
         return (0, 0)
-    domain = harmonic_basis(g, laplacian_derham(g, p))
-    target = harmonic_basis(g, laplacian_derham(g, p + 2 * k))
+    domain = harmonic_basis(laplacian_derham(g, p))
+    target = harmonic_basis(laplacian_derham(g, p + 2 * k))
     if k == 0:
         return (domain.shape[1], target.shape[1])
     coords = target.conj().T @ (_lefschetz_power_matrix(n, k, p) @ domain)

@@ -6,9 +6,10 @@ tau = max(shape) * machine-eps * sigma_max (``rank_tolerance``).  That suits
 the metric-free model matrices, whose structure constants are exact.  The
 frame's structure constants are rounded, and matrices that vanish in exact
 arithmetic carry rounding noise there, so the Hodge layer passes the cut of
-``hodge.rank_cut``, with a floor from the whole frame complex;
-``column_space``, ``hermitian_kernel`` and ``symmetric_kernel_dimension``
-serve only frame matrices and take that cut as a required argument.
+``hodge.rank_cut``, floored at 1, the largest block norm of its
+dimensionless frame complex; ``column_space``, ``hermitian_kernel`` and
+``symmetric_kernel_dimension`` serve only frame matrices and take that cut
+as a required argument.
 
 Ranks come from singular values alone (``singular_values``), and those are
 found block by block.  The rows and columns of a matrix split into the

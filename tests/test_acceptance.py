@@ -68,7 +68,7 @@ def test_criterion_03_hodge_isomorphism(models):
                 for q in range(n + 1):
                     quotient = coh.quotient_dimension(model, theory, p, q)
                     lap = hodge.laplacian(g, theory, p, q)
-                    assert quotient == hodge.harmonic_basis(g, lap).shape[1], (name, theory, p, q)
+                    assert quotient == hodge.harmonic_basis(lap).shape[1], (name, theory, p, q)
                     checked += 1
     _report(3, "hodge-isomorphism", True, f"{checked} spaces, quotient == kernel exactly")
 
@@ -266,10 +266,10 @@ def test_criterion_12_cone_solver(models):
     g = hodge.identity_metric(models["torus2"])
     space = coh.cohomology_space(g, "aeppli", 1, 1)
     identity_cls = coh.class_of(space, g.omega)
-    feasible = cones.skt_cone_feasibility(identity_cls, seed=12)
+    feasible = cones.skt_cone_feasibility(identity_cls)
     ok = feasible.verdict == "feasible_with_witness" and feasible.best_min_eigenvalue >= 0.9
 
-    negative = cones.skt_cone_feasibility(identity_cls.scaled(-1), seed=12)
+    negative = cones.skt_cone_feasibility(identity_cls.scaled(-1))
     ok = ok and negative.verdict == "infeasible_certified"
 
     rng = np.random.default_rng(1212)
@@ -286,20 +286,20 @@ def test_criterion_12_cone_solver(models):
         if trial % 2:
             # openness: small perturbations stay feasible
             probe = coh.class_of(space, identity_cls.representative + (0.05 * mu / norm) * rep)
-            ok = ok and cones.skt_cone_feasibility(probe, seed=12).verdict == "feasible_with_witness"
+            ok = ok and cones.skt_cone_feasibility(probe).verdict == "feasible_with_witness"
         else:
             # convexity: midpoints of two feasible classes stay feasible
             other = coh.class_of(
                 space, identity_cls.representative + (0.4 * mu / norm) * rep
             )
-            if cones.skt_cone_feasibility(other, seed=12).verdict != "feasible_with_witness":
+            if cones.skt_cone_feasibility(other).verdict != "feasible_with_witness":
                 continue
             mid = coh.CohomologyClass(
                 space,
                 0.5 * (identity_cls.coords + other.coords),
                 0.5 * (identity_cls.representative + other.representative),
             )
-            ok = ok and cones.skt_cone_feasibility(mid, seed=12).verdict == "feasible_with_witness"
+            ok = ok and cones.skt_cone_feasibility(mid).verdict == "feasible_with_witness"
     _report(
         12,
         "cone-solver",

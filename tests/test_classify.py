@@ -147,7 +147,7 @@ def test_skt_certificate_rejects_non_skt(metrics):
 def test_weak_positivity_verdicts(metrics):
     # a real (n,n)-form has one coefficient, so only the zero form reads zero
     g = metrics["torus2"]
-    dv = hodge.volume_form(g)
+    dv = hodge.omega_power(g, g.n)
     for s in (1e-13, 1.0, 1e13):
         assert classify.weak_positivity_topform(s * dv, 2) == "positive", s
         assert classify.weak_positivity_topform(-s * dv, 2) == "negative", s
@@ -157,7 +157,7 @@ def test_weak_positivity_verdicts(metrics):
 def test_weak_positivity_rejects_non_real(metrics):
     g = metrics["torus2"]
     with pytest.raises(PreconditionError):
-        classify.weak_positivity_topform(1j * hodge.volume_form(g), 2)
+        classify.weak_positivity_topform(1j * hodge.omega_power(g, g.n), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -170,9 +170,9 @@ def test_check_lemmas_kt():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_check_lemmas_ill_conditioned_kt_metric(tmp_path, seed):
-    # h = U diag(1, 1e4) U* is a valid metric; absolute residuals grow with
-    # the Laplacians (about S^4) and used to fail star_intertwining and
-    # aeppli_harmonic here, so the residuals are relative
+    # h = U diag(1, 1e4) U* is a valid metric; absolute residuals of the
+    # true-scale Laplacians (about S^4) used to fail star_intertwining and
+    # aeppli_harmonic here
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -186,6 +186,28 @@ def test_check_lemmas_ill_conditioned_kt_metric(tmp_path, seed):
     payload = json.loads(completed.stdout)
     assert payload["failures"] == []
     assert payload["aeppli_harmonic_samples"] > 0
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e14])
+@pytest.mark.parametrize("name,metric", [("iwasawa", None), ("kodaira_thurston", "metric_kt_standard")])
+def test_check_lemmas_pass_under_a_uniformly_scaled_metric(tmp_path, name, metric, scale):
+    # every lemma is decided in the unit frame complex; iwasawa at t = 1e-14
+    # used to fail three_space_decomposition, and kt_standard runs the SKT
+    # lemmas (adjoint formula, Aeppli harmonicity) too
+    n = fx.load_document(name)["n"]
+    rows = fx.load_document(metric)["h"] if metric else [
+        [[1.0 if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)
+    ]
+    doc = {"name": "scaled", "h": [[[scale * re, scale * im] for re, im in row] for row in rows]}
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    completed = run_cli("check-lemmas", "--model", name, "--metric", str(path))
+    assert completed.returncode == 0, completed.stdout
+    payload = json.loads(completed.stdout)
+    assert payload["failures"] == []
+    assert payload["decomposition_dimensions_ok"]
+    if metric:
+        assert payload["aeppli_harmonic_samples"] > 0
 
 
 def test_determinism_same_seed_byte_identical():
@@ -314,9 +336,10 @@ def test_form_document_degree_and_terms_exit_two(tmp_path, doc, path):
 
 
 @pytest.mark.parametrize("name", ["iwasawa", "kodaira_thurston"])
-@pytest.mark.parametrize("scale", [1e-3, 1e3])
+@pytest.mark.parametrize("scale", [1e-30, 1e-14, 1e-3, 1e3, 1e14, 1e30])
 def test_cohomology_dimensions_ignore_metric_scale(tmp_path, name, scale):
-    # the derived rank cuts follow the metric: t * h gives the golden dimensions
+    # ranks are decided in the unit frame complex, so t * h gives the golden
+    # dimensions for every t; t = 1e-14 used to exit 3 on iwasawa
     import numpy as np
 
     n = fx.load_document(name)["n"]
@@ -339,7 +362,7 @@ COMMAND_FLAGS = [
     (["cohomology"], {"--metric", "--bless"}),
     (["classify"], {"--metric", "--strict", "--bless"}),
     (["decompose"], {"--metric", "--class", "--scale"}),
-    (["cone", "skt"], {"--metric", "--class", "--scale", "--seed"}),
+    (["cone", "skt"], {"--metric", "--class", "--scale"}),
     (["cone", "copsef"], {"--metric", "--class", "--scale", "--probes"}),
     (["check-lemmas"], {"--metric", "--seed"}),
 ]
@@ -350,7 +373,7 @@ COMMAND_FLAGS = [
 )
 def test_parser_accepts_only_the_flags_a_command_reads(capsys, command, flags):
     # rank cuts and equation thresholds are fixed, never configured, and
-    # only cone skt and check-lemmas draw random samples
+    # only check-lemmas draws random samples
     from pluriclosed.cli import build_parser
 
     with pytest.raises(SystemExit):

@@ -155,7 +155,7 @@ def test_mirrored_basis_spans_the_direct_kernel(mirror_metrics, name):
         for p in range(g.n + 1):
             for q in range(g.n + 1):  # mirrored (p > q) and direct (p <= q) spaces
                 basis = coh.cohomology_space(g, theory, p, q).basis
-                direct = hodge.harmonic_basis(g, getattr(hodge, laplacian)(g, p, q))
+                direct = hodge.harmonic_basis(getattr(hodge, laplacian)(g, p, q))
                 assert basis.shape == direct.shape, (theory, p, q)
                 # L2-orthonormal frame columns B give the projector B B^H
                 gap = basis @ basis.conj().T - direct @ direct.conj().T
@@ -265,7 +265,7 @@ def test_real_derham_count_matches_the_complex_kernel(mirror_metrics, name):
     g = mirror_metrics[name]
     for k in range(2 * g.n + 1):
         lap = hodge.laplacian_derham(g, k)
-        complex_kernel = hermitian_kernel(lap, tol=hodge.rank_cut(g, lap, 2, 4))
+        complex_kernel = hermitian_kernel(lap, tol=hodge.rank_cut(lap))
         assert hodge.derham_harmonic_dimension(g, k) == complex_kernel.shape[1], k
 
 
@@ -735,7 +735,7 @@ def test_harmonic_parts_match_a_direct_kernel_projection(skt_metrics, name):
     n = g.n
     sources = (g.omega, hodge.omega_power(g, n - 1))
     for (part, lap), u in zip(_harmonic_parts(g), sources):
-        kernel = hermitian_kernel(lap, tol=hodge.rank_cut(g, lap, 2, 4))  # orthonormal columns
+        kernel = hermitian_kernel(lap, tol=hodge.rank_cut(lap))  # orthonormal columns
         direct = kernel @ (kernel.conj().T @ hodge.to_frame(g, u))
         got = hodge.to_frame(g, part)
         assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)

@@ -48,7 +48,7 @@ def test_star_constants(models, metrics, rng):
     for name in ("torus1", "torus2", "iwasawa", "kodaira_thurston"):
         g = hodge.random_metric(models[name], rng)
         one = alg.basis_form(g.n, (), ())
-        dv = hodge.volume_form(g)
+        dv = hodge.omega_power(g, g.n)
         assert (hodge.hodge_star(g, one) - dv).norm() < 1e-12 * dv.norm()
         assert (hodge.hodge_star(g, dv) - one).norm() < 1e-12
 
@@ -197,11 +197,11 @@ def test_adjoint_of_zero_is_zero(metrics):
 
 
 def test_adjoint_involution(models, rng):
-    # the adjoint of the frame adjoint maps model forms back onto delbar
+    # the adjoint of the frame adjoint, times S, maps model forms back onto delbar
     model = models["iwasawa"]
     g = hodge.random_metric(model, rng)
     adj = hodge.delbar_matrix(g, 1, 1).conj().T
-    back = adj.conj().T
+    back = hodge.complex_scale(g) * adj.conj().T
     for _ in range(5):
         u = alg.random_form(3, 1, 1, rng)
         image = hodge.from_frame(g, back @ hodge.to_frame(g, u), 1, 2)
@@ -222,16 +222,17 @@ def test_frame_coordinates_are_l2_isometric(models, rng):
                     x = hodge.to_frame(g, u)
                     l2 = (u.vec.conj() @ hodge.gram_matrix(g, p, q) @ u.vec).real
                     assert abs(x.conj() @ x - l2) <= 1e-12 * l2, (name, g.volume, p, q)
-                    basis = hodge.harmonic_basis(g, hodge.laplacian(g, "bc", p, q))
+                    basis = hodge.harmonic_basis(hodge.laplacian(g, "bc", p, q))
                     eye = np.eye(basis.shape[1])
                     assert np.max(np.abs(basis.conj().T @ basis - eye), initial=0.0) <= 1e-12
 
 
 def test_adjoint_is_gram_adjoint(models, rng):
-    # the frame conjugate transpose is the adjoint for the model-coframe L2 product
+    # S times the frame conjugate transpose is the adjoint for the
+    # model-coframe L2 product
     model = models["kodaira_thurston"]
     g = hodge.random_metric(model, rng)
-    adj = hodge.del_matrix(g, 0, 1).conj().T
+    adj = hodge.complex_scale(g) * hodge.del_matrix(g, 0, 1).conj().T
     for _ in range(5):
         u = alg.random_form(2, 0, 1, rng)
         v = alg.random_form(2, 1, 1, rng)
@@ -242,11 +243,13 @@ def test_adjoint_is_gram_adjoint(models, rng):
 
 def test_frame_boundary_maps(models, rng):
     # Q^{-1} (the compounds of the Cholesky factor) inverts Q, the maps
-    # round-trip, and the frame del/delbar are the model ones read in the frame
+    # round-trip, and S times the frame del/delbar are the model ones read in
+    # the frame
     for name in ("torus2", "iwasawa", "kodaira_thurston", "nonunimodular"):
         model = models[name]
         n = model.n
         g = hodge.random_metric(model, rng)
+        s = hodge.complex_scale(g)
         for p in range(n + 1):
             for q in range(n + 1):
                 dim = alg.space_dim(n, p, q)
@@ -265,7 +268,7 @@ def test_frame_boundary_maps(models, rng):
                     (hodge.del_matrix, alg.del_form),
                     (hodge.delbar_matrix, alg.delbar_form),
                 ):
-                    mat = frame_op(g, p, q)
+                    mat = s * frame_op(g, p, q)
                     for k, e in enumerate(units):
                         col = hodge.to_frame(g, model_op(model, hodge.from_frame(g, e, p, q)))
                         assert np.max(np.abs(mat[:, k] - col), initial=0.0) < 1e-12, (name, p, q)
@@ -290,10 +293,10 @@ def _kronecker_change(g, p: int, q: int, factor: int):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_frame_blocks_are_the_model_blocks_conjugated(models, bench_module, name):
-    # the frame model's own assembly against Q del Q^{-1}, Q the compound
-    # change of coframe, to 1e-13 S (S the largest frame block norm) plus the
-    # rounding of that product, eps |Q| |del| |Q^{-1}|: at condition 1e6 the
-    # product itself is off by about 1e-13 S
+    # S times the frame model's own assembly against Q del Q^{-1}, Q the
+    # compound change of coframe, to 1e-13 S (S the largest block norm of
+    # Q del Q^{-1}) plus the rounding of that product, eps |Q| |del| |Q^{-1}|:
+    # at condition 1e6 the product itself is off by about 1e-13 S
     model = models[name]
     n = model.n
     eps = np.finfo(float).eps
@@ -309,7 +312,7 @@ def test_frame_blocks_are_the_model_blocks_conjugated(models, bench_module, name
                     src = _kronecker_change(g, p, q, 1)
                     block = model_op(model, p, q)
                     rounding = 8 * eps * np.linalg.norm(np.abs(tgt) @ np.abs(block) @ np.abs(src))
-                    gap = np.linalg.norm(frame_op(g, p, q) - tgt @ block @ src)
+                    gap = np.linalg.norm(s * frame_op(g, p, q) - tgt @ block @ src)
                     assert gap <= 1e-13 * s + rounding, (p, q, frame_op.__name__, gap / s)
 
 
@@ -330,7 +333,8 @@ def _mp_change(lower, p: int, q: int, inverse: bool = False):
 @pytest.mark.parametrize("name", ["iwasawa", "nonunimodular"])
 def test_frame_blocks_match_the_conjugation_in_extended_precision(models, bench_module, name):
     # Q del Q^{-1} in 40 digits from the same Cholesky factor, at condition
-    # 1e6: the frame assembly stays at the rounding of S, the float product not
+    # 1e6: S times the frame assembly stays at the rounding of S, the float
+    # product not
     model = models[name]
     n = model.n
     _, g = _frame_test_metrics(model, bench_module)
@@ -348,7 +352,7 @@ def test_frame_blocks_match_the_conjugation_in_extended_precision(models, bench_
                         * mp.matrix(block.tolist())
                         * _mp_change(lower, p, q, inverse=True)
                     )
-                    frame = op(hodge.frame_model(g), p, q)
+                    frame = s * op(hodge.frame_model(g), p, q)
                     gap = np.linalg.norm(frame - np.array(exact.tolist(), dtype=complex))
                     assert gap <= 1e-14 * s, (p, q, gap / s)
 
@@ -361,6 +365,64 @@ def test_frame_model_validates_like_the_model(models, bench_module, name):
         report = alg.validate_model(hodge.frame_model(g))
         assert report.d_squared_zero and report.integrable
         assert report.unimodular == unimodular
+
+@pytest.mark.parametrize("name", [name for name in FIXTURE_NAMES if not name.startswith("torus")])
+def test_frame_model_is_the_unit_coframe(models, bench_module, name):
+    # complex_scale is S, the largest block norm of Q del Q^{-1} and
+    # Q delbar Q^{-1}; the frame model's blocks are those divided by S, so its
+    # own largest block norm is 1, and every block is cached once assembled
+    model = models[name]
+    n = model.n
+    ops = ((alg.del_matrix, (1, 0)), (alg.delbar_matrix, (0, 1)))
+    bidegrees = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    for g in _frame_test_metrics(model, bench_module):
+        s = hodge.complex_scale(g)
+        frame = hodge.frame_model(g)
+        cached = set(frame._cache)
+        conjugated = max(
+            np.linalg.norm(
+                _kronecker_change(g, p + dp, q + dq, 0) @ op(model, p, q) @ _kronecker_change(g, p, q, 1)
+            )
+            for op, (dp, dq) in ops
+            for p, q in bidegrees
+        )
+        unit = max(np.linalg.norm(op(frame, p, q)) for op, _ in ops for p, q in bidegrees)
+        assert abs(s - conjugated) <= 1e-12 * s, (s, conjugated)
+        assert abs(unit - 1.0) <= 1e-14
+        assert set(frame._cache) == cached
+        assert cached == {(kind, p, q) for kind in ("del", "delbar") for p, q in bidegrees}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_torus_frame_model_keeps_the_zero_constants(n):
+    # S = 0: nothing is divided, and every frame block is zero
+    model = alg.parse_model({"name": "torus", "n": n, "dphi": [[] for _ in range(n)]})
+    g = hodge.random_metric(model, np.random.default_rng(n))
+    assert hodge.complex_scale(g) == 0.0
+    frame = hodge.frame_model(g)
+    assert not frame.d20.any() and not frame.d11.any()
+    for p in range(n + 1):
+        for q in range(n + 1):
+            assert not hodge.del_matrix(g, p, q).any() and not hodge.delbar_matrix(g, p, q).any()
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "kodaira_thurston", "nonunimodular"])
+def test_unit_frame_complex_ignores_metric_scale(models, name):
+    # t h has the Cholesky factor sqrt(t) L: e and its blocks scale by
+    # 1/sqrt(t), S with them, and the unit blocks stay put, from t = 1e-30 to 1e30
+    model = models[name]
+    n = model.n
+    base = hodge.random_metric(model, np.random.default_rng(7))
+    for t in (1e-30, 1e-14, 1e14, 1e30):
+        g = hodge.metric_from_matrix(model, t * base.h)
+        ratio = hodge.complex_scale(g) * np.sqrt(t) / hodge.complex_scale(base)
+        assert abs(ratio - 1.0) <= 1e-12, t
+        for op in (hodge.del_matrix, hodge.delbar_matrix):
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    gap = np.linalg.norm(op(g, p, q) - op(base, p, q))
+                    assert gap <= 1e-13, (t, op.__name__, p, q)
+
 
 def test_adjoint_star_formulas(models, rng):
     # del* = -star delbar star and delbar* = -star del star on unimodular models
@@ -448,14 +510,14 @@ def test_bc_kernel_characterization(models, rng):
     g = hodge.random_metric(model, rng)
     for p in range(3):
         for q in range(3):
-            basis = hodge.harmonic_basis(g, hodge.laplacian_bc(g, p, q))
+            basis = hodge.harmonic_basis(hodge.laplacian_bc(g, p, q))
             ddb_in = hodge.del_matrix(g, p - 1, q) @ hodge.delbar_matrix(g, p - 1, q - 1)
             stack = np.vstack(
                 [hodge.del_matrix(g, p, q), hodge.delbar_matrix(g, p, q), ddb_in.conj().T]
             )
             from pluriclosed.linalg import nullspace
 
-            assert basis.shape[1] == nullspace(stack, tol=hodge.rank_cut(g, stack, 1, 2)).shape[1]
+            assert basis.shape[1] == nullspace(stack, tol=hodge.rank_cut(stack)).shape[1]
             if basis.size:
                 assert np.max(np.abs(stack @ basis)) < 1e-9
 
@@ -466,7 +528,7 @@ def test_a_kernel_characterization(models, rng):
     g = hodge.random_metric(model, rng)
     for p in range(3):
         for q in range(3):
-            basis = hodge.harmonic_basis(g, hodge.laplacian_a(g, p, q))
+            basis = hodge.harmonic_basis(hodge.laplacian_a(g, p, q))
             stack = np.vstack(
                 [
                     hodge.del_matrix(g, p - 1, q).conj().T,
@@ -476,7 +538,7 @@ def test_a_kernel_characterization(models, rng):
             )
             from pluriclosed.linalg import nullspace
 
-            assert basis.shape[1] == nullspace(stack, tol=hodge.rank_cut(g, stack, 1, 2)).shape[1]
+            assert basis.shape[1] == nullspace(stack, tol=hodge.rank_cut(stack)).shape[1]
             if basis.size:
                 assert np.max(np.abs(stack @ basis)) < 1e-9
 
@@ -488,8 +550,8 @@ def test_star_maps_bc_kernel_onto_a_kernel(models, rng):
         g = hodge.random_metric(model, rng)
         for p in range(n + 1):
             for q in range(n + 1):
-                bc = hodge.harmonic_basis(g, hodge.laplacian_bc(g, p, q))
-                a = hodge.harmonic_basis(g, hodge.laplacian_a(g, n - q, n - p))
+                bc = hodge.harmonic_basis(hodge.laplacian_bc(g, p, q))
+                a = hodge.harmonic_basis(hodge.laplacian_a(g, n - q, n - p))
                 image = hodge.star_matrix(g, p, q) @ bc
                 assert bc.shape[1] == a.shape[1]
                 if bc.shape[1]:
@@ -498,7 +560,7 @@ def test_star_maps_bc_kernel_onto_a_kernel(models, rng):
 
 def test_derham_kernel_dims_torus(metrics):
     g = metrics["torus2"]
-    dims = [hodge.harmonic_basis(g, hodge.laplacian_derham(g, k)).shape[1] for k in range(5)]
+    dims = [hodge.harmonic_basis(hodge.laplacian_derham(g, k)).shape[1] for k in range(5)]
     assert dims == [1, 4, 6, 4, 1]
 
 
@@ -555,8 +617,7 @@ def test_three_space_reports(models, rng):
                         if theory == "bc"
                         else hodge.del_matrix(g, p, q + 1) @ hodge.delbar_matrix(g, p, q)
                     )
-                    order = 1 if theory == "bc" else 2
-                    kernel = nullspace(closed, tol=hodge.rank_cut(g, closed, order))
+                    kernel = nullspace(closed, tol=hodge.rank_cut(closed))
                     assert rep.closed_dim == kernel.shape[1], (name, theory, p, q)
                     assert rep.image_split_ok, (name, theory, p, q)
                     assert rep.orthogonality_residual < 1e-9
