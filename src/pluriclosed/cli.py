@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 validation or lemma failure, 2 parse failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -351,7 +352,14 @@ _scale = _checked(float, math.isfinite, "a finite number")
 _seed = _checked(int, lambda value: value >= 0, "an integer >= 0")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves no state in it: each call fills a fresh namespace.  A
+    subcommand's ``func`` default is the name of its ``cmd_*`` function,
+    looked up when ``main`` dispatches, so the parser holds no function.
+    """
     parser = argparse.ArgumentParser(
         prog="pluriclosed",
         description="Hodge-theoretic reports on invariant complex Lie-algebra models",
@@ -366,25 +374,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="structure-equation sanity report")
     common(p, metric=False)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func="cmd_validate")
 
     p = sub.add_parser("cohomology", help="dimension table for all theories")
     common(p)
     p.add_argument("--bless", action="store_true", help="write the golden file")
-    p.set_defaults(func=cmd_cohomology)
+    p.set_defaults(func="cmd_cohomology")
 
     p = sub.add_parser("classify", help="metric taxonomy with witnesses")
     common(p)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--bless", action="store_true")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func="cmd_classify")
 
     p = sub.add_parser("decompose", help="primitive splitting of a BC (n-1,n-1)-class")
     common(p)
     p.add_argument("--class", dest="cls", default="omega-power",
                    help="'omega-power' (harmonic part of omega^{n-1}/(n-1)!) or a form JSON path")
     p.add_argument("--scale", type=_scale, default=1.0)
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func="cmd_decompose")
 
     cone = sub.add_parser("cone", help="cone feasibility and pairing tests")
     cone_sub = cone.add_subparsers(dest="cone_command", required=True)
@@ -393,19 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--class", dest="cls", default="omega", help="'omega' or a form JSON path")
     p.add_argument("--scale", type=_scale, default=1.0)
-    p.set_defaults(func=cmd_cone_skt)
+    p.set_defaults(func="cmd_cone_skt")
 
     p = cone_sub.add_parser("copsef", help="pairing test against SKT probes")
     common(p)
     p.add_argument("--class", dest="cls", default="omega-power")
     p.add_argument("--scale", type=_scale, default=1.0)
     p.add_argument("--probes", help="path to a JSON list of probe metric documents")
-    p.set_defaults(func=cmd_cone_copsef)
+    p.set_defaults(func="cmd_cone_copsef")
 
     p = sub.add_parser("check-lemmas", help="run the pointwise-identity suites")
     common(p)
     p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=cmd_check_lemmas)
+    p.set_defaults(func="cmd_check_lemmas")
 
     return parser
 
@@ -413,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

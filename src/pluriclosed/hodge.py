@@ -518,22 +518,28 @@ def laplacian_bc(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     del* del + delbar* delbar
     + (del delbar)* (del delbar) + (del delbar)(del delbar)*
     + (del* delbar)* (del* delbar) + (del* delbar)(del* delbar)*
+
+    Built once per metric and (p,q); the matrix is read-only.
     """
-    d1 = del_matrix(g, p, q)
-    db1 = delbar_matrix(g, p, q)
-    ddb = del_matrix(g, p, q + 1) @ db1  # (p,q) -> (p+1,q+1)
-    ddb_in = del_matrix(g, p - 1, q) @ delbar_matrix(g, p - 1, q - 1)  # (p-1,q-1) -> (p,q)
-    # del* delbar from (p,q) and into (p,q)
-    m_out = del_matrix(g, p - 1, q + 1).conj().T @ db1  # (p,q) -> (p-1,q+1)
-    m_in = d1.conj().T @ delbar_matrix(g, p + 1, q - 1)  # (p+1,q-1) -> (p,q)
-    return (
-        d1.conj().T @ d1
-        + db1.conj().T @ db1
-        + ddb.conj().T @ ddb
-        + ddb_in @ ddb_in.conj().T
-        + m_out.conj().T @ m_out
-        + m_in @ m_in.conj().T
-    )
+
+    def build():
+        d1 = del_matrix(g, p, q)
+        db1 = delbar_matrix(g, p, q)
+        ddb = del_matrix(g, p, q + 1) @ db1  # (p,q) -> (p+1,q+1)
+        ddb_in = del_matrix(g, p - 1, q) @ delbar_matrix(g, p - 1, q - 1)  # (p-1,q-1) -> (p,q)
+        # del* delbar from (p,q) and into (p,q)
+        m_out = del_matrix(g, p - 1, q + 1).conj().T @ db1  # (p,q) -> (p-1,q+1)
+        m_in = d1.conj().T @ delbar_matrix(g, p + 1, q - 1)  # (p+1,q-1) -> (p,q)
+        return _frozen(
+            d1.conj().T @ d1
+            + db1.conj().T @ db1
+            + ddb.conj().T @ ddb
+            + ddb_in @ ddb_in.conj().T
+            + m_out.conj().T @ m_out
+            + m_in @ m_in.conj().T
+        )
+
+    return _cached(g, ("laplacian_bc", p, q), build)
 
 
 def laplacian_a(g: HermitianMetric, p: int, q: int) -> np.ndarray:
@@ -542,22 +548,28 @@ def laplacian_a(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     del del* + delbar delbar*
     + (del delbar)* (del delbar) + (del delbar)(del delbar)*
     + (del delbar*)(del delbar*)* + (del delbar*)* (del delbar*)
+
+    Built once per metric and (p,q); the matrix is read-only.
     """
-    d0 = del_matrix(g, p - 1, q)  # (p-1,q) -> (p,q)
-    db0 = delbar_matrix(g, p, q - 1)
-    ddb = del_matrix(g, p, q + 1) @ delbar_matrix(g, p, q)
-    ddb_in = d0 @ delbar_matrix(g, p - 1, q - 1)
-    # del delbar* into (p,q) and from (p,q)
-    k_in = d0 @ delbar_matrix(g, p - 1, q).conj().T  # (p-1,q+1) -> (p,q)
-    k_out = del_matrix(g, p, q - 1) @ db0.conj().T  # (p,q) -> (p+1,q-1)
-    return (
-        d0 @ d0.conj().T
-        + db0 @ db0.conj().T
-        + ddb.conj().T @ ddb
-        + ddb_in @ ddb_in.conj().T
-        + k_in @ k_in.conj().T
-        + k_out.conj().T @ k_out
-    )
+
+    def build():
+        d0 = del_matrix(g, p - 1, q)  # (p-1,q) -> (p,q)
+        db0 = delbar_matrix(g, p, q - 1)
+        ddb = del_matrix(g, p, q + 1) @ delbar_matrix(g, p, q)
+        ddb_in = d0 @ delbar_matrix(g, p - 1, q - 1)
+        # del delbar* into (p,q) and from (p,q)
+        k_in = d0 @ delbar_matrix(g, p - 1, q).conj().T  # (p-1,q+1) -> (p,q)
+        k_out = del_matrix(g, p, q - 1) @ db0.conj().T  # (p,q) -> (p+1,q-1)
+        return _frozen(
+            d0 @ d0.conj().T
+            + db0 @ db0.conj().T
+            + ddb.conj().T @ ddb
+            + ddb_in @ ddb_in.conj().T
+            + k_in @ k_in.conj().T
+            + k_out.conj().T @ k_out
+        )
+
+    return _cached(g, ("laplacian_a", p, q), build)
 
 
 def closed_and_exact(g: HermitianMetric, theory: str, p: int, q: int | None = None):

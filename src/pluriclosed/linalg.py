@@ -125,7 +125,7 @@ def column_space(matrix: np.ndarray, tol: float) -> np.ndarray:
     matrix = np.atleast_2d(matrix)
     if matrix.shape[1] == 0 or matrix.shape[0] == 0 or not np.any(matrix):
         return np.zeros((matrix.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(matrix)
+    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
     return u[:, : int(np.count_nonzero(s > tol))]
 
 

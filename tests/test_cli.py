@@ -404,6 +404,44 @@ def test_non_finite_scale_and_negative_seed_exit_two(capsys, command, flag, valu
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+def test_parser_is_built_once():
+    from pluriclosed.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # each call parses into a fresh namespace: an option given to one call
+    # is back at its default in the next, and a rejected call leaves the
+    # parser as it was
+    from pluriclosed.cli import main
+
+    def report(*argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert report("check-lemmas", "--model", "torus2", "--seed", "5")["seed"] == 5
+    assert report("check-lemmas", "--model", "torus2")["seed"] == 0
+    assert report("decompose", "--model", "torus2", "--scale", "2")["lambda"][0] == pytest.approx(2.0)
+    assert report("decompose", "--model", "torus2")["lambda"][0] == pytest.approx(1.0)
+    for rejected in (["check-lemmas", "--model", "torus2", "--seed", "-1"], ["decompose", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(rejected)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert report("validate", "--model", "torus2")["model"] == "torus2"
+
+
+def test_dispatch_reaches_a_command_replaced_after_the_parser_was_built(monkeypatch):
+    # the parser stores command names, not functions, so a wrapped command
+    # (a tracer's span, a test's stub) is the one that runs
+    from pluriclosed import cli
+
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: 7)
+    assert cli.main(["validate", "--model", "torus2"]) == 7
+
+
 # equation thresholds are relative: rescaling the class by s keeps every
 # verdict, from the rejection of a class that is not closed to the sign of lambda
 NON_REAL_11 = {"p": 1, "q": 1, "terms": [{"holo": [1], "anti": [2], "coeff": [1.0, 0.0]}]}

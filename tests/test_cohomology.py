@@ -333,6 +333,77 @@ def test_derham_count_peaks_below_three_complex_laplacians(bench_module):
 
 
 # ---------------------------------------------------------------------------
+# invariants of the dimension table, on the quotient route
+#
+# For a unimodular model: h_BC^{p,q} = h_A^{n-p,n-q}, h^{p,q} = h^{n-p,n-q}
+# (Serre), b_k = b_{2n-k} (Poincare), b_k <= sum_{p+q=k} h^{p,q} (Frolicher)
+# and h_BC^k + h_A^k >= 2 b_k, with equality in every degree iff the
+# del delbar-lemma holds (Angella-Tomassini).  ``quotient_dimension``
+# computes every space by its own ranks and mirrors none, so each identity
+# compares independent rank decisions.
+
+UNIMODULAR_FIXTURES = tuple(name for name in fx.available_models() if name != "nonunimodular")
+BENCH_MODELS = ("kt2", "kt2_t1", "kt1_t2", "iwasawa4", "iwasawa5")
+
+
+def _bench_model_documents(bench_module) -> dict[str, dict]:
+    """The models of the benchmark's three workloads that are not fixtures."""
+    inputs = bench_module("inputs")
+    fixture_docs = {name: fx.load_document(name) for name in fx.available_models()}
+    docs = [model for model, *_ in inputs.command_models(0, fixture_docs)]
+    docs += [model for model, _ in inputs.sweep_inputs(0)]
+    docs += inputs.conditioning_models(fixture_docs)
+    return {doc["name"]: doc for doc in docs if doc["name"] not in fixture_docs}
+
+
+def _table_violations(model: alg.LieModel) -> tuple[list[tuple], list[int]]:
+    """Failed identities as (name, degree or bidegree), and h_BC^k + h_A^k - 2 b_k by k."""
+    n = model.n
+    dims = {key: coh.quotient_dimension(model, *key) for key in _space_keys(n)}
+    failed = []
+    for p in range(n + 1):
+        for q in range(n + 1):
+            if dims["bc", p, q] != dims["aeppli", n - p, n - q]:
+                failed.append(("bc_aeppli", (p, q)))
+            if dims["dolbeault", p, q] != dims["dolbeault", n - p, n - q]:
+                failed.append(("serre", (p, q)))
+    excess = []
+    for k in range(2 * n + 1):
+        b = dims["derham", k, None]
+        bidegrees = alg.bidegrees_of_degree(n, k)
+        if b != dims["derham", 2 * n - k, None]:
+            failed.append(("poincare", k))
+        if b > sum(dims["dolbeault", p, q] for p, q in bidegrees):
+            failed.append(("frolicher", k))
+        excess.append(sum(dims["bc", p, q] + dims["aeppli", p, q] for p, q in bidegrees) - 2 * b)
+        if excess[-1] < 0:
+            failed.append(("bc_plus_aeppli", k))
+    return failed, excess
+
+
+def test_bench_models_are_the_benchmarks(bench_module):
+    assert sorted(_bench_model_documents(bench_module)) == sorted(BENCH_MODELS)
+
+
+@pytest.mark.parametrize("name", [*UNIMODULAR_FIXTURES, *BENCH_MODELS])
+def test_dimension_table_invariants_hold_on_unimodular_models(bench_module, name):
+    doc = fx.load_document(name) if name in UNIMODULAR_FIXTURES else _bench_model_documents(bench_module)[name]
+    model = alg.parse_model(doc)
+    assert alg.is_unimodular(model)
+    failed, excess = _table_violations(model)
+    assert failed == []
+    # the tori are Kahler; the nilmanifolds fail the del delbar-lemma in some degree
+    assert (max(excess) == 0) == name.startswith("torus")
+
+
+def test_nonunimodular_breaks_the_dualities(models):
+    # without Stokes the three dualities fail; the two inequalities still hold there
+    failed, _ = _table_violations(models["nonunimodular"])
+    assert {identity for identity, _ in failed} == {"bc_aeppli", "serre", "poincare"}
+    assert len(failed) == 19
+
+
+# ---------------------------------------------------------------------------
 # the (closed, exact) pair that defines each theory
 
 

@@ -1,3 +1,5 @@
+import json
+from collections import Counter
 from itertools import combinations
 
 import mpmath as mp
@@ -660,3 +662,79 @@ def test_lefschetz_rank_surjective_range(models, rng):
             rank, target = hodge.lefschetz_harmonic_rank(g, k, p)
             if 2 * p + 2 * k >= 4:
                 assert rank == target, (p, k)
+
+
+# ---------------------------------------------------------------------------
+# six-term Laplacians, one build per metric and (p,q)
+
+SIX_TERM = {"laplacian_bc": hodge.laplacian_bc, "laplacian_a": hodge.laplacian_a}
+
+
+def _count_laplacian_builds(monkeypatch):
+    """Builds and lookups of the six-term Laplacians, per (metric, name, p, q)."""
+    builds, lookups = Counter(), Counter()
+    original = hodge._cached
+
+    def counted(g, key, build):
+        if not (isinstance(key, tuple) and key[0] in SIX_TERM):
+            return original(g, key, build)
+        lookups[id(g), *key] += 1
+
+        def count_build():
+            builds[id(g), *key] += 1
+            return build()
+
+        return original(g, key, count_build)
+
+    monkeypatch.setattr(hodge, "_cached", counted)
+    return builds, lookups
+
+
+@pytest.mark.parametrize("name", ["kodaira_thurston", "kt2"])
+def test_check_lemmas_builds_each_six_term_laplacian_once(monkeypatch, capsys, tmp_path, bench_module, name):
+    # the star intertwining, the three-space splittings and every Aeppli
+    # harmonicity sample read the same matrices
+    from pluriclosed import cli
+
+    argv = ["check-lemmas", "--model", name]
+    if name == "kt2":  # the benchmark's n = 4 model under its block metric
+        inputs = bench_module("inputs")
+        h = inputs.block_matrix(2, 0, np.random.default_rng(3))
+        argv = ["check-lemmas"]
+        for flag, doc in (("--model", inputs.kt_product(2)), ("--metric", inputs.metric_document("block", h))):
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv += [flag, str(path)]
+    builds, lookups = _count_laplacian_builds(monkeypatch)
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == [] and report["aeppli_harmonic_samples"] > 0
+    n = 4 if name == "kt2" else fx.load_model(name).n
+    (metric,) = {key[0] for key in builds}
+    assert set(builds) == {(metric, lap, p, q) for lap in SIX_TERM for p in range(n + 1) for q in range(n + 1)}
+    assert set(builds.values()) == {1}
+    assert lookups.total() > len(builds)  # the cache was read
+
+
+def test_cached_laplacians_are_read_only_and_equal_a_fresh_build(models):
+    doc = fx.load_document("metric_kt_standard")
+    g, fresh = (hodge.metric_from_document(models["kodaira_thurston"], doc) for _ in range(2))
+    for build in SIX_TERM.values():
+        for p in range(3):
+            for q in range(3):
+                lap = build(g, p, q)
+                assert build(g, p, q) is lap
+                assert not lap.flags.writeable
+                with pytest.raises(ValueError):
+                    lap[...] = 0
+                np.testing.assert_array_equal(lap, build(fresh, p, q))
+
+
+def test_two_metrics_of_one_model_keep_their_own_laplacians(models, rng):
+    model = models["kodaira_thurston"]
+    g, other = hodge.identity_metric(model), hodge.random_metric(model, rng)
+    for name, build in SIX_TERM.items():
+        mine, theirs = build(g, 1, 1), build(other, 1, 1)
+        assert g._cache[(name, 1, 1)] is mine and other._cache[(name, 1, 1)] is theirs
+        assert mine is not theirs
+        assert np.max(np.abs(mine - theirs)) > 1e-3

@@ -122,6 +122,32 @@ def test_symmetric_kernel_dimension(kernel):
     assert linalg.symmetric_kernel_dimension(matrix, tol=10.0) == 20
 
 
+COLUMN_SPACE_CASES = {
+    "tall": ((40, 7), 7),
+    "wide": ((7, 40), 7),
+    "tall rank-deficient": ((40, 12), 5),
+    "wide rank-deficient": ((12, 40), 5),
+    "all-zero": ((9, 4), 0),
+}
+
+
+@pytest.mark.parametrize("case", COLUMN_SPACE_CASES)
+def test_column_space_matches_the_full_svd(case):
+    # the thin SVD keeps only the min(shape) left vectors that can be read
+    (m, n), rank = COLUMN_SPACE_CASES[case]
+    rng = np.random.default_rng(m * n + rank)
+    left = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    matrix = left @ (rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n)))
+    tol = 1e-8 * max(np.linalg.norm(matrix, 2), 1.0)
+    got = linalg.column_space(matrix, tol)
+    u, s, _ = np.linalg.svd(matrix, full_matrices=True)
+    full = u[:, : int(np.count_nonzero(s > tol))]
+    assert got.shape == full.shape == (m, rank)
+    assert np.max(np.abs(got.conj().T @ got - np.eye(rank)), initial=0.0) <= 1e-12
+    gap = got @ got.conj().T - full @ full.conj().T
+    assert np.linalg.norm(gap, 2) <= 1e-12
+
+
 def test_import_leaves_scipy_out():
     # scipy is no dependency; importing it alone adds tens of MB of resident memory
     code = "import sys, pluriclosed, pluriclosed.cli; print('scipy' in sys.modules)"
