@@ -8,22 +8,31 @@ exact exact* (``hodge.laplacian``) for a chosen metric.  The finite Hodge
 isomorphism makes the two dimensions equal exactly; a mismatch is a
 numerical-threshold failure and raises CrossCheckError.
 
-Complex conjugation does half of the harmonic work.  It is a signed
-permutation P from Lambda^{p,q} to Lambda^{q,p}, the same in model and
-frame coordinates, and it maps the Bott-Chern and Aeppli harmonic spaces of
-bidegree (p,q) onto those of (q,p).  So a Bott-Chern or Aeppli space with
-p > q takes its harmonic basis from the (q,p) space, as P conj(basis), with
-no Laplacian; its quotient rank is still computed on its own and checked
-against that basis.  Dolbeault is not mirrored: conjugation maps it to
-del-cohomology.  d is real, so Delta_d is real symmetric in a basis of real
-forms, and the de Rham harmonic dimension is counted from the eigenvalues
-of that real matrix (``hodge.derham_harmonic_dimension``), with the cut of
-the complex one; no de Rham eigenvectors are formed, as none are used.
+Dualities do most of the harmonic work.  A mirrored space takes its
+harmonic basis (de Rham: its dimension) from another space with no
+Laplacian, by a signed permutation, so its columns stay orthonormal; its
+quotient rank is still computed on its own and checked against it.
 
-Poincare duality does half of the de Rham work.  On a unimodular model
-b_k = b_{2n-k}, so a de Rham degree k > n takes its harmonic dimension
-from degree 2n - k, and again checks it against its own quotient rank.  A
-non-unimodular model, where the duality fails, computes every degree.
+- Complex conjugation is a signed permutation P from Lambda^{p,q} to
+  Lambda^{q,p}, the same in model and frame coordinates.  It maps the
+  Bott-Chern harmonic space of bidegree (p,q) onto that of (q,p), so a
+  Bott-Chern space with p > q is P conj(basis) of the (q,p) space.
+- On a unimodular model the Hodge star (``hodge.star_columns``, a signed
+  permutation in the unitary frame) maps the Bott-Chern harmonic
+  (n-q,n-p) space onto the Aeppli (p,q) space (Schweitzer), and conj star
+  maps the Dolbeault harmonic (n-p,n-q) space onto the (p,q) space (Serre
+  duality).  So no Aeppli space needs a Laplacian, and a Dolbeault space
+  needs one only when (p,q) <= (n-p,n-q).  A non-unimodular model, where
+  both dualities fail, computes Aeppli with p <= q directly, takes p > q by
+  conjugation, and computes every Dolbeault space.
+- Poincare duality: on a unimodular model b_k = b_{2n-k}, so a de Rham
+  degree k > n takes its harmonic dimension from degree 2n - k.  A
+  non-unimodular model computes every degree.
+
+d is real, so Delta_d is real symmetric in a basis of real forms, and the
+de Rham harmonic dimension is counted from the eigenvalues of that real
+matrix (``hodge.derham_harmonic_dimension``), with the cut of the complex
+one; no de Rham eigenvectors are formed, as none are used.
 
 On top of the spaces this module builds the duality pairing
 H^{n-1,n-1}_BC x H^{1,1}_A -> C by integration, the primitive hyperplane cut
@@ -136,19 +145,27 @@ def _space_data(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
     key = ("cohomology", theory, p, q)
     hit = g._cache.get(key)
     if hit is None:
+        n = g.n
         qdim = quotient_dimension(g.model, theory, p, q)
-        if theory == "derham" and p > g.n and alg.is_unimodular(g.model):
+        unimodular = alg.is_unimodular(g.model)
+        if theory == "derham" and p > n and unimodular:
             # Poincare duality: b_k = b_{2n-k} on a unimodular model
-            basis, hdim = None, _space_data(g, theory, 2 * g.n - p, None)[0]
+            basis, hdim = None, _space_data(g, theory, 2 * n - p, None)[0]
         elif theory == "derham":
             basis, hdim = None, hodge.derham_harmonic_dimension(g, p)
-        elif theory in ("bc", "aeppli") and p > q:
-            # conjugation maps the (q,p) harmonic space onto this one
-            _, mirror = _space_data(g, theory, q, p)
-            basis = alg._conjugate_rows(mirror.T, g.n, q, p).T
-            hdim = basis.shape[1]
         else:
-            basis = hodge.harmonic_basis(hodge.laplacian(g, theory, p, q))
+            if theory == "aeppli" and unimodular:
+                # star maps the Bott-Chern (n-q,n-p) harmonic space onto this one
+                basis = hodge.star_columns(g, n - q, n - p, _space_data(g, "bc", n - q, n - p)[1])
+            elif theory == "dolbeault" and (p, q) > (n - p, n - q) and unimodular:
+                # Serre duality: conj star maps the (n-p,n-q) harmonic space onto this one
+                starred = hodge.star_columns(g, n - p, n - q, _space_data(g, theory, n - p, n - q)[1])
+                basis = alg._conjugate_rows(starred.T, n, q, p).T
+            elif theory in ("bc", "aeppli") and p > q:
+                # conjugation maps the (q,p) harmonic space onto this one
+                basis = alg._conjugate_rows(_space_data(g, theory, q, p)[1].T, n, q, p).T
+            else:
+                basis = hodge.harmonic_basis(hodge.laplacian(g, theory, p, q))
             hdim = basis.shape[1]
         if qdim != hdim:
             raise CrossCheckError(

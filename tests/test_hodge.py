@@ -80,6 +80,17 @@ def test_star_squares_to_parity(models, rng):
                     assert np.max(np.abs(s2 @ s1 - ident)) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["iwasawa", "double_kt"])  # odd and even n
+def test_star_columns_apply_the_star_matrix(models, rng, name):
+    g = hodge.random_metric(models[name], rng)
+    n = g.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            dim = alg.space_dim(n, p, q)
+            cols = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+            assert np.array_equal(hodge.star_columns(g, p, q, cols), hodge.star_matrix(g, p, q) @ cols)
+
+
 def test_star_commutes_with_conjugation(models, rng):
     g = hodge.random_metric(models["kodaira_thurston"], rng)
     u = alg.random_form(2, 1, 0, rng)
