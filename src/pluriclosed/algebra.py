@@ -28,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -58,8 +58,8 @@ __all__ = [
     "del_matrix",
     "delbar_matrix",
     "deldelbar_matrix",
-    "block_matrix",
     "d_matrix",
+    "real_model",
     "closed_and_exact",
     "wedge_matrix",
     "operator_matrix",
@@ -528,39 +528,50 @@ def deldelbar_matrix(model: LieModel, p: int, q: int) -> np.ndarray:
     return del_matrix(model, p, q + 1) @ delbar_matrix(model, p, q)
 
 
-def block_matrix(n: int, sources, targets, parts) -> np.ndarray:
-    """Dense map between sums of bidegrees, over the concatenated canonical bases.
+def d_matrix(model: LieModel, k: int) -> np.ndarray:
+    """Matrix of d: Lambda^k -> Lambda^{k+1} over the bidegree splitting.
 
-    ``parts`` maps a bidegree shift (dp, dq) to a function (p, q) -> matrix of
-    the component Lambda^{p,q} -> Lambda^{p+dp,q+dq}; components whose target
-    is not listed are dropped.
+    The bidegrees of a degree are stacked in the order of
+    ``bidegrees_of_degree``; d sends (p,q) by del to (p+1,q) and by delbar
+    to (p,q+1).
     """
-    row_offset = {}
-    rows = 0
-    for pq in targets:
-        row_offset[pq] = rows
-        rows += space_dim(n, *pq)
+    n = model.n
+    sources, targets = bidegrees_of_degree(n, k), bidegrees_of_degree(n, k + 1)
+    heights = [space_dim(n, *pq) for pq in targets]
     widths = [space_dim(n, *pq) for pq in sources]
-    mat = np.zeros((rows, sum(widths)), dtype=complex)
-    col = 0
-    for (p, q), w in zip(sources, widths):
-        for (dp, dq), block in parts.items():
-            tgt = (p + dp, q + dq)
-            if tgt in row_offset:
-                r = row_offset[tgt]
-                mat[r : r + space_dim(n, *tgt), col : col + w] = block(p, q)
-        col += w
+    row = dict(zip(targets, accumulate(heights, initial=0)))
+    mat = np.zeros((sum(heights), sum(widths)), dtype=complex)
+    for (p, q), col, w in zip(sources, accumulate(widths, initial=0), widths):
+        for tgt, block in (((p + 1, q), del_matrix), ((p, q + 1), delbar_matrix)):
+            if tgt in row:
+                mat[row[tgt] : row[tgt] + space_dim(n, *tgt), col : col + w] = block(model, p, q)
     return mat
 
 
-def d_matrix(model: LieModel, k: int) -> np.ndarray:
-    """Block matrix of d: Lambda^k -> Lambda^{k+1} over the bidegree splitting."""
+def real_model(model: LieModel) -> LieModel:
+    """The model of the underlying real Lie algebra: 2n generators, (2,0) constants only.
+
+    Its coframe is x^1..x^n, y^1..y^n with phi^j = (x^j + i y^j) / sqrt 2,
+    so dx^j = sqrt 2 Re d(phi^j) and dy^j = sqrt 2 Im d(phi^j), and
+    ``del_matrix(real, k, 0)`` is d on real k-forms over the basis
+    ``multiindices(2n, k, 0)`` (Chevalley-Eilenberg).  The real coframe of a
+    unitary coframe is orthonormal, and omega = i sum phi^a wedge phibar^a
+    is sum x^a wedge y^a there.  Only the 2n x C(2n,2) constants are cached
+    on ``model``; the returned model, with the dense d blocks it caches, is
+    new on every call.
+    """
     n = model.n
-    parts = {
-        (1, 0): lambda p, q: del_matrix(model, p, q),
-        (0, 1): lambda p, q: delbar_matrix(model, p, q),
-    }
-    return block_matrix(n, bidegrees_of_degree(n, k), bidegrees_of_degree(n, k + 1), parts)
+    if "real" not in model._cache:
+        # d(phi^k) = sum_{a<b} c_kab w^a wedge w^b over w = (phi, phibar) = v (x, y)
+        c = np.zeros((n, 2 * n, 2 * n), dtype=complex)
+        c[(slice(None), *np.triu_indices(n, 1))] = model.d20
+        c[:, :n, n:] = model.d11.reshape(n, n, n)
+        eye = np.eye(n)
+        v = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2)
+        two = np.einsum("ac,kab,bd->kcd", v, c, v)
+        rows = math.sqrt(2) * (two - two.transpose(0, 2, 1))[(slice(None), *np.triu_indices(2 * n, 1))]
+        model._cache["real"] = _frozen(np.vstack([rows.real, rows.imag]))
+    return LieModel(model.name, 2 * n, model._cache["real"], np.zeros((2 * n, 4 * n * n)))
 
 
 def closed_and_exact(model: LieModel, theory: str, p: int, q: int | None):
@@ -568,7 +579,8 @@ def closed_and_exact(model: LieModel, theory: str, p: int, q: int | None):
 
     The blocks are those of ``model``: the model's own coframe, or the
     rescaled unitary frame of a metric through ``hodge.frame_model``,
-    alike.  For de Rham p is the degree and q is unused.
+    alike.  For de Rham p is the degree and q is unused, and the pair is d
+    on real forms (``real_model``).
     """
     if theory == "bc":
         closed = np.vstack([del_matrix(model, p, q), delbar_matrix(model, p, q)])
@@ -579,7 +591,8 @@ def closed_and_exact(model: LieModel, theory: str, p: int, q: int | None):
     elif theory == "dolbeault":
         closed, exact = delbar_matrix(model, p, q), delbar_matrix(model, p, q - 1)
     elif theory == "derham":
-        closed, exact = d_matrix(model, p), d_matrix(model, p - 1)
+        real = real_model(model)
+        closed, exact = del_matrix(real, p, 0), del_matrix(real, p - 1, 0)
     else:
         raise ValueError(f"unknown theory {theory!r}")
     return closed, exact

@@ -29,10 +29,12 @@ quotient rank is still computed on its own and checked against it.
   degree k > n takes its harmonic dimension from degree 2n - k.  A
   non-unimodular model computes every degree.
 
-d is real, so Delta_d is real symmetric in a basis of real forms, and the
-de Rham harmonic dimension is counted from the eigenvalues of that real
-matrix (``hodge.derham_harmonic_dimension``), with the cut of the complex
-one; no de Rham eigenvectors are formed, as none are used.
+The de Rham pair is d on real forms of the underlying real Lie algebra
+(``alg.real_model``; Chevalley-Eilenberg), so both routes read real-valued
+matrices: the quotient rank the model's real d, and the harmonic dimension
+the eigenvalues of the real symmetric Delta_d of the metric's orthonormal
+real frame (``hodge.derham_harmonic_dimension``).  No de Rham eigenvectors
+are formed, as none are used.
 
 On top of the spaces this module builds the duality pairing
 H^{n-1,n-1}_BC x H^{1,1}_A -> C by integration, the primitive hyperplane cut

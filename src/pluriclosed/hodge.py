@@ -26,11 +26,14 @@ coordinates are L2-isometric, so L2 products, norms and orthonormal bases
 are the plain Hermitian ones of frame vectors.
 
 Harmonic spaces are kernels of one Laplacian, closed* closed + exact exact*,
-over the frame (closed, exact) pair of a theory (``closed_and_exact``); the
-de Rham one is summed slab by slab from the del and delbar blocks
-(``laplacian_derham``), as d only joins neighbouring bidegrees.  The
-paper's fourth-order ``laplacian_bc`` and ``laplacian_a`` have the same
-kernels and are kept as written, for the checks that test them.
+over the frame (closed, exact) pair of a theory (``closed_and_exact``).  The
+de Rham pair is d on real forms of the frame's real model
+(``alg.real_model``), whose coframe x, y with e^a = (x^a + i y^a) / sqrt 2
+is orthonormal and turns omega into sum x^a wedge y^a: Delta_d is real
+symmetric, and the Lefschetz powers on total degrees are metric-free wedge
+maps of that real model.  The paper's fourth-order ``laplacian_bc`` and
+``laplacian_a`` have the same kernels and are kept as written, for the
+checks that test them.
 
 The Hodge star is the complex-linear isomorphism Lambda^{p,q} ->
 Lambda^{n-q,n-p} fixed by  u wedge star(conjugate v) = <u, v> dV.  In the
@@ -57,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -109,7 +112,6 @@ __all__ = [
     "laplacian_a",
     "laplacian_delbar",
     "laplacian_derham",
-    "real_frame_matrix",
     "derham_harmonic_dimension",
     "harmonic_basis",
     "harmonic_space",
@@ -125,7 +127,6 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 TOL_EQ = 1e-9  # relative residual under which an equation of a verdict counts as satisfied
-_GATHER_COLUMNS = 256  # columns per block of ``real_frame_matrix``: all of Lambda^k up to n = 5
 
 
 @dataclass(eq=False)
@@ -373,26 +374,23 @@ def _star_permutation(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(rows), _frozen(gammas)
 
 
-@lru_cache(maxsize=None)
-def _star_unitary(n: int, p: int, q: int) -> np.ndarray:
-    """Star on unitary-coframe coordinates: a signed permutation matrix."""
-    rows, gammas = _star_permutation(n, p, q)
+def star_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
+    """Matrix of the Hodge star Lambda^{p,q} -> Lambda^{n-q,n-p} in the unitary frame.
+
+    A signed permutation matrix, built on every call: the dense stars of all
+    bidegrees take (C(2n,n))^2 complex entries, 188 MB at n = 7.
+    """
+    rows, gammas = _star_permutation(g.n, p, q)
     mat = np.zeros((rows.size, rows.size), dtype=complex)
     mat[rows, np.arange(rows.size)] = gammas
-    return _frozen(mat)
-
-
-def star_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
-    """Matrix of the Hodge star Lambda^{p,q} -> Lambda^{n-q,n-p} in the unitary frame."""
-    return _star_unitary(g.n, p, q)
+    return mat
 
 
 def star_columns(g: HermitianMetric, p: int, q: int, cols: np.ndarray) -> np.ndarray:
-    """``star_matrix(g, p, q) @ cols``, applied as a permutation: the dense
-    star of every bidegree takes (C(2n,n))^2 complex entries, 188 MB at n = 7."""
+    """``star_matrix(g, p, q) @ cols`` for a frame vector or columns, applied as a permutation."""
     rows, gammas = _star_permutation(g.n, p, q)
     out = np.empty(cols.shape, dtype=complex)
-    out[rows] = gammas[:, None] * cols
+    out[rows] = (gammas * cols.T).T
     return out
 
 
@@ -400,7 +398,7 @@ def hodge_star(g: HermitianMetric, u: Form) -> Form:
     n = g.n
     if not (0 <= u.p <= n and 0 <= u.q <= n):
         return alg.zero_form(n, n - u.q, n - u.p)
-    return from_frame(g, star_matrix(g, u.p, u.q) @ to_frame(g, u), n - u.q, n - u.p)
+    return from_frame(g, star_columns(g, u.p, u.q, to_frame(g, u)), n - u.q, n - u.p)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +490,7 @@ def primitive_star_check(g: HermitianMetric, v: Form) -> float:
     phase = (1j) ** ((p - q) % 4)
     x = to_frame(g, v)  # in the frame, omega_{n-k} wedge . is L^{n-k} / (n-k)!
     predicted = (sign * phase / math.factorial(n - k)) * (_unitary_lefschetz(n, n - k, p, q) @ x)
-    return float(np.linalg.norm(star_matrix(g, p, q) @ x - predicted) / np.linalg.norm(x))
+    return float(np.linalg.norm(star_columns(g, p, q, x) - predicted) / np.linalg.norm(x))
 
 
 @lru_cache(maxsize=None)
@@ -613,115 +611,20 @@ def laplacian_delbar(g: HermitianMetric, p: int, q: int) -> np.ndarray:
     return laplacian(g, "dolbeault", p, q)
 
 
-@lru_cache(maxsize=None)
-def _derham_slabs(n: int, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """dim Lambda^k and the nonempty slabs of ``laplacian_derham``.
-
-    A slab is (p, w1, w2, h1, h2, start, stop): slab p has the columns of
-    (p, k-p) and (p+1, k-1-p), widths w1 and w2, at start:stop of Lambda^k,
-    and the rows of (p+1, k-p) (a row of d_k, height h1) and of (p, k-1-p)
-    (a column of d_{k-1}, height h2).
-    """
-    width = [alg.space_dim(n, p, k - p) for p in range(-1, n + 2)]  # (p, k-p) at p + 1
-    edge = list(accumulate(width, initial=0))
-    slabs = []
-    for p in range(-1, n + 1):
-        w1, w2 = width[p + 1], width[p + 2]
-        h1, h2 = alg.space_dim(n, p + 1, k - p), alg.space_dim(n, p, k - 1 - p)
-        if w1 + w2 and h1 + h2:
-            slabs.append((p, w1, w2, h1, h2, edge[p + 1], edge[p + 3]))
-    return edge[-1], tuple(slabs)
-
-
 def laplacian_derham(g: HermitianMetric, k: int) -> np.ndarray:
-    """de Rham Laplacian d* d + d d* on total degree k, assembled slab by slab.
-
-    Delta_d is D^H D for D = (d_k ; d_{k-1}^H).  The bidegrees of a degree
-    are ordered by p, and D only joins neighbours: the row of d_k into
-    (p+1, k-p) is the column slab [del on (p, k-p) | delbar on (p+1, k-1-p)],
-    and the column of d_{k-1} out of (p, k-1-p) is the row slab
-    [delbar ; del] into the same two bidegrees.  Stacked, they are the slab
-    S_p of D on those two columns, and S_p^H S_p is added into its diagonal
-    slab of the output.  The blocks are the frame model's cached del and
-    delbar; no dense d is formed.
-    """
-    frame, (size, slabs) = frame_model(g), _derham_slabs(g.n, k)
-    lap = np.zeros((size, size), dtype=complex)
-    for p, w1, w2, h1, h2, start, stop in slabs:
-        slab = np.zeros((h1 + h2, w1 + w2), dtype=complex)
-        if h1 and w1:
-            slab[:h1, :w1] = alg.del_matrix(frame, p, k - p)
-        if h1 and w2:
-            slab[:h1, w1:] = alg.delbar_matrix(frame, p + 1, k - 1 - p)
-        if h2 and w1:
-            slab[h1:, :w1] = alg.delbar_matrix(frame, p, k - 1 - p).conj().T
-        if h2 and w2:
-            slab[h1:, w1:] = alg.del_matrix(frame, p, k - 1 - p).conj().T
-        lap[start:stop, start:stop] += slab.conj().T @ slab
-    return lap
-
-
-@lru_cache(maxsize=None)
-def _real_frame(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """The unitary real frame U of Lambda^k as a two-term gather (a, b, alpha, beta).
-
-    Column j of U is alpha_j e_{a_j} + beta_j e_{b_j}.  Conjugation sends the
-    frame monomial m to s m' (the signed transpose of ``alg._conjugate_rows``,
-    s = +-1), so a pair m != m' gives the real forms (m + s m') / sqrt 2 and
-    i (m - s m') / sqrt 2, and a self-conjugate m gives m or i m
-    (written a = b, alpha = beta = half of it).
-    """
-    bidegs = alg.bidegrees_of_degree(n, k)
-    sizes = [alg.space_dim(n, p, q) for p, q in bidegs]
-    offset = dict(zip(bidegs, np.cumsum([0, *sizes])))
-    partner, sign = np.zeros(sum(sizes), dtype=int), np.zeros(sum(sizes))
-    for (p, q), size in zip(bidegs, sizes):
-        conj = alg._conjugate_rows(np.eye(size), n, p, q).real
-        target = np.argmax(np.abs(conj), axis=1)
-        rows = slice(offset[p, q], offset[p, q] + size)
-        partner[rows] = offset[q, p] + target
-        sign[rows] = conj[np.arange(size), target]
-    index = np.arange(partner.size)
-    fixed, lead = partner == index, partner > index
-    half = np.where(sign[fixed] > 0, 0.5, 0.5j)
-    root = np.full(np.count_nonzero(lead), 1 / math.sqrt(2))
-    a = np.concatenate([index[fixed], index[lead], index[lead]])
-    b = np.concatenate([index[fixed], partner[lead], partner[lead]])
-    alpha = np.concatenate([half, root, 1j * root])
-    beta = np.concatenate([half, sign[lead] * root, -1j * sign[lead] * root])
-    return tuple(_frozen(x) for x in (a, b, alpha, beta))
-
-
-def real_frame_matrix(mat: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Re(U^H mat U) for a frame matrix on Lambda^k, one block of columns at a time.
-
-    U has two entries a column (``_real_frame``), so a block of columns of
-    mat U is two column gathers and its rows of U^H mat U two row gathers;
-    each block's real part goes straight into one real output, and no
-    complex matrix of the full size is formed.  That is all of U^H mat U
-    whenever mat commutes with conjugation, as Delta_d does.
-    """
-    a, b, alpha, beta = _real_frame(n, k)
-    out = np.empty(mat.shape)
-    for start in range(0, a.size, _GATHER_COLUMNS):
-        cols = slice(start, start + _GATHER_COLUMNS)
-        block = mat[:, a[cols]] * alpha[cols] + mat[:, b[cols]] * beta[cols]
-        out[:, cols] = (alpha.conj()[:, None] * block[a] + beta.conj()[:, None] * block[b]).real
-    return out
+    """de Rham Laplacian d* d + d d* on real k-forms, in the orthonormal real frame."""
+    return laplacian(g, "derham", k)
 
 
 def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
     """Dimension of the de Rham harmonic k-forms, from eigenvalues only.
 
-    d is a real operator, so Delta_d is real symmetric in the real frame
-    (``real_frame_matrix``) and a real eigenvalue solve counts its kernel.
-    The cut is the one ``harmonic_basis`` takes on the complex matrix.
+    The frame pair of d is real (``alg.real_model``), so Delta_d is a real
+    symmetric matrix and a real eigenvalue solve counts its kernel.
     """
-    lap = laplacian_derham(g, k)
-    cut = rank_cut(lap)
-    real = real_frame_matrix(lap, g.n, k)
-    del lap  # the complex matrix is not needed past the gather
-    return symmetric_kernel_dimension(real, cut)
+    closed, exact = (np.ascontiguousarray(m.real) for m in closed_and_exact(g, "derham", k))
+    lap = closed.T @ closed + exact @ exact.T
+    return symmetric_kernel_dimension(lap, rank_cut(lap))
 
 
 # ---------------------------------------------------------------------------
@@ -835,13 +738,14 @@ def three_space_decomposition(
 
 
 def _lefschetz_power_matrix(n: int, k: int, degree: int) -> np.ndarray:
-    """Frame block matrix of omega^k wedge . : Lambda^degree -> Lambda^{degree+2k}."""
-    return alg.block_matrix(
-        n,
-        alg.bidegrees_of_degree(n, degree),
-        alg.bidegrees_of_degree(n, degree + 2 * k),
-        {(k, k): lambda p, q: _unitary_lefschetz(n, k, p, q)},
-    )
+    """omega^k wedge . : Lambda^degree -> Lambda^{degree+2k} on real forms of the real frame.
+
+    There omega = sum x^a wedge y^a (``alg.real_model``), the same for every metric.
+    """
+    omega = np.zeros(alg.space_dim(2 * n, 2, 0))
+    index = alg.basis_index(2 * n, 2, 0)
+    omega[[index[alg.MultiIndex((a, n + a), ())] for a in range(1, n + 1)]] = 1.0
+    return alg.wedge_matrix(2 * n, alg.wedge_power(Form(2 * n, 2, 0, omega), k), degree, 0)
 
 
 def quasi_isometry_bounds(

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -12,7 +13,7 @@ from pluriclosed import cohomology as coh
 from pluriclosed import fixtures as fx
 from pluriclosed import hodge
 from pluriclosed.errors import CrossCheckError, PreconditionError
-from pluriclosed.linalg import hermitian_kernel
+from pluriclosed.linalg import hermitian_kernel, numeric_rank
 
 
 def test_torus_bc_aeppli_dims_are_binomials(models):
@@ -257,59 +258,128 @@ def test_only_unmirrored_spaces_build_a_laplacian(models, exact_models, monkeypa
     assert dims == {key: exact_models[name].dim(*key) for key in dims}
 
 
-def _real_frame_unitary(n: int, k: int) -> np.ndarray:
-    """The real frame U of Lambda^k as a dense matrix, from its two-term gather."""
-    a, b, alpha, beta = hodge._real_frame(n, k)
-    u = np.zeros((a.size, a.size), dtype=complex)
-    np.add.at(u, (a, np.arange(a.size)), alpha)
-    np.add.at(u, (b, np.arange(a.size)), beta)
-    return u
+def _complex_derham_laplacian(g: hodge.HermitianMetric, k: int) -> np.ndarray:
+    """The complex-frame reference for Delta_d: d over the bidegree blocks (``alg.d_matrix``)."""
+    frame = hodge.frame_model(g)
+    up, down = alg.d_matrix(frame, k), alg.d_matrix(frame, k - 1)
+    return up.conj().T @ up + down @ down.conj().T
+
+
+def _real_coframe_change(n: int, k: int) -> np.ndarray:
+    """C on Lambda^k: real-coframe coefficients C^T a of the complex-frame coefficients a.
+
+    (e, ebar) = V (x, y) with V = [[I, iI], [I, -iI]] / sqrt 2, and a canonical
+    monomial e^A wedge ebar^B wedges its generators in the order of (e, ebar),
+    so its real coefficients are k x k minors of V (Cauchy-Binet); the rows
+    are put in the bidegree order of ``alg.d_matrix``.
+    """
+    eye = np.eye(n)
+    v = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / math.sqrt(2)
+    minors = hodge._compound(v, k)
+    subsets = {s: i for i, s in enumerate(itertools.combinations(range(2 * n), k))}
+    order = [
+        subsets[tuple(a - 1 for a in mi.holo) + tuple(n + b - 1 for b in mi.anti)]
+        for p, q in alg.bidegrees_of_degree(n, k)
+        for mi in alg.multiindices(n, p, q)
+    ]
+    return minors[order]
 
 
 @pytest.mark.parametrize("name", MIRROR_MODELS)
 def test_real_frame_is_unitary_and_makes_the_derham_laplacian_real(mirror_metrics, name):
+    # the real coframe of the unitary frame is orthonormal, and the frame
+    # Delta_d moved into it is the real model's Delta_d, with its eigenvalues
     g = mirror_metrics[name]
     for k in range(2 * g.n + 1):
-        u = _real_frame_unitary(g.n, k)
-        assert np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-15)
-        lap = hodge.laplacian_derham(g, k)
-        full = u.conj().T @ lap @ u
-        scale = np.max(np.abs(lap), initial=0.0)
-        assert np.max(np.abs(full.imag), initial=0.0) <= 1e-13 * scale, k
-        gap = hodge.real_frame_matrix(lap, g.n, k) - full.real
+        change = _real_coframe_change(g.n, k)
+        assert np.allclose(change.conj().T @ change, np.eye(change.shape[0]), atol=1e-14)
+        reference = _complex_derham_laplacian(g, k)
+        moved = change.T @ reference @ change.conj()
+        real = hodge.laplacian_derham(g, k)
+        scale = max(np.max(np.abs(reference), initial=0.0), 1.0)
+        assert not real.imag.any(), k
+        assert np.max(np.abs(moved.imag), initial=0.0) <= 1e-13 * scale, k
+        assert np.max(np.abs(real - moved.real), initial=0.0) <= 1e-13 * scale, k
+        gap = np.linalg.eigvalsh(real.real) - np.linalg.eigvalsh(reference)
         assert np.max(np.abs(gap), initial=0.0) <= 1e-13 * scale, k
-
-
-@pytest.mark.parametrize("k", [4, 6, 7])
-def test_chunked_real_frame_gather_matches_the_dense_product(k):
-    # n = 6 degrees have 495 to 924 columns: several blocks of the gather
-    n, rng = 6, np.random.default_rng(k)
-    u = _real_frame_unitary(n, k)
-    mat = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
-    real = hodge.real_frame_matrix(mat, n, k)
-    assert real.dtype == np.float64
-    assert np.max(np.abs(real - (u.conj().T @ mat @ u).real)) <= 1e-13 * np.max(np.abs(mat))
 
 
 @pytest.mark.parametrize("name", MIRROR_MODELS)
 def test_slab_derham_laplacian_matches_the_dense_one(models, name):
-    # the slab-wise D^H D against closed* closed + exact exact* of the dense
-    # frame d, under a condition-1e3 metric
+    # the real-coframe Delta_d against the complex-frame one of the bidegree
+    # blocks of d, under a condition-1e3 metric: the same eigenvalues
     model = models[name] if name in models else alg.parse_model(IWASAWA4_DOC)
     g = _conditioned_metric(model, 1e3, seed=1)
     for k in range(2 * g.n + 1):
-        dense = hodge.laplacian(g, "derham", k)
-        gap = np.linalg.norm(hodge.laplacian_derham(g, k) - dense)
-        assert gap <= 1e-13 * np.linalg.norm(dense), k
+        reference = _complex_derham_laplacian(g, k)
+        real = hodge.laplacian_derham(g, k).real
+        gap = np.linalg.eigvalsh(real) - np.linalg.eigvalsh(reference)
+        assert np.linalg.norm(gap) <= 1e-13 * max(np.linalg.norm(reference), 1.0), k
 
 
 @pytest.mark.parametrize("name", MIRROR_MODELS)
 def test_real_derham_count_matches_the_complex_kernel(mirror_metrics, name):
     g = mirror_metrics[name]
     for k in range(2 * g.n + 1):
-        lap = hodge.laplacian_derham(g, k)
-        complex_kernel = hermitian_kernel(lap, tol=hodge.rank_cut(lap))
+        reference = _complex_derham_laplacian(g, k)
+        complex_kernel = hermitian_kernel(reference, tol=hodge.rank_cut(reference))
         assert hodge.derham_harmonic_dimension(g, k) == complex_kernel.shape[1], k
+
+
+def _complex_lefschetz_power(n: int, k: int, degree: int) -> np.ndarray:
+    """omega^k wedge . from Lambda^degree to Lambda^{degree+2k} over the bidegree blocks."""
+    sources, targets = alg.bidegrees_of_degree(n, degree), alg.bidegrees_of_degree(n, degree + 2 * k)
+    row = np.cumsum([0, *(alg.space_dim(n, *pq) for pq in targets)])
+    col = np.cumsum([0, *(alg.space_dim(n, *pq) for pq in sources)])
+    out = np.zeros((row[-1], col[-1]), dtype=complex)
+    for j, (p, q) in enumerate(sources):
+        if (p + k, q + k) in targets:
+            i = targets.index((p + k, q + k))
+            out[row[i] : row[i + 1], col[j] : col[j + 1]] = hodge._unitary_lefschetz(n, k, p, q)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_real_lefschetz_power_is_the_complex_one_in_the_real_coframe(n):
+    # omega = i sum e^a wedge ebar^a is sum x^a wedge y^a in the real coframe
+    for k in range(1, n + 1):
+        for degree in range(2 * n - 2 * k + 1):
+            moved = (
+                _real_coframe_change(n, degree + 2 * k).T
+                @ _complex_lefschetz_power(n, k, degree)
+                @ _real_coframe_change(n, degree).conj()
+            )
+            real = hodge._lefschetz_power_matrix(n, k, degree)
+            assert np.max(np.abs(real - moved)) <= 1e-13 * np.max(np.abs(moved)), (k, degree)
+
+
+KAHLER_NONUNIMODULAR_DOC = {
+    "name": "kahler_nonunimodular",
+    "n": 2,
+    "dphi": [[{"type": "11", "i": 1, "j": 1, "coeff": [1.0, 0.0]}], []],
+}
+
+
+@pytest.mark.parametrize("h", [np.eye(2), np.diag([1.0, 3.0])])
+def test_kahler_lefschetz_maps_match_the_complex_frame_off_unimodular_models(h):
+    # d phi^1 = phi^1 wedge phibar^1 is Kahler under every diagonal metric and
+    # not unimodular; its de Rham harmonic forms are not the Dolbeault ones
+    # (projector gap 0.707), so the real route must meet the complex-frame
+    # de Rham reference on its own
+    model = alg.parse_model(KAHLER_NONUNIMODULAR_DOC)
+    g = hodge.metric_from_matrix(model, h)
+    assert hodge.is_kahler(g) and not alg.is_unimodular(model)
+    harmonic = [hodge.harmonic_basis(_complex_derham_laplacian(g, p)) for p in range(5)]
+    for k in range(1, 3):
+        for p in range(5 - 2 * k):
+            image = _complex_lefschetz_power(2, k, p) @ harmonic[p]
+            s = np.linalg.svd(image, compute_uv=False)
+            cols = image.shape[1]  # sigma_min is 0 where the map cannot be injective
+            expected = (s[cols - 1] if s.size >= cols else 0.0, s[0]) if cols else (0.0, 0.0)
+            assert np.allclose(hodge.quasi_isometry_bounds(g, k, p), expected, atol=1e-13), (k, p)
+            coords = harmonic[p + 2 * k].conj().T @ image
+            rank = (numeric_rank(coords), harmonic[p + 2 * k].shape[1])
+            assert hodge.lefschetz_harmonic_rank(g, k, p) == rank, (k, p)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +430,9 @@ def test_poincare_mirrored_degree_keeps_its_cross_check(models, monkeypatch):
 
 
 def test_derham_count_peaks_below_three_complex_laplacians(bench_module):
-    # Iwasawa-type n = 6, degree 6: 924 x 924; the dense product and the
-    # complex gather peaked at 5 complex Laplacians
+    # Iwasawa-type n = 6, degree 6: 924 x 924; the real model's d_6 and d_5
+    # (complex dtype, real values), their real parts and the real Delta_d
+    # stay below 3 complex Laplacians
     inputs = bench_module("inputs")
     g = _conditioned_metric(alg.parse_model(inputs.iwasawa_type(6)), 10.0, seed=0)
     hodge.complex_scale(g)  # the frame blocks, cached on the metric beforehand
@@ -447,6 +518,17 @@ def test_nonunimodular_breaks_the_dualities(models):
     failed, _ = _table_violations(models["nonunimodular"])
     assert {identity for identity, _ in failed} == {"bc_aeppli", "serre", "poincare"}
     assert len(failed) == 19
+
+
+@pytest.mark.parametrize("name", [*fx.available_models(), *BENCH_MODELS])
+def test_real_model_is_a_lie_algebra_with_the_models_unimodularity(bench_module, name):
+    doc = fx.load_document(name) if name in fx.available_models() else _bench_model_documents(bench_module)[name]
+    model = alg.parse_model(doc)
+    real = alg.real_model(model)
+    assert real.n == 2 * model.n and not real.d11.any() and not real.d20.imag.any()
+    report = alg.validate_model(real)
+    assert report.d_squared_zero
+    assert report.unimodular == alg.is_unimodular(model)
 
 
 # ---------------------------------------------------------------------------
