@@ -214,7 +214,9 @@ class LieModel:
     ``d20`` is an n x C(n,2) and ``d11`` an n x n^2 read-only array: row k
     holds the coefficients of the (2,0) and the (1,1) part of d(phi^{k+1})
     over the canonical bases of Lambda^{2,0} and Lambda^{1,1}.  There is no
-    (0,2) part, which is the integrability of the complex structure.
+    (0,2) part, which is the integrability of the complex structure.  The
+    arrays are complex, or float64 when both are given real (``real_model``),
+    and a model with float64 constants has float64 blocks.
     """
 
     name: str
@@ -226,8 +228,9 @@ class LieModel:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        real = not any(np.iscomplexobj(rows) for rows in (self.d20, self.d11))
         for attr, width in (("d20", space_dim(self.n, 2, 0)), ("d11", self.n**2)):
-            rows = np.array(getattr(self, attr), dtype=complex)
+            rows = np.array(getattr(self, attr), dtype=float if real else complex)
             if rows.shape != (self.n, width):
                 raise ValueError(f"{attr} must be {self.n} x {width}, got {rows.shape}")
             setattr(self, attr, _frozen(rows))
@@ -487,9 +490,9 @@ def _differential(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:
     coeffs = np.concatenate([model.d20.ravel(), model.d11.ravel()])[index]
     shape = (space_dim(n, p + (kind == "del"), q + (kind == "delbar")), space_dim(n, p, q))
     size = shape[0] * shape[1]
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(entry, coeffs.real * re_sign, minlength=size)
-    out.imag = np.bincount(entry, coeffs.imag * im_sign, minlength=size)
+    out = np.bincount(entry, coeffs.real * re_sign, minlength=size).astype(coeffs.dtype, copy=False)
+    if np.iscomplexobj(out):
+        out.imag = np.bincount(entry, coeffs.imag * im_sign, minlength=size)
     model._cache[kind, p, q] = _frozen(out.reshape(shape))
     return model._cache[kind, p, q]
 
@@ -556,9 +559,10 @@ def real_model(model: LieModel) -> LieModel:
     ``del_matrix(real, k, 0)`` is d on real k-forms over the basis
     ``multiindices(2n, k, 0)`` (Chevalley-Eilenberg).  The real coframe of a
     unitary coframe is orthonormal, and omega = i sum phi^a wedge phibar^a
-    is sum x^a wedge y^a there.  Only the 2n x C(2n,2) constants are cached
-    on ``model``; the returned model, with the dense d blocks it caches, is
-    new on every call.
+    is sum x^a wedge y^a there.  The constants are real and stay float64,
+    and so do its d blocks.  Only the 2n x C(2n,2) constants are cached on
+    ``model``; the returned model, with the dense d blocks it caches, is new
+    on every call.
     """
     n = model.n
     if "real" not in model._cache:

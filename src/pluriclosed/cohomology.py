@@ -4,14 +4,18 @@ A theory is a pair (closed, exact) of operators (``alg.closed_and_exact``),
 and every space is computed twice from it: once as the quotient rank
 columns - rank closed - rank exact of the model matrices (metric-free), and
 once as the kernel dimension of the frame Laplacian closed* closed +
-exact exact* (``hodge.laplacian``) for a chosen metric.  The finite Hodge
+exact exact* (``hodge.laplacian``) for a chosen metric, counted from its
+eigenvalues alone (``linalg.kernel_dimension``).  The finite Hodge
 isomorphism makes the two dimensions equal exactly; a mismatch is a
-numerical-threshold failure and raises CrossCheckError.
+numerical-threshold failure and raises CrossCheckError.  A harmonic basis
+costs eigenvectors, so it is built only when ``CohomologySpace.basis`` is
+first read, and it must have as many columns as the space's dimension.
 
 Dualities do most of the harmonic work.  A mirrored space takes its
-harmonic basis (de Rham: its dimension) from another space with no
-Laplacian, by a signed permutation, so its columns stay orthonormal; its
-quotient rank is still computed on its own and checked against it.
+harmonic dimension from another space with no Laplacian, and on demand its
+harmonic basis too, mapped from that space's basis by a signed permutation,
+so its columns stay orthonormal; its quotient rank is still computed on its
+own and checked against it.
 
 - Complex conjugation is a signed permutation P from Lambda^{p,q} to
   Lambda^{q,p}, the same in model and frame coordinates.  It maps the
@@ -30,11 +34,11 @@ quotient rank is still computed on its own and checked against it.
   non-unimodular model computes every degree.
 
 The de Rham pair is d on real forms of the underlying real Lie algebra
-(``alg.real_model``; Chevalley-Eilenberg), so both routes read real-valued
-matrices: the quotient rank the model's real d, and the harmonic dimension
-the eigenvalues of the real symmetric Delta_d of the metric's orthonormal
-real frame (``hodge.derham_harmonic_dimension``).  No de Rham eigenvectors
-are formed, as none are used.
+(``alg.real_model``; Chevalley-Eilenberg), assembled in float64, so both
+routes run in real arithmetic: the quotient rank on the model's real d, and
+the harmonic dimension on the eigenvalues of the real symmetric Delta_d of
+the metric's orthonormal real frame (``hodge.derham_harmonic_dimension``).
+No de Rham eigenvectors are formed, as none are used.
 
 On top of the spaces this module builds the duality pairing
 H^{n-1,n-1}_BC x H^{1,1}_A -> C by integration, the primitive hyperplane cut
@@ -52,7 +56,7 @@ from . import algebra as alg
 from . import hodge
 from .algebra import Form, LieModel
 from .errors import CrossCheckError, PreconditionError
-from .linalg import nullspace, numeric_rank
+from .linalg import kernel_dimension, nullspace, numeric_rank
 
 __all__ = [
     "THEORIES",
@@ -84,8 +88,9 @@ class CohomologySpace:
     ``q`` is None for de Rham, where ``p`` is the total degree.  ``basis``
     is a matrix of orthonormal columns, the frame coordinates
     (``hodge.to_frame``, L2-isometric) of L2-orthonormal harmonic
-    representatives; it is None for de Rham, whose classes are not
-    manipulated further.
+    representatives; it is built on first read, cached on the metric and
+    checked against ``dimension`` (CrossCheckError on a mismatch), and it is
+    None for de Rham, whose classes are not manipulated further.
 
     Two spaces are equal when they belong to the same metric object and
     have the same theory and bidegree: ``cohomology_space`` builds a new
@@ -97,7 +102,10 @@ class CohomologySpace:
     q: int | None
     metric: hodge.HermitianMetric
     dimension: int = field(compare=False)
-    basis: np.ndarray | None = field(compare=False)
+
+    @property
+    def basis(self) -> np.ndarray | None:
+        return _basis(self.metric, self.theory, self.p, self.q)
 
 
 @dataclass(eq=False)
@@ -133,50 +141,66 @@ def cohomology_space(
     g: hodge.HermitianMetric, theory: str, p: int, q: int | None = None
 ) -> CohomologySpace:
     """Compute one space via both routes and insist that they agree."""
-    dim, basis = _space_data(g, theory, p, q)
-    return CohomologySpace(theory=theory, p=p, q=q, metric=g, dimension=dim, basis=basis)
+    return CohomologySpace(theory=theory, p=p, q=q, metric=g, dimension=_dimension(g, theory, p, q))
 
 
-def _space_data(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
-    """Dimension and harmonic basis of one space, cached on the metric.
+def _mirror(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
+    """(source space, star, conjugate) of a space mirrored from another, None for a direct one."""
+    n, unimodular = g.n, alg.is_unimodular(g.model)
+    if theory == "derham":  # Poincare duality: b_k = b_{2n-k} on a unimodular model
+        return (("derham", 2 * n - p, None), False, False) if p > n and unimodular else None
+    if theory == "aeppli" and unimodular:  # star maps the Bott-Chern (n-q,n-p) harmonic space here
+        return ("bc", n - q, n - p), True, False
+    if theory == "dolbeault" and (p, q) > (n - p, n - q) and unimodular:  # Serre duality: conj star
+        return (theory, n - p, n - q), True, True
+    if theory in ("bc", "aeppli") and p > q:  # conjugation maps the (q,p) harmonic space here
+        return (theory, q, p), False, True
+    return None
 
-    The metric caches these, not the space object, which points back at the
+
+def _dimension(g: hodge.HermitianMetric, theory: str, p: int, q: int | None) -> int:
+    """Dimension of one space by both routes, cached on the metric.
+
+    The metric caches it, not the space object, which points back at the
     metric: a cycle would keep every metric alive until a full
     garbage-collection pass.
     """
     key = ("cohomology", theory, p, q)
-    hit = g._cache.get(key)
-    if hit is None:
-        n = g.n
-        qdim = quotient_dimension(g.model, theory, p, q)
-        unimodular = alg.is_unimodular(g.model)
-        if theory == "derham" and p > n and unimodular:
-            # Poincare duality: b_k = b_{2n-k} on a unimodular model
-            basis, hdim = None, _space_data(g, theory, 2 * n - p, None)[0]
+    if key not in g._cache:
+        qdim, mirror = quotient_dimension(g.model, theory, p, q), _mirror(g, theory, p, q)
+        if mirror is not None:
+            hdim = _dimension(g, *mirror[0])
         elif theory == "derham":
-            basis, hdim = None, hodge.derham_harmonic_dimension(g, p)
+            hdim = hodge.derham_harmonic_dimension(g, p)
         else:
-            if theory == "aeppli" and unimodular:
-                # star maps the Bott-Chern (n-q,n-p) harmonic space onto this one
-                basis = hodge.star_columns(g, n - q, n - p, _space_data(g, "bc", n - q, n - p)[1])
-            elif theory == "dolbeault" and (p, q) > (n - p, n - q) and unimodular:
-                # Serre duality: conj star maps the (n-p,n-q) harmonic space onto this one
-                starred = hodge.star_columns(g, n - p, n - q, _space_data(g, theory, n - p, n - q)[1])
-                basis = alg._conjugate_rows(starred.T, n, q, p).T
-            elif theory in ("bc", "aeppli") and p > q:
-                # conjugation maps the (q,p) harmonic space onto this one
-                basis = alg._conjugate_rows(_space_data(g, theory, q, p)[1].T, n, q, p).T
-            else:
-                basis = hodge.harmonic_basis(hodge.laplacian(g, theory, p, q))
-            hdim = basis.shape[1]
+            lap = hodge.laplacian(g, theory, p, q)
+            hdim = kernel_dimension(lap, hodge.rank_cut(lap))
         if qdim != hdim:
-            raise CrossCheckError(
-                f"{theory} ({p},{q}): quotient rank {qdim} != harmonic dimension {hdim}"
-            )
-        if basis is not None:
-            basis.setflags(write=False)
-        hit = g._cache[key] = (qdim, basis)
-    return hit
+            raise CrossCheckError(f"{theory} ({p},{q}): quotient rank {qdim} != harmonic dimension {hdim}")
+        g._cache[key] = qdim
+    return g._cache[key]
+
+
+def _basis(g: hodge.HermitianMetric, theory: str, p: int, q: int | None) -> np.ndarray | None:
+    """Harmonic basis of one space, None for de Rham: built on first read, cached on the metric."""
+    key = ("basis", theory, p, q)
+    if theory != "derham" and key not in g._cache:
+        mirror = _mirror(g, theory, p, q)
+        if mirror is None:
+            basis = hodge.harmonic_basis(hodge.laplacian(g, theory, p, q))
+        else:
+            source, star, conj = mirror
+            basis = _basis(g, *source)
+            if star:
+                basis = hodge.star_columns(g, *source[1:], basis)
+            if conj:
+                basis = alg._conjugate_rows(basis.T, g.n, q, p).T
+        dim = _dimension(g, theory, p, q)
+        if basis.shape[1] != dim:  # a basis built late loses no check
+            raise CrossCheckError(f"{theory} ({p},{q}): {basis.shape[1]} basis columns != dimension {dim}")
+        basis.setflags(write=False)
+        g._cache[key] = basis
+    return g._cache.get(key)
 
 
 def class_of(space: CohomologySpace, u: Form) -> CohomologyClass:

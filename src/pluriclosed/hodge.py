@@ -67,13 +67,7 @@ import numpy as np
 from . import algebra as alg
 from .algebra import Form, LieModel, _frozen
 from .errors import CrossCheckError, MetricError, ParseError, PreconditionError
-from .linalg import (
-    column_space,
-    hermitian_kernel,
-    nullspace,
-    numeric_rank,
-    symmetric_kernel_dimension,
-)
+from .linalg import column_space, hermitian_kernel, kernel_dimension, nullspace, numeric_rank
 
 __all__ = [
     "HermitianMetric",
@@ -619,12 +613,11 @@ def laplacian_derham(g: HermitianMetric, k: int) -> np.ndarray:
 def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
     """Dimension of the de Rham harmonic k-forms, from eigenvalues only.
 
-    The frame pair of d is real (``alg.real_model``), so Delta_d is a real
-    symmetric matrix and a real eigenvalue solve counts its kernel.
+    The frame pair of d is real (``alg.real_model``, float64), so Delta_d is
+    a real symmetric matrix and a real eigenvalue solve counts its kernel.
     """
-    closed, exact = (np.ascontiguousarray(m.real) for m in closed_and_exact(g, "derham", k))
-    lap = closed.T @ closed + exact @ exact.T
-    return symmetric_kernel_dimension(lap, rank_cut(lap))
+    lap = laplacian(g, "derham", k)
+    return kernel_dimension(lap, rank_cut(lap))
 
 
 # ---------------------------------------------------------------------------

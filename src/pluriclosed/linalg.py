@@ -8,8 +8,8 @@ frame's structure constants are rounded, and matrices that vanish in exact
 arithmetic carry rounding noise there, so the Hodge layer passes the cut of
 ``hodge.rank_cut``, floored at 1, the largest block norm of its
 dimensionless frame complex; ``column_space``, ``hermitian_kernel`` and
-``symmetric_kernel_dimension`` serve only frame matrices and take that cut
-as a required argument.
+``kernel_dimension`` (eigenvalues only, no basis) serve only frame matrices
+and take that cut as a required argument.
 
 Ranks come from singular values alone (``singular_values``), and those are
 found block by block.  The rows and columns of a matrix split into the
@@ -22,7 +22,7 @@ call.  The cut is unchanged: tau still uses max(shape) and sigma_max of the
 whole matrix, so every rank decision follows the same rule as one dense
 call.  Below ``_SPLIT_MIN_ENTRIES`` entries finding the blocks costs more
 than it saves (measured crossover near 5000 entries), and one dense call is
-made.
+made.  Real matrices (de Rham's d) stay in real arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -68,10 +68,13 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     m, n = matrix.shape
     if matrix.size < _SPLIT_MIN_ENTRIES:
         return np.linalg.svd(matrix, compute_uv=False)
-    # an entry is nonzero when its real or imaginary part is: comparing the
-    # float64 parts is several times faster than comparing complex128 entries
-    flags = np.ascontiguousarray(matrix, dtype=complex).view(np.float64).reshape(-1) != 0
-    rows, cols = np.divmod(np.flatnonzero(flags[::2] | flags[1::2]), n)
+    # comparing float64 parts is several times faster than comparing complex128
+    # entries, and a complex entry is nonzero when its real or imaginary part is
+    parts = np.ascontiguousarray(matrix, dtype=np.result_type(matrix, float)).view(np.float64)
+    flags = parts.reshape(-1) != 0
+    if np.iscomplexobj(matrix):
+        flags = flags[::2] | flags[1::2]
+    rows, cols = np.divmod(np.flatnonzero(flags), n)
     label = _components(rows, cols, m, n)
     row_count = np.bincount(label[:m], minlength=m + n)
     col_count = np.bincount(label[m:], minlength=m + n)
@@ -138,10 +141,10 @@ def hermitian_kernel(matrix: np.ndarray, tol: float) -> np.ndarray:
     return eigvecs[:, np.abs(eigvals) <= tol]
 
 
-def symmetric_kernel_dimension(matrix: np.ndarray, tol: float) -> int:
-    """Kernel dimension of a real symmetric PSD matrix, from its eigenvalues alone."""
+def kernel_dimension(matrix: np.ndarray, tol: float) -> int:
+    """Kernel dimension of a Hermitian or real symmetric PSD matrix, from its eigenvalues alone."""
     matrix = np.atleast_2d(matrix)
-    eigvals = np.linalg.eigvalsh(0.5 * (matrix + matrix.T))
+    eigvals = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
     return int(np.count_nonzero(np.abs(eigvals) <= tol))
 
 

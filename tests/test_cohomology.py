@@ -258,6 +258,56 @@ def test_only_unmirrored_spaces_build_a_laplacian(models, exact_models, monkeypa
     assert dims == {key: exact_models[name].dim(*key) for key in dims}
 
 
+def _count_calls(monkeypatch, targets) -> list[str]:
+    """Record the name of each call of the given (owner, function name) pairs."""
+    calls = []
+    for owner, fn in targets:
+
+        def record(*args, fn=fn, original=getattr(owner, fn), **kwargs):
+            calls.append(fn)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, fn, record)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "double_kt"])
+def test_a_dimension_sweep_builds_no_eigenvectors(models, exact_models, monkeypatch, name):
+    # every space's dimension, as a sweep reads them, comes from eigenvalues alone
+    calls = _count_calls(monkeypatch, [(hodge, "harmonic_basis"), (np.linalg, "eigh")])
+    g = _conditioned_metric(models[name], 10.0, seed=4)
+    dims = {key: coh.cohomology_space(g, *key).dimension for key in _space_keys(g.n)}
+    assert calls == []
+    assert dims == {key: exact_models[name].dim(*key) for key in dims}
+
+
+@pytest.mark.parametrize("name", MIRROR_MODELS)
+def test_bases_read_after_the_dimensions_span_the_direct_kernel(mirror_metrics, name):
+    g = _conditioned_metric(mirror_metrics[name].model, 10.0, seed=1)  # nothing cached yet
+    keys = [key for key in _space_keys(g.n) if key[0] != "derham"]
+    spaces = [coh.cohomology_space(g, *key) for key in keys]  # every dimension first
+    assert not any(key[0] == "basis" for key in g._cache)
+    for space in reversed(spaces):  # then every basis, mirrored ones before their sources
+        direct = hodge.harmonic_basis(hodge.laplacian(g, space.theory, space.p, space.q))
+        assert space.basis.shape == direct.shape == (direct.shape[0], space.dimension)
+        gap = space.basis @ space.basis.conj().T - direct @ direct.conj().T
+        assert np.max(np.abs(gap), initial=0.0) <= 1e-12, (space.theory, space.p, space.q)
+    assert coh.cohomology_space(g, "derham", 1).basis is None
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_a_basis_short_of_the_dimension_raises(models, monkeypatch, mirrored):
+    # Aeppli (1,2) is the star of Bott-Chern (0,1) on Kodaira-Thurston, whose basis is direct
+    g = _conditioned_metric(models["kodaira_thurston"], 10.0, seed=2)
+    space = coh.cohomology_space(g, *(("aeppli", 1, 2) if mirrored else ("bc", 0, 1)))
+    assert space.dimension >= 1
+    original = hodge.harmonic_basis
+    monkeypatch.setattr(hodge, "harmonic_basis", lambda lap: original(lap)[:, 1:])
+    for _ in range(2):  # no short basis is cached
+        with pytest.raises(CrossCheckError, match="basis columns"):
+            space.basis
+
+
 def _complex_derham_laplacian(g: hodge.HermitianMetric, k: int) -> np.ndarray:
     """The complex-frame reference for Delta_d: d over the bidegree blocks (``alg.d_matrix``)."""
     frame = hodge.frame_model(g)
@@ -529,6 +579,19 @@ def test_real_model_is_a_lie_algebra_with_the_models_unimodularity(bench_module,
     report = alg.validate_model(real)
     assert report.d_squared_zero
     assert report.unimodular == alg.is_unimodular(model)
+
+
+@pytest.mark.parametrize("name", [*fx.available_models(), *BENCH_MODELS])
+def test_real_model_blocks_are_float64_and_equal_the_complex_assembly(bench_module, name):
+    doc = fx.load_document(name) if name in fx.available_models() else _bench_model_documents(bench_module)[name]
+    real = alg.real_model(alg.parse_model(doc))
+    assert real.d20.dtype == real.d11.dtype == np.float64
+    # the same constants as complex arrays give the complex assembly, imaginary part 0
+    twin = alg.LieModel(real.name, real.n, real.d20.astype(complex), real.d11)
+    for k in range(real.n + 1):
+        block, reference = alg.del_matrix(real, k, 0), alg.del_matrix(twin, k, 0)
+        assert block.dtype == np.float64 and reference.dtype == complex
+        assert not reference.imag.any() and np.array_equal(block, reference.real)
 
 
 # ---------------------------------------------------------------------------
@@ -948,16 +1011,10 @@ def test_harmonic_parts_reuse_the_cohomology_spaces(models, monkeypatch, name):
     else:
         g = hodge.identity_metric(models[name])
     n = g.n
-    coh.cohomology_space(g, "aeppli", 1, 1)
-    coh.cohomology_space(g, "bc", n - 1, n - 1)
-    calls = []
-    for fn in ("laplacian", "laplacian_a", "laplacian_bc", "hermitian_kernel"):
-
-        def record(*args, fn=fn, original=getattr(hodge, fn), **kwargs):
-            calls.append(fn)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(hodge, fn, record)
+    coh.cohomology_space(g, "aeppli", 1, 1).basis  # a basis is built on its first read
+    coh.cohomology_space(g, "bc", n - 1, n - 1).basis
+    fns = ("laplacian", "laplacian_a", "laplacian_bc", "hermitian_kernel")
+    calls = _count_calls(monkeypatch, [(hodge, fn) for fn in fns])
     coh.harmonic_part_of_omega(g)
     coh.harmonic_part_of_omega_power(g)
     assert calls == []

@@ -114,12 +114,17 @@ def test_real_matrix_splits_too():
 
 @pytest.mark.parametrize("kernel", [0, 1, 7])
 def test_symmetric_kernel_dimension(kernel):
+    # ``kernel_dimension`` on a real symmetric and on a complex Hermitian matrix
     rng = np.random.default_rng(kernel)
-    basis, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-    spectrum = np.concatenate([np.zeros(kernel), rng.uniform(1e-6, 3.0, 20 - kernel)])
-    matrix = (basis * spectrum) @ basis.T
-    assert linalg.symmetric_kernel_dimension(matrix, tol=1e-9) == kernel
-    assert linalg.symmetric_kernel_dimension(matrix, tol=10.0) == 20
+    real = rng.standard_normal((20, 20))
+    for entries in (real, real + 1j * rng.standard_normal((20, 20))):
+        basis, _ = np.linalg.qr(entries)
+        spectrum = np.concatenate([np.zeros(kernel), rng.uniform(1e-6, 3.0, 20 - kernel)])
+        matrix = (basis * spectrum) @ basis.conj().T
+        assert matrix.dtype == entries.dtype
+        assert linalg.kernel_dimension(matrix, tol=1e-9) == kernel
+        assert linalg.kernel_dimension(matrix, tol=10.0) == 20
+        assert linalg.hermitian_kernel(matrix, tol=1e-9).shape == (20, kernel)
 
 
 COLUMN_SPACE_CASES = {
