@@ -60,6 +60,7 @@ __all__ = [
     "deldelbar_matrix",
     "d_matrix",
     "real_model",
+    "theory_operators",
     "closed_and_exact",
     "wedge_matrix",
     "operator_matrix",
@@ -578,28 +579,35 @@ def real_model(model: LieModel) -> LieModel:
     return LieModel(model.name, 2 * n, model._cache["real"], np.zeros((2 * n, 4 * n * n)))
 
 
+def theory_operators(theory: str, p: int, q: int | None) -> tuple[tuple, tuple]:
+    """The (closed, exact) operator keys of a theory: its space is ker closed / im exact.
+
+    A key (kind, p, q) names one operator of ``operator_matrix``.  Neighbouring
+    spaces share keys: deldelbar on (p,q) is Aeppli (p,q)'s closed map and
+    Bott-Chern (p+1,q+1)'s exact one, delbar on (p,q) serves Dolbeault (p,q)
+    and (p,q+1), and real d in degree k serves de Rham k and k+1.  For de
+    Rham p is the degree and q is None.
+    """
+    if theory == "bc":
+        return ("d", p, q), ("deldelbar", p - 1, q - 1)
+    if theory == "aeppli":
+        return ("deldelbar", p, q), ("del+delbar", p, q)
+    if theory == "dolbeault":
+        return ("delbar", p, q), ("delbar", p, q - 1)
+    if theory == "derham":
+        return ("real_d", p, None), ("real_d", p - 1, None)
+    raise ValueError(f"unknown theory {theory!r}")
+
+
 def closed_and_exact(model: LieModel, theory: str, p: int, q: int | None):
-    """The operators that define a cohomology theory: its space is ker closed / im exact.
+    """The matrices of a theory's (closed, exact) pair (``theory_operators``).
 
     The blocks are those of ``model``: the model's own coframe, or the
     rescaled unitary frame of a metric through ``hodge.frame_model``,
-    alike.  For de Rham p is the degree and q is unused, and the pair is d
-    on real forms (``real_model``).
+    alike.
     """
-    if theory == "bc":
-        closed = np.vstack([del_matrix(model, p, q), delbar_matrix(model, p, q)])
-        exact = del_matrix(model, p - 1, q) @ delbar_matrix(model, p - 1, q - 1)
-    elif theory == "aeppli":
-        closed = del_matrix(model, p, q + 1) @ delbar_matrix(model, p, q)
-        exact = np.hstack([del_matrix(model, p - 1, q), delbar_matrix(model, p, q - 1)])
-    elif theory == "dolbeault":
-        closed, exact = delbar_matrix(model, p, q), delbar_matrix(model, p, q - 1)
-    elif theory == "derham":
-        real = real_model(model)
-        closed, exact = del_matrix(real, p, 0), del_matrix(real, p - 1, 0)
-    else:
-        raise ValueError(f"unknown theory {theory!r}")
-    return closed, exact
+    closed, exact = theory_operators(theory, p, q)
+    return operator_matrix(model, *closed), operator_matrix(model, *exact)
 
 
 def wedge_matrix(n: int, w: Form, p: int, q: int) -> np.ndarray:
@@ -610,8 +618,14 @@ def wedge_matrix(n: int, w: Form, p: int, q: int) -> np.ndarray:
     return out
 
 
-def operator_matrix(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:
-    """Matrix of d, del, delbar or deldelbar on Lambda^{p,q}; d stacks del over delbar."""
+def operator_matrix(model: LieModel, kind: str, p: int, q: int | None) -> np.ndarray:
+    """Matrix of the operator named by the key (kind, p, q).
+
+    del, delbar and deldelbar act on Lambda^{p,q}, and d stacks del over
+    delbar there; del+delbar is [del | delbar] from Lambda^{p-1,q} +
+    Lambda^{p,q-1} into Lambda^{p,q}; real_d is d on real p-forms
+    (``real_model``), and q is unused.
+    """
     if kind == "del":
         return del_matrix(model, p, q)
     if kind == "delbar":
@@ -620,6 +634,10 @@ def operator_matrix(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:
         return deldelbar_matrix(model, p, q)
     if kind == "d":
         return np.vstack([del_matrix(model, p, q), delbar_matrix(model, p, q)])
+    if kind == "del+delbar":
+        return np.hstack([del_matrix(model, p - 1, q), delbar_matrix(model, p, q - 1)])
+    if kind == "real_d":
+        return del_matrix(real_model(model), p, 0)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 

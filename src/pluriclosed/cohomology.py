@@ -1,15 +1,20 @@
 """Bott-Chern, Aeppli, Dolbeault and de Rham cohomology of a model.
 
-A theory is a pair (closed, exact) of operators (``alg.closed_and_exact``),
-and every space is computed twice from it: once as the quotient rank
-columns - rank closed - rank exact of the model matrices (metric-free), and
-once as the kernel dimension of the frame Laplacian closed* closed +
-exact exact* (``hodge.laplacian``) for a chosen metric, counted from its
-eigenvalues alone (``linalg.kernel_dimension``).  The finite Hodge
-isomorphism makes the two dimensions equal exactly; a mismatch is a
-numerical-threshold failure and raises CrossCheckError.  A harmonic basis
-costs eigenvectors, so it is built only when ``CohomologySpace.basis`` is
-first read, and it must have as many columns as the space's dimension.
+A theory is a pair (closed, exact) of operators, each named by a key
+(``alg.theory_operators``), and every space is computed twice from it: once
+as the quotient rank columns - rank closed - rank exact of the model
+matrices (metric-free), and once as the kernel dimension of the frame
+Laplacian closed* closed + exact exact* (``hodge.laplacian``) for a chosen
+metric, counted from its eigenvalues alone (``linalg.kernel_dimension``).
+The finite Hodge isomorphism makes the two dimensions equal exactly; a
+mismatch is a numerical-threshold failure and raises CrossCheckError.
+Neighbouring spaces share operators (deldelbar on (p,q) is Aeppli (p,q)'s
+closed map and Bott-Chern (p+1,q+1)'s exact one), so the metric keeps one
+table of ranks by operator key: each operator is ranked once per metric,
+and every space that reads a rank still checks it against its own harmonic
+dimension.  A harmonic basis costs eigenvectors, so it is built only when
+``CohomologySpace.basis`` is first read, and it must have as many columns
+as the space's dimension.
 
 Dualities do most of the harmonic work.  A mirrored space takes its
 harmonic dimension from another space with no Laplacian, and on demand its
@@ -125,16 +130,27 @@ class CohomologyClass:
         )
 
 
-def quotient_dimension(model: LieModel, theory: str, p: int, q: int | None) -> int:
+def quotient_dimension(
+    model: LieModel, theory: str, p: int, q: int | None, ranks: dict | None = None
+) -> int:
     """Cohomology dimension by rank-nullity on the invariant complex.
 
-    For the theory's pair (closed, exact) of model matrices
-    (``alg.closed_and_exact``) the kernel is counted as columns minus rank,
-    so a space costs two calls of ``linalg.numeric_rank`` (singular values
-    only, block by block) and no singular vectors.
+    For the theory's pair (closed, exact) of model operators
+    (``alg.theory_operators``) the kernel is counted as columns minus rank,
+    from singular values only (``linalg.numeric_rank``, block by block).
+    ``ranks`` maps operator keys to their ranks: a key it lacks is built,
+    ranked and stored as an int, the matrix dropped, so spaces that share a
+    ``ranks`` table rank each shared operator once.  Without one, the space
+    ranks both its operators.
     """
-    closed, exact = alg.closed_and_exact(model, theory, p, q)
-    return closed.shape[1] - numeric_rank(closed) - numeric_rank(exact)
+    ranks = {} if ranks is None else ranks
+    keys = alg.theory_operators(theory, p, q)
+    for key in keys:
+        if key not in ranks:
+            ranks[key] = numeric_rank(alg.operator_matrix(model, *key))
+    n = model.n
+    columns = alg.space_dim(n, p, q) if q is not None else alg.space_dim(2 * n, p, 0)
+    return columns - sum(ranks[key] for key in keys)
 
 
 def cohomology_space(
@@ -161,13 +177,16 @@ def _mirror(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
 def _dimension(g: hodge.HermitianMetric, theory: str, p: int, q: int | None) -> int:
     """Dimension of one space by both routes, cached on the metric.
 
-    The metric caches it, not the space object, which points back at the
+    Its quotient route reads and fills the metric's table of operator ranks
+    (``"ranks"``), shared by every space of the metric.  The metric caches
+    the dimension, not the space object, which points back at the
     metric: a cycle would keep every metric alive until a full
     garbage-collection pass.
     """
     key = ("cohomology", theory, p, q)
     if key not in g._cache:
-        qdim, mirror = quotient_dimension(g.model, theory, p, q), _mirror(g, theory, p, q)
+        ranks = g._cache.setdefault("ranks", {})
+        qdim, mirror = quotient_dimension(g.model, theory, p, q, ranks), _mirror(g, theory, p, q)
         if mirror is not None:
             hdim = _dimension(g, *mirror[0])
         elif theory == "derham":

@@ -597,7 +597,10 @@ def laplacian(g: HermitianMetric, theory: str, p: int, q: int | None = None) -> 
     ``laplacian_bc`` and ``laplacian_a``: their extra terms vanish there.
     """
     closed, exact = closed_and_exact(g, theory, p, q)
-    return closed.conj().T @ closed + exact @ exact.conj().T
+    lap = closed.conj().T @ closed
+    del closed  # the de Rham d_k is built for this call: drop it before the second product
+    lap += exact @ exact.conj().T
+    return lap
 
 
 def laplacian_delbar(g: HermitianMetric, p: int, q: int) -> np.ndarray:

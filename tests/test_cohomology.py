@@ -109,7 +109,10 @@ def test_n6_quotient_dimensions_match_exact_reference(bench_module, name):
     model = alg.parse_model(doc)
     exact = reference.reference_dimensions(doc)
     got = {key: coh.quotient_dimension(model, *key) for key in _space_keys(6)}
-    assert got == exact
+    ranks = {}  # and with one table of operator ranks shared by every space
+    shared = {key: coh.quotient_dimension(model, *key, ranks) for key in _space_keys(6)}
+    assert got == shared == exact
+    assert len(ranks) == len(_operator_keys(6))
 
 
 @pytest.mark.parametrize("name", ["kt2_t1", "iwasawa5"])
@@ -122,6 +125,61 @@ def test_n5_full_sweep_matches_exact_reference(bench_module, name):
     exact = reference.reference_dimensions(doc)
     got = {key: coh.cohomology_space(g, *key).dimension for key in _space_keys(5)}
     assert got == exact
+
+
+# ---------------------------------------------------------------------------
+# one rank per operator: the spaces of a metric share one table of operator
+# ranks, and each space that reads a rank still checks it
+
+
+def _operator_keys(n: int) -> set[tuple]:
+    return {key for space in _space_keys(n) for key in alg.theory_operators(*space)}
+
+
+def test_spaces_share_their_operators():
+    # (n+1)^2 stacks (del;delbar), 2(n+1)^2 - n^2 deldelbar, (n+1)^2
+    # [del | delbar], (n+1)(n+2) delbar and 2n + 2 real d, against two per space
+    assert [len(_operator_keys(n)) for n in (3, 5)] == [83, 173]
+    assert [2 * len(_space_keys(n)) for n in (3, 5)] == [110, 238]
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "kodaira_thurston", "nonunimodular"])
+def test_each_operator_is_ranked_once_per_metric(models, exact_models, monkeypatch, name):
+    ranked = []
+
+    def counted(matrix, tol=None):
+        ranked.append(matrix.shape)
+        return numeric_rank(matrix, tol)
+
+    monkeypatch.setattr(coh, "numeric_rank", counted)
+    g = _conditioned_metric(models[name], 10.0, seed=0)
+    dims = {key: coh.cohomology_space(g, *key).dimension for key in _space_keys(g.n)}
+    assert dims == {key: exact_models[name].dim(*key) for key in dims}
+    ranks = g._cache["ranks"]
+    assert set(ranks) == _operator_keys(g.n)
+    assert len(ranked) == len(ranks)
+    assert all(type(rank) is int for rank in ranks.values())  # no operator matrix is kept
+
+
+# (operator key, the two spaces that read it)
+SHARED_OPERATORS = {
+    "deldelbar": (("deldelbar", 0, 0), ("bc", 1, 1), ("aeppli", 0, 0)),
+    "delbar": (("delbar", 1, 0), ("dolbeault", 1, 0), ("dolbeault", 1, 1)),
+    "real_d": (("real_d", 1, None), ("derham", 1, None), ("derham", 2, None)),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", SHARED_OPERATORS)
+def test_a_shared_rank_is_checked_by_every_space_that_reads_it(models, case, reverse):
+    key, *spaces = SHARED_OPERATORS[case]
+    model = models["kodaira_thurston"]
+    g = _conditioned_metric(model, 10.0, seed=1)
+    g._cache["ranks"] = {key: numeric_rank(alg.operator_matrix(model, *key)) + 1}
+    for space in reversed(spaces) if reverse else spaces:
+        assert key in alg.theory_operators(*space)
+        with pytest.raises(CrossCheckError):
+            coh.cohomology_space(g, *space)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +272,8 @@ def test_mirrored_space_keeps_its_cross_check(models, monkeypatch, case):
     name, mirrored, source = MIRRORED_SPACES[case]
     quotient = coh.quotient_dimension
 
-    def off_by_one(model, theory, p, q):
-        return quotient(model, theory, p, q) + ((theory, p, q) == mirrored)
+    def off_by_one(model, theory, p, q, ranks=None):
+        return quotient(model, theory, p, q, ranks) + ((theory, p, q) == mirrored)
 
     monkeypatch.setattr(coh, "quotient_dimension", off_by_one)
     model = models[name]
@@ -467,8 +525,8 @@ def test_poincare_mirrored_degree_keeps_its_cross_check(models, monkeypatch):
     model = models["iwasawa"]
     mirrored = model.n + 1
 
-    def off_by_one(model, theory, p, q):
-        return quotient(model, theory, p, q) + (theory == "derham" and p == mirrored)
+    def off_by_one(model, theory, p, q, ranks=None):
+        return quotient(model, theory, p, q, ranks) + (theory == "derham" and p == mirrored)
 
     monkeypatch.setattr(coh, "quotient_dimension", off_by_one)
     g = _conditioned_metric(model, 10.0, seed=2)
@@ -506,8 +564,9 @@ def test_derham_count_peaks_below_three_complex_laplacians(bench_module):
 # harmonic route satisfies BC/Aeppli, Serre and Poincare duality by
 # construction, since it mirrors those spaces, so only the quotient route
 # carries information here: ``quotient_dimension`` computes every space by
-# its own ranks and mirrors none, so each identity compares independent
-# rank decisions.
+# its own ranks and mirrors none.  It is called without a table of operator
+# ranks, so no two spaces share a rank, and each identity compares
+# independent rank decisions.
 
 UNIMODULAR_FIXTURES = tuple(name for name in fx.available_models() if name != "nonunimodular")
 BENCH_MODELS = ("kt2", "kt2_t1", "kt1_t2", "iwasawa4", "iwasawa5")
