@@ -59,6 +59,7 @@ __all__ = [
     "delbar_matrix",
     "deldelbar_matrix",
     "d_matrix",
+    "unit_model",
     "real_model",
     "theory_operators",
     "closed_and_exact",
@@ -552,6 +553,29 @@ def d_matrix(model: LieModel, k: int) -> np.ndarray:
     return mat
 
 
+def unit_model(model: LieModel) -> tuple[LieModel, float]:
+    """(unit, S): the model of the coframe S phi, S the largest del or delbar block norm.
+
+    d(S phi) = (1/S) sum c (S phi) wedge (S phi), so the rows and blocks of S
+    phi are those of phi divided by S, and its largest block has norm 1.  Each
+    block is built once, to find S, then moved from ``model`` and divided in
+    place: a block read from ``model`` earlier is divided too.  A torus has
+    S = 0 and keeps its rows.  The pair is cached on ``model``.
+    """
+    if "unit" not in model._cache:
+        span = range(model.n + 1)
+        keys = [(kind, p, q) for kind in ("del", "delbar") for p in span for q in span]
+        scale = max(float(np.linalg.norm(_differential(model, *key))) for key in keys)
+        divisor = scale or 1.0
+        unit = LieModel(model.name, model.n, model.d20 / divisor, model.d11 / divisor)
+        for key in keys:  # in place: a copy of each block would fragment the heap
+            block = model._cache.pop(key)
+            block.setflags(write=True)
+            unit._cache[key] = _frozen(np.divide(block, divisor, out=block))
+        model._cache["unit"] = unit, scale
+    return model._cache["unit"]
+
+
 def real_model(model: LieModel) -> LieModel:
     """The model of the underlying real Lie algebra: 2n generators, (2,0) constants only.
 
@@ -602,9 +626,9 @@ def theory_operators(theory: str, p: int, q: int | None) -> tuple[tuple, tuple]:
 def closed_and_exact(model: LieModel, theory: str, p: int, q: int | None):
     """The matrices of a theory's (closed, exact) pair (``theory_operators``).
 
-    The blocks are those of ``model``: the model's own coframe, or the
-    rescaled unitary frame of a metric through ``hodge.frame_model``,
-    alike.
+    The blocks are those of ``model``: the unit model of the model's own
+    coframe (``unit_model``), or of the unitary frame of a metric
+    (``hodge.frame_model``), alike.
     """
     closed, exact = theory_operators(theory, p, q)
     return operator_matrix(model, *closed), operator_matrix(model, *exact)

@@ -311,7 +311,7 @@ def cmd_check_lemmas(args) -> int:
         for p, q in alg.bidegrees_of_degree(n, n - 1):
             closed, _ = hodge.closed_and_exact(g, "bc", p, q)
             constraints = np.vstack([closed, hodge.lambda_matrix(g, p, q)])
-            for col in nullspace(constraints, tol=hodge.rank_cut(constraints)).T:
+            for col in nullspace(constraints).T:
                 phi = hodge.from_frame(g, col, p, q)
                 res = cls_mod.aeppli_harmonic_check(g, phi)
                 worst = max(worst, max(res.as_tuple()) / (res.wedge_norm or 1.0))

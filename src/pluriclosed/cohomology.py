@@ -2,10 +2,12 @@
 
 A theory is a pair (closed, exact) of operators, each named by a key
 (``alg.theory_operators``), and every space is computed twice from it: once
-as the quotient rank columns - rank closed - rank exact of the model
-matrices (metric-free), and once as the kernel dimension of the frame
-Laplacian closed* closed + exact exact* (``hodge.laplacian``) for a chosen
-metric, counted from its eigenvalues alone (``linalg.kernel_dimension``).
+as the quotient rank columns - rank closed - rank exact of the matrices of
+the model's unit complex (``alg.unit_model``, metric-free), and once as the
+kernel dimension of the frame Laplacian closed* closed + exact exact*
+(``hodge.laplacian``) for a chosen metric, counted from its eigenvalues
+alone (``linalg.kernel_dimension``).  Both are unit complexes under one
+rank cut, so a model in a rotated coframe decides the ranks it does in its own.
 The finite Hodge isomorphism makes the two dimensions equal exactly; a
 mismatch is a numerical-threshold failure and raises CrossCheckError.
 Neighbouring spaces share operators (deldelbar on (p,q) is Aeppli (p,q)'s
@@ -135,9 +137,9 @@ def quotient_dimension(
 ) -> int:
     """Cohomology dimension by rank-nullity on the invariant complex.
 
-    For the theory's pair (closed, exact) of model operators
-    (``alg.theory_operators``) the kernel is counted as columns minus rank,
-    from singular values only (``linalg.numeric_rank``, block by block).
+    For the theory's pair (closed, exact) of the model's unit operators
+    (``alg.theory_operators``, ``alg.unit_model``) the kernel is counted as
+    columns minus rank, from singular values only (``linalg.numeric_rank``).
     ``ranks`` maps operator keys to their ranks: a key it lacks is built,
     ranked and stored as an int, the matrix dropped, so spaces that share a
     ``ranks`` table rank each shared operator once.  Without one, the space
@@ -147,7 +149,7 @@ def quotient_dimension(
     keys = alg.theory_operators(theory, p, q)
     for key in keys:
         if key not in ranks:
-            ranks[key] = numeric_rank(alg.operator_matrix(model, *key))
+            ranks[key] = numeric_rank(alg.operator_matrix(alg.unit_model(model)[0], *key))
     n = model.n
     columns = alg.space_dim(n, p, q) if q is not None else alg.space_dim(2 * n, p, 0)
     return columns - sum(ranks[key] for key in keys)
@@ -186,14 +188,14 @@ def _dimension(g: hodge.HermitianMetric, theory: str, p: int, q: int | None) -> 
     key = ("cohomology", theory, p, q)
     if key not in g._cache:
         ranks = g._cache.setdefault("ranks", {})
-        qdim, mirror = quotient_dimension(g.model, theory, p, q, ranks), _mirror(g, theory, p, q)
+        # unimodularity (the mirror's) first: the blocks it builds then move into the unit model
+        mirror, qdim = _mirror(g, theory, p, q), quotient_dimension(g.model, theory, p, q, ranks)
         if mirror is not None:
             hdim = _dimension(g, *mirror[0])
         elif theory == "derham":
             hdim = hodge.derham_harmonic_dimension(g, p)
         else:
-            lap = hodge.laplacian(g, theory, p, q)
-            hdim = kernel_dimension(lap, hodge.rank_cut(lap))
+            hdim = kernel_dimension(hodge.laplacian(g, theory, p, q))
         if qdim != hdim:
             raise CrossCheckError(f"{theory} ({p},{q}): quotient rank {qdim} != harmonic dimension {hdim}")
         g._cache[key] = qdim
@@ -323,7 +325,7 @@ def primitive_hyperplane(g: hodge.HermitianMetric) -> PrimitiveHyperplane:
     n = g.n
     space = cohomology_space(g, "bc", n - 1, n - 1)
     # integral of b wedge omega = <b, omega_{n-1}>_L2, since star omega_{n-1} = omega;
-    # its norm is |(omega_{n-1})_h| <= |omega_{n-1}|
+    # its norm is |(omega_{n-1})_h| <= |omega_{n-1}|, brought to 1 for the rank cut
     power = hodge.to_frame(g, hodge.omega_power(g, n - 1))
     functional = power.conj() @ space.basis
     if np.linalg.norm(functional) <= hodge.TOL_EQ * np.linalg.norm(power):
@@ -331,7 +333,7 @@ def primitive_hyperplane(g: hodge.HermitianMetric) -> PrimitiveHyperplane:
             "wedge functional vanished on all of H^{n-1,n-1}_BC; "
             "an SKT metric must cut out a hyperplane"
         )
-    basis = nullspace(functional.reshape(1, -1))
+    basis = nullspace(functional.reshape(1, -1) / np.linalg.norm(functional))
     if basis.shape[1] != space.dimension - 1:
         raise CrossCheckError("primitive subspace is not of codimension one")
     return PrimitiveHyperplane(space=space, functional=functional, basis=basis)

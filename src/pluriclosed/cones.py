@@ -53,7 +53,6 @@ from .cohomology import (
     require_skt,
 )
 from .errors import CrossCheckError, PreconditionError
-from .linalg import rank_tolerance
 
 __all__ = [
     "ConeMembershipResult",
@@ -137,17 +136,17 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
 def _orthonormal_span(directions: np.ndarray, unit: float) -> tuple[np.ndarray, np.ndarray]:
     """An orthonormal Hermitian basis q of span(directions) and c with q_j = sum_k c[k, j] D_k.
 
-    Null directions are dropped at the rank cut of ``rank_tolerance``, taken
-    relative to the largest singular value or to ``unit``, whichever is
-    larger: the directions of a face are compressions of an orthonormal
-    basis (unit 1), and rounding noise of that size must not count.
+    Null directions are dropped at max(shape) * eps times the largest
+    singular value or ``unit``, whichever is larger: the directions of a
+    face are compressions of an orthonormal basis (unit 1), and rounding
+    noise of that size must not count.  They are no unit-complex operator.
     """
     count, n = directions.shape[0], directions.shape[-1]
     if count == 0:
         return np.zeros((0, n, n), dtype=complex), np.zeros((0, 0))
     flat = np.ascontiguousarray(directions, dtype=complex).reshape(count, -1).view(np.float64)
     u, sigma, vt = np.linalg.svd(flat, full_matrices=False)
-    cut = rank_tolerance(np.array([max(float(sigma[0]), unit)]), flat.shape)
+    cut = max(flat.shape) * np.finfo(float).eps * max(float(sigma[0]), unit)
     rank = int(np.count_nonzero(sigma > cut))
     q = np.ascontiguousarray(vt[:rank]).view(complex).reshape(rank, n, n)
     return 0.5 * (q + q.conj().transpose(0, 2, 1)), u[:, :rank] / sigma[:rank]

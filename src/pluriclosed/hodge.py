@@ -10,11 +10,12 @@ identity metric has total volume 1).
 
 Every operator matrix of this module is written in unitary-frame
 coordinates, one complex per metric: del and delbar are the blocks of the
-model of the rescaled unitary coframe S e (``frame_model``), S the largest
-del or delbar block norm of e (``complex_scale``).  On the frame
-coordinates of e they act as del / S and delbar / S, so the largest block
-has norm 1 and every operator, product and Laplacian of the complex is
-dimensionless, with the kernels and images of the true-scale ones.  Every
+unit model of the unitary coframe e (``frame_model``, ``alg.unit_model``),
+the model of S e, S the largest del or delbar block norm of e
+(``complex_scale``).  On the frame coordinates of e they act as del / S
+and delbar / S, so the largest block has norm 1 and every operator,
+product and Laplacian of the complex is dimensionless, with the kernels
+and images of the true-scale ones.  Every
 adjoint is then a conjugate transpose, the star is a constant signed
 permutation, and L and Lambda are the metric-free wedge by i sum e^a wedge
 ebar^a and its conjugate transpose.  Forms stay in the model coframe and
@@ -47,12 +48,9 @@ del* = -star delbar star etc. are tested invariants, not definitions,
 because their sign conventions vary across sources while the L2 adjoint is
 unambiguous.
 
-Rank decisions on frame matrices cut at max(shape) * eps * max(|M|, 1)
-(``rank_cut``), |M| the Frobenius norm.  A matrix that vanishes in exact
-arithmetic is left at rounding size, eps times the unit block norm; a cut
-relative to such a matrix alone would count its noise as rank, while the
-floor 1 does not.  The floor serves operators of every order alike, so a
-metric scaled by any t decides the same ranks.
+Ranks take the one cut max(shape) * eps * max(|M|, 1) (``linalg.rank_cut``),
+|M| the Frobenius norm: in a unit complex the floor 1 serves operators of
+every order alike, so a metric scaled by any t decides the same ranks.
 """
 
 from __future__ import annotations
@@ -87,7 +85,6 @@ __all__ = [
     "del_matrix",
     "delbar_matrix",
     "complex_scale",
-    "rank_cut",
     "hodge_star",
     "star_matrix",
     "star_columns",
@@ -288,34 +285,18 @@ def omega_power(g: HermitianMetric, k: int) -> Form:
 
 
 def frame_model(g: HermitianMetric) -> LieModel:
-    """The model of the rescaled unitary coframe S e, e = L^T phi, S = ``complex_scale(g)``.
+    """The unit model (``alg.unit_model``) of the unitary coframe e = L^T phi.
 
-    d e^a = sum_j L_ja d phi^j: the model's rows move into the frame like
-    any other (2,0)- and (1,1)-forms, and L^T recombines them.  Those of e
-    give the blocks Q del Q^{-1}, and S is the largest norm among them.  As
-    d(S e) = (1/S) sum c (S e) wedge (S e), the rows of S e are those of e
-    divided by S, and so are its blocks: they are assembled once, divided
-    and cached on the returned model.  A torus has S = 0 and keeps e.
+    d e^a = sum_j L_ja d phi^j: the model's rows move into the frame like any
+    other (2,0)- and (1,1)-forms, and L^T recombines them into the rows of e,
+    whose blocks Q del Q^{-1} have the largest norm S = ``complex_scale(g)``.
     """
     if "frame" not in g._cache:
-        n = g.n
         rows = [
             g.cholesky.T @ _sandwich(_compounds(g, p)[0], _compounds(g, q)[0], d)
             for d, (p, q) in ((g.model.d20, (2, 0)), (g.model.d11, (1, 1)))
         ]
-        frame = LieModel(g.model.name, n, *rows)
-        scale = max(
-            float(np.linalg.norm(op(frame, p, q)))
-            for op in (alg.del_matrix, alg.delbar_matrix)
-            for p in range(n + 1)
-            for q in range(n + 1)
-        )
-        if scale:
-            unit = LieModel(g.model.name, n, *(r / scale for r in rows))
-            for key in list(frame._cache):  # one block at a time: divided, not reassembled
-                unit._cache[key] = _frozen(frame._cache.pop(key) / scale)
-            frame = unit
-        g._cache["S"], g._cache["frame"] = scale, frame
+        g._cache["frame"], g._cache["S"] = alg.unit_model(LieModel(g.model.name, g.n, *rows))
     return g._cache["frame"]
 
 
@@ -333,11 +314,6 @@ def complex_scale(g: HermitianMetric) -> float:
     """S, the largest Frobenius norm of a del or delbar block of the unitary coframe e."""
     frame_model(g)
     return g._cache["S"]
-
-
-def rank_cut(mat: np.ndarray) -> float:
-    """Rank cut for a matrix of the frame complex: max(shape) * eps * max(|mat|, 1), Frobenius."""
-    return max(mat.shape) * _EPS * max(float(np.linalg.norm(mat)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +595,7 @@ def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
     The frame pair of d is real (``alg.real_model``, float64), so Delta_d is
     a real symmetric matrix and a real eigenvalue solve counts its kernel.
     """
-    lap = laplacian(g, "derham", k)
-    return kernel_dimension(lap, rank_cut(lap))
+    return kernel_dimension(laplacian(g, "derham", k))
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +604,7 @@ def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
 
 def harmonic_basis(lap: np.ndarray) -> np.ndarray:
     """Orthonormal kernel basis of a frame Laplacian: frame columns, so L2-orthonormal."""
-    return hermitian_kernel(lap, rank_cut(lap))
+    return hermitian_kernel(lap)
 
 
 def harmonic_space(g: HermitianMetric, lap: np.ndarray, p: int, q: int) -> list[Form]:
@@ -645,9 +620,9 @@ def harmonic_projection(g: HermitianMetric, basis: list[Form], u: Form) -> Form:
     return out
 
 
-def orthonormal_span(columns: np.ndarray, tol: float) -> np.ndarray:
-    """L2-orthonormal basis of the span of frame columns, cut at ``tol``."""
-    return column_space(columns, tol)
+def orthonormal_span(columns: np.ndarray) -> np.ndarray:
+    """L2-orthonormal basis of the span of frame columns."""
+    return column_space(columns)
 
 
 def subspace_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -694,7 +669,7 @@ def three_space_decomposition(
     The harmonic part is the kernel of the six-term ``laplacian_bc`` or
     ``laplacian_a``, so the paper's operators are checked too.  Their terms
     have orders 2 and 4, which the unit frame complex puts on one scale, so
-    every rank decision takes the same ``rank_cut``.
+    every rank decision takes the same ``linalg.rank_cut``.
     """
     if theory not in ("bc", "aeppli"):
         raise ValueError("theory must be 'bc' or 'aeppli'")
@@ -702,14 +677,13 @@ def three_space_decomposition(
     lap = (laplacian_bc if theory == "bc" else laplacian_a)(g, p, q)
     closed, exact = closed_and_exact(g, theory, p, q)
     kernel = harmonic_basis(lap)
-    image = orthonormal_span(exact, tol=rank_cut(exact))
-    closed_cut = rank_cut(closed)
-    coimage = orthonormal_span(closed.conj().T, tol=closed_cut)
+    image = orthonormal_span(exact)
+    coimage = orthonormal_span(closed.conj().T)
     pairs = ((kernel, image), (kernel, coimage), (image, coimage))
     residual = max(subspace_residual(a, b) for a, b in pairs)
-    closed_dim = closed.shape[1] - numeric_rank(closed, tol=closed_cut)
+    closed_dim = closed.shape[1] - numeric_rank(closed)
     closed_split_ok = closed_dim == kernel.shape[1] + image.shape[1]
-    image_rank = numeric_rank(lap, tol=rank_cut(lap))
+    image_rank = numeric_rank(lap)
     if theory == "aeppli":  # the report names im (del delbar)* the exact part
         image, coimage = coimage, image
     return DecompositionReport(

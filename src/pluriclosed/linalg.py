@@ -1,15 +1,13 @@
-"""Rank-revealing linear algebra with a shared singular-value threshold.
+"""Rank-revealing linear algebra with one rank cut.
 
-A rank cut comes from one of two rules.  Without ``tol``, ``numeric_rank``
-and ``nullspace`` cut relative to the matrix itself, at
-tau = max(shape) * machine-eps * sigma_max (``rank_tolerance``).  That suits
-the metric-free model matrices, whose structure constants are exact.  The
-frame's structure constants are rounded, and matrices that vanish in exact
-arithmetic carry rounding noise there, so the Hodge layer passes the cut of
-``hodge.rank_cut``, floored at 1, the largest block norm of its
-dimensionless frame complex; ``column_space``, ``hermitian_kernel`` and
-``kernel_dimension`` (eigenvalues only, no basis) serve only frame matrices
-and take that cut as a required argument.
+Every rank, kernel and span decision of the package cuts at
+tau = max(shape) * machine-eps * max(|M|, 1) (``rank_cut``), |M| the
+Frobenius norm, and ``numeric_rank``, ``nullspace``, ``column_space``,
+``hermitian_kernel`` and ``kernel_dimension`` (eigenvalues only) apply it
+themselves, with |M| read off the values they compute anyway.  The matrices
+are those of a unit complex (``alg.unit_model``): one that vanishes in exact
+arithmetic is left at rounding size, eps, under the floor 1, where a cut
+relative to the matrix alone would count that noise as rank.
 
 Ranks come from singular values alone (``singular_values``), and those are
 found block by block.  The rows and columns of a matrix split into the
@@ -18,7 +16,7 @@ matrix are the union of those of its blocks, padded with zeros.  The model
 matrices of del, delbar and d on a nilmanifold fall into many tiny blocks
 (on KT^3, d from degree 5 to degree 6 is 924 x 792 and splits into 208
 blocks, none above 9 x 12), so blocks of one shape go through one stacked
-call.  The cut is unchanged: tau still uses max(shape) and sigma_max of the
+call.  The cut is unchanged: tau still uses max(shape) and the norm of the
 whole matrix, so every rank decision follows the same rule as one dense
 call.  Below ``_SPLIT_MIN_ENTRIES`` entries finding the blocks costs more
 than it saves (measured crossover near 5000 entries), and one dense call is
@@ -33,10 +31,14 @@ _EPS = float(np.finfo(np.float64).eps)
 _SPLIT_MIN_ENTRIES = 4096
 
 
-def rank_tolerance(singular_values: np.ndarray, shape: tuple[int, int]) -> float:
-    if singular_values.size == 0:
-        return 0.0
-    return max(shape) * _EPS * float(singular_values[0])
+def rank_cut(shape: tuple[int, ...], norm: float) -> float:
+    """The rank cut max(shape) * eps * max(norm, 1) of a matrix with that Frobenius norm."""
+    return max(shape) * _EPS * max(float(norm), 1.0)
+
+
+def _cut(values: np.ndarray, shape: tuple[int, ...]) -> float:
+    """``rank_cut`` of a matrix from all its singular values or eigenvalues: |M| = |values|."""
+    return rank_cut(shape, (values @ values) ** 0.5)
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -100,16 +102,15 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return s
 
 
-def numeric_rank(matrix: np.ndarray, tol: float | None = None) -> int:
+def numeric_rank(matrix: np.ndarray) -> int:
     matrix = np.atleast_2d(matrix)
     if matrix.size == 0:
         return 0
     s = singular_values(matrix)
-    cut = rank_tolerance(s, matrix.shape) if tol is None else tol
-    return int(np.count_nonzero(s > cut))
+    return int(np.count_nonzero(s > _cut(s, matrix.shape)))
 
 
-def nullspace(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
+def nullspace(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the right null space."""
     matrix = np.atleast_2d(matrix)
     cols = matrix.shape[1]
@@ -118,34 +119,32 @@ def nullspace(matrix: np.ndarray, tol: float | None = None) -> np.ndarray:
     if matrix.shape[0] == 0 or not np.any(matrix):
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(matrix)
-    cut = rank_tolerance(s, matrix.shape) if tol is None else tol
-    rank = int(np.count_nonzero(s > cut))
-    return vh[rank:].conj().T
+    return vh[np.count_nonzero(s > _cut(s, matrix.shape)) :].conj().T
 
 
-def column_space(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space, singular values above ``tol``."""
+def column_space(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the column space."""
     matrix = np.atleast_2d(matrix)
     if matrix.shape[1] == 0 or matrix.shape[0] == 0 or not np.any(matrix):
         return np.zeros((matrix.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    return u[:, : int(np.count_nonzero(s > tol))]
+    return u[:, : np.count_nonzero(s > _cut(s, matrix.shape))]
 
 
-def hermitian_kernel(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal kernel basis of a Hermitian PSD matrix, eigenvalues within ``tol`` of 0."""
+def hermitian_kernel(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel basis of a Hermitian PSD matrix: eigenvalues under its rank cut."""
     matrix = np.atleast_2d(matrix)
     if matrix.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
-    return eigvecs[:, np.abs(eigvals) <= tol]
+    return eigvecs[:, np.abs(eigvals) <= _cut(eigvals, matrix.shape)]
 
 
-def kernel_dimension(matrix: np.ndarray, tol: float) -> int:
+def kernel_dimension(matrix: np.ndarray) -> int:
     """Kernel dimension of a Hermitian or real symmetric PSD matrix, from its eigenvalues alone."""
     matrix = np.atleast_2d(matrix)
     eigvals = np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))
-    return int(np.count_nonzero(np.abs(eigvals) <= tol))
+    return int(np.count_nonzero(np.abs(eigvals) <= _cut(eigvals, matrix.shape)))
 
 
 def min_norm_lstsq(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:

@@ -37,6 +37,13 @@ DOUBLE_KT_DOC = {
     ],
 }
 
+# the Iwasawa-type model at n = 4: d(phi^4) = -phi^1 wedge phi^2
+IWASAWA4_DOC = {
+    "name": "iwasawa4",
+    "n": 4,
+    "dphi": [[], [], [], [{"type": "20", "i": 1, "j": 2, "coeff": [-1.0, 0.0]}]],
+}
+
 
 @pytest.fixture(scope="session", autouse=True)
 def child_pythonpath():

@@ -467,11 +467,11 @@ def test_equation_verdicts_ignore_class_scale(tmp_path, argv, sign, expected, sc
     assert (completed.returncode, verdict) == expected, completed.stderr
 
 
-@pytest.mark.parametrize("t", [1e-9, 1e-3, 1e3])
+@pytest.mark.parametrize("t", [1e-30, 1e-9, 1e-3, 1e3, 1e30])
 def test_decompose_ignores_metric_scale(tmp_path, t):
     # the wedge functional is measured against omega_{n-1} and lambda's sign
-    # band against the representative, both in L2, so t * h_std splits the
-    # canonical class with lambda = 1
+    # band against the representative, both in L2, and its kernel is cut at
+    # norm 1, so t * h_std splits the canonical class with lambda = 1
     import numpy as np
 
     h = t * np.asarray(fx.load_document("metric_kt_standard")["h"])
@@ -481,6 +481,38 @@ def test_decompose_ignores_metric_scale(tmp_path, t):
     payload = json.loads(completed.stdout)
     assert abs(payload["lambda"][0] - 1.0) < 1e-9
     assert payload["side"] == "positive"
+
+
+def _rotated_iwasawa(tmp_path) -> str:
+    """iwasawa in the rescaled unitary coframe of a c = 1 metric h = U U*.
+
+    Its structure constants are dense floats: blocks that vanish in exact
+    arithmetic carry rounding of about 1e-31.
+    """
+    import numpy as np
+
+    from pluriclosed import algebra as alg
+    from pluriclosed import hodge
+
+    rng = np.random.default_rng([0, 2024])
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    frame = hodge.frame_model(hodge.metric_from_matrix(fx.load_model("iwasawa"), u @ u.conj().T))
+    rotated = alg.LieModel("iwasawa_rotated", 3, frame.d20, frame.d11)
+    return _write(tmp_path, "iwasawa_rotated.json", alg.model_to_document(rotated))
+
+
+def test_a_rotated_coframe_keeps_every_answer(tmp_path):
+    rotated = _rotated_iwasawa(tmp_path)
+    completed = run_cli("validate", "--model", rotated)
+    assert completed.returncode == 0, completed.stderr
+    completed = run_cli("cohomology", "--model", rotated)
+    assert completed.returncode == 0, completed.stderr
+    golden = json.loads(fx.golden_path("iwasawa", "cohomology").read_text(encoding="utf-8"))
+    assert json.loads(completed.stdout)["table"] == golden["table"]
+    for command in (["decompose"], ["cone", "skt"]):
+        here, there = (run_cli(*command, "--model", m) for m in (rotated, "iwasawa"))
+        assert here.returncode == there.returncode, here.stderr
+        assert (here.stdout, here.stderr) == (there.stdout, there.stderr)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])

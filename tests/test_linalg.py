@@ -1,9 +1,11 @@
-"""The block-split singular values against one dense SVD.
+"""The block-split singular values against one dense SVD, and the one rank cut.
 
 ``linalg.singular_values`` finds the connected components of a matrix's
 nonzero pattern and runs one stacked SVD per block shape.  Every case
 scatters blocks over a row and column permutation, so the split has to
 recover them, and compares with ``np.linalg.svd`` of the whole matrix.
+Every rank, kernel and span decision cuts at max(shape) * eps * max(|M|, 1)
+(``linalg.rank_cut``); the spectra below sit on both sides of that cut.
 """
 
 import subprocess
@@ -35,19 +37,24 @@ def scattered_blocks(rng, shapes, zero_rows=0, zero_cols=0, rank_drop=0):
     return out[rng.permutation(m)][:, rng.permutation(n)]
 
 
-def dense_rank(matrix, tol=None):
+def dense_rank(matrix):
     s = np.linalg.svd(matrix, compute_uv=False)
-    cut = max(matrix.shape) * EPS * s[0] if tol is None else tol
+    cut = max(matrix.shape) * EPS * max(np.linalg.norm(matrix), 1.0)
     return int(np.count_nonzero(s > cut))
 
 
-def assert_matches_dense(matrix, tol=None):
+def assert_matches_dense(matrix):
     dense = np.linalg.svd(matrix, compute_uv=False)
     split = linalg.singular_values(matrix)
     assert split.shape == dense.shape
     assert np.all(np.diff(split) <= 0)
     assert np.max(np.abs(split - dense), initial=0.0) <= 1e-12 * max(dense[0], 1.0)
-    assert linalg.numeric_rank(matrix, tol=tol) == dense_rank(matrix, tol=tol)
+    assert linalg.numeric_rank(matrix) == dense_rank(matrix)
+
+
+def unitary(rng, size):
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+    return q
 
 
 def test_split_gate_sits_between_the_cases():
@@ -95,15 +102,30 @@ def test_both_sides_of_the_size_gate():
         assert_matches_dense(matrix)
 
 
-def test_explicit_tol():
-    rng = np.random.default_rng(13)
-    matrix = scattered_blocks(rng, [(2, 3), (3, 3), (6, 4)] * 8, zero_rows=4, zero_cols=9)
-    dense = np.linalg.svd(matrix, compute_uv=False)
-    for k in (1, 20, 60):  # a cut midway between two neighbouring singular values
-        tol = 0.5 * (dense[k - 1] + dense[k])
-        assert_matches_dense(matrix, tol=tol)
-        assert linalg.numeric_rank(matrix, tol=tol) == k
-    assert linalg.numeric_rank(matrix, tol=2 * dense[0]) == 0
+def test_rank_cut_rule():
+    assert linalg.rank_cut((3, 5), 0.25) == 5 * EPS  # the floor
+    assert linalg.rank_cut((7, 2), 4.0) == 28 * EPS
+    assert linalg.rank_cut((0, 0), 0.0) == 0.0
+
+
+def _signed_permutation(values):
+    """A 3 x 3 block with exactly the singular values ``values``: a phased, permuted diagonal."""
+    return np.diag(np.asarray(values, dtype=complex) * [1j, -1, 1])[[2, 0, 1]]
+
+
+def test_the_floor_cuts_rounding_noise():
+    # iwasawa written in a rotated coframe: its Bott-Chern (0,2) closed map vanishes
+    # in exact arithmetic and carries singular values of rounding size
+    noise = _signed_permutation([3.9e-31, 1.2e-47, 0.0])
+    assert linalg.numeric_rank(noise) == 0
+    assert linalg.nullspace(noise).shape == (3, 3)
+    assert linalg.column_space(noise).shape == (3, 0)
+    # a cut relative to the block alone would keep 3.9e-31; at norm 1 the
+    # floor no longer acts, and the relative noise 3e-17 still falls under 3 eps
+    assert linalg.numeric_rank(noise / 3.9e-31) == 1
+    # above norm 1 the cut grows with the matrix: the rank is scale-free there
+    for scale, rank in ((1e-20, 0), (1.0, 2), (1e20, 2)):
+        assert linalg.numeric_rank(scale * _signed_permutation([1.0, 1e-3, 0.0])) == rank
 
 
 def test_real_matrix_splits_too():
@@ -114,17 +136,23 @@ def test_real_matrix_splits_too():
 
 @pytest.mark.parametrize("kernel", [0, 1, 7])
 def test_symmetric_kernel_dimension(kernel):
-    # ``kernel_dimension`` on a real symmetric and on a complex Hermitian matrix
+    # ``kernel_dimension`` on a real symmetric and on a complex Hermitian matrix,
+    # with one eigenvalue just above the rank cut and, in a kernel, one just under it
     rng = np.random.default_rng(kernel)
     real = rng.standard_normal((20, 20))
     for entries in (real, real + 1j * rng.standard_normal((20, 20))):
         basis, _ = np.linalg.qr(entries)
-        spectrum = np.concatenate([np.zeros(kernel), rng.uniform(1e-6, 3.0, 20 - kernel)])
+        large = rng.uniform(1e-6, 3.0, 19 - kernel)
+        cut = linalg.rank_cut((20, 20), np.linalg.norm(large))
+        spectrum = np.concatenate([np.zeros(kernel), [10 * cut], large])
+        spectrum[: min(kernel, 1)] = 0.1 * cut
         matrix = (basis * spectrum) @ basis.conj().T
         assert matrix.dtype == entries.dtype
-        assert linalg.kernel_dimension(matrix, tol=1e-9) == kernel
-        assert linalg.kernel_dimension(matrix, tol=10.0) == 20
-        assert linalg.hermitian_kernel(matrix, tol=1e-9).shape == (20, kernel)
+        assert linalg.kernel_dimension(matrix) == kernel
+        assert linalg.hermitian_kernel(matrix).shape == (20, kernel)
+        # scaled far under norm 1, the whole spectrum falls under the floor
+        assert linalg.kernel_dimension(1e-20 * matrix) == 20
+        assert linalg.hermitian_kernel(1e-20 * matrix).shape == (20, 20)
 
 
 COLUMN_SPACE_CASES = {
@@ -138,15 +166,22 @@ COLUMN_SPACE_CASES = {
 
 @pytest.mark.parametrize("case", COLUMN_SPACE_CASES)
 def test_column_space_matches_the_full_svd(case):
-    # the thin SVD keeps only the min(shape) left vectors that can be read
-    (m, n), rank = COLUMN_SPACE_CASES[case]
-    rng = np.random.default_rng(m * n + rank)
-    left = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-    matrix = left @ (rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n)))
-    tol = 1e-8 * max(np.linalg.norm(matrix, 2), 1.0)
-    got = linalg.column_space(matrix, tol)
-    u, s, _ = np.linalg.svd(matrix, full_matrices=True)
-    full = u[:, : int(np.count_nonzero(s > tol))]
+    # the thin SVD keeps only the min(shape) left vectors that can be read; a
+    # rank-deficient case has one more singular value just above the rank cut
+    # and the rest just under it
+    (m, n), large = COLUMN_SPACE_CASES[case]
+    rng = np.random.default_rng(m * n + large)
+    s = np.zeros(min(m, n))
+    s[:large] = rng.uniform(1.0, 3.0, large)
+    cut = linalg.rank_cut((m, n), np.linalg.norm(s))
+    rank = large
+    if 0 < large < s.size:
+        s[large:] = 0.1 * cut
+        s[large], rank = 10 * cut, large + 1
+    matrix = (unitary(rng, m)[:, : s.size] * s) @ unitary(rng, n)[: s.size]
+    got = linalg.column_space(matrix)
+    u, full_s, _ = np.linalg.svd(matrix, full_matrices=True)
+    full = u[:, : int(np.count_nonzero(full_s > cut))]
     assert got.shape == full.shape == (m, rank)
     assert np.max(np.abs(got.conj().T @ got - np.eye(rank)), initial=0.0) <= 1e-12
     gap = got @ got.conj().T - full @ full.conj().T
