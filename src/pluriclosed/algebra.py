@@ -114,9 +114,14 @@ class Form:
     def is_zero(self) -> bool:
         return not self.vec.any()
 
+    @np.errstate(over="ignore")  # an overflowing square is taken again, scaled
     def norm(self) -> float:
-        """Plain coefficient 2-norm (metric-free)."""
-        return float(np.linalg.norm(self.vec))
+        """Plain coefficient 2-norm (metric-free), at every scale the floats can hold."""
+        plain = float(np.linalg.norm(self.vec))
+        if not 1e-140 < plain < 1e140:  # a square may have left the float range: scale by 2^k
+            scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(self.vec), initial=0.0)))[1] - 1)
+            plain = scale * float(np.linalg.norm(self.vec / scale))
+        return plain
 
     def coefficient(self, holo, anti) -> complex:
         k = basis_index(self.n, self.p, self.q).get(MultiIndex(tuple(holo), tuple(anti)))
@@ -558,18 +563,20 @@ def unit_model(model: LieModel) -> tuple[LieModel, float]:
 
     d(S phi) = (1/S) sum c (S phi) wedge (S phi), so the rows and blocks of S
     phi are those of phi divided by S, and its largest block has norm 1.  Each
-    block is built once, to find S, then moved from ``model`` and divided in
-    place: a block read from ``model`` earlier is divided too.  A torus has
-    S = 0 and keeps its rows.  The pair is cached on ``model``.
+    block is assembled once, on a private model of the same constants, to
+    find S, then divided in place and cached on the unit model only: a block
+    a caller read from ``model`` is never changed.  A torus has S = 0 and
+    keeps its rows.  The pair is cached on ``model``.
     """
     if "unit" not in model._cache:
+        source = LieModel(model.name, model.n, model.d20, model.d11)
         span = range(model.n + 1)
         keys = [(kind, p, q) for kind in ("del", "delbar") for p in span for q in span]
-        scale = max(float(np.linalg.norm(_differential(model, *key))) for key in keys)
+        scale = max(float(np.linalg.norm(_differential(source, *key))) for key in keys)
         divisor = scale or 1.0
         unit = LieModel(model.name, model.n, model.d20 / divisor, model.d11 / divisor)
         for key in keys:  # in place: a copy of each block would fragment the heap
-            block = model._cache.pop(key)
+            block = source._cache.pop(key)
             block.setflags(write=True)
             unit._cache[key] = _frozen(np.divide(block, divisor, out=block))
         model._cache["unit"] = unit, scale

@@ -8,6 +8,8 @@ kernel dimension of the frame Laplacian closed* closed + exact exact*
 (``hodge.laplacian``) for a chosen metric, counted from its eigenvalues
 alone (``linalg.kernel_dimension``).  Both are unit complexes under one
 rank cut, so a model in a rotated coframe decides the ranks it does in its own.
+Under the identity metric the two are one complex: the frame is the model's
+own unit model (``hodge.frame_model``).
 The finite Hodge isomorphism makes the two dimensions equal exactly; a
 mismatch is a numerical-threshold failure and raises CrossCheckError.
 Neighbouring spaces share operators (deldelbar on (p,q) is Aeppli (p,q)'s
@@ -44,8 +46,8 @@ The de Rham pair is d on real forms of the underlying real Lie algebra
 (``alg.real_model``; Chevalley-Eilenberg), assembled in float64, so both
 routes run in real arithmetic: the quotient rank on the model's real d, and
 the harmonic dimension on the eigenvalues of the real symmetric Delta_d of
-the metric's orthonormal real frame (``hodge.derham_harmonic_dimension``).
-No de Rham eigenvectors are formed, as none are used.
+the metric's orthonormal real frame, like every other direct space.  No de
+Rham eigenvectors are formed, as none are used.
 
 On top of the spaces this module builds the duality pairing
 H^{n-1,n-1}_BC x H^{1,1}_A -> C by integration, the primitive hyperplane cut
@@ -187,13 +189,10 @@ def _dimension(g: hodge.HermitianMetric, theory: str, p: int, q: int | None) -> 
     """
     key = ("cohomology", theory, p, q)
     if key not in g._cache:
-        ranks = g._cache.setdefault("ranks", {})
-        # unimodularity (the mirror's) first: the blocks it builds then move into the unit model
-        mirror, qdim = _mirror(g, theory, p, q), quotient_dimension(g.model, theory, p, q, ranks)
+        qdim = quotient_dimension(g.model, theory, p, q, g._cache.setdefault("ranks", {}))
+        mirror = _mirror(g, theory, p, q)
         if mirror is not None:
             hdim = _dimension(g, *mirror[0])
-        elif theory == "derham":
-            hdim = hodge.derham_harmonic_dimension(g, p)
         else:
             hdim = kernel_dimension(hodge.laplacian(g, theory, p, q))
         if qdim != hdim:

@@ -12,13 +12,14 @@ Every operator matrix of this module is written in unitary-frame
 coordinates, one complex per metric: del and delbar are the blocks of the
 unit model of the unitary coframe e (``frame_model``, ``alg.unit_model``),
 the model of S e, S the largest del or delbar block norm of e
-(``complex_scale``).  On the frame coordinates of e they act as del / S
-and delbar / S, so the largest block has norm 1 and every operator,
-product and Laplacian of the complex is dimensionless, with the kernels
-and images of the true-scale ones.  Every
-adjoint is then a conjugate transpose, the star is a constant signed
-permutation, and L and Lambda are the metric-free wedge by i sum e^a wedge
-ebar^a and its conjugate transpose.  Forms stay in the model coframe and
+(``complex_scale``); under the identity metric e is phi, and that complex
+is the model's own unit complex.  On the frame coordinates of e they act
+as del / S and delbar / S, so the largest block has norm 1 and every
+operator, product and Laplacian of the complex is dimensionless, with the
+kernels and images of the true-scale ones.  Every adjoint is then a
+conjugate transpose, the star is a constant signed permutation, and L and
+Lambda are the metric-free wedge by i sum e^a wedge ebar^a and its
+conjugate transpose.  Forms stay in the model coframe and
 cross into and out of the frame only through ``to_frame`` and
 ``from_frame``: a (p,q) coefficient vector read as its C(n,p) x C(n,q)
 matrix U has the frame coordinates sqrt(vol) A_p U A_q^H, A_k the k-th
@@ -65,7 +66,7 @@ import numpy as np
 from . import algebra as alg
 from .algebra import Form, LieModel, _frozen
 from .errors import CrossCheckError, MetricError, ParseError, PreconditionError
-from .linalg import column_space, hermitian_kernel, kernel_dimension, nullspace, numeric_rank
+from .linalg import column_space, hermitian_kernel, nullspace, numeric_rank
 
 __all__ = [
     "HermitianMetric",
@@ -103,7 +104,6 @@ __all__ = [
     "laplacian_a",
     "laplacian_delbar",
     "laplacian_derham",
-    "derham_harmonic_dimension",
     "harmonic_basis",
     "harmonic_space",
     "harmonic_projection",
@@ -290,13 +290,16 @@ def frame_model(g: HermitianMetric) -> LieModel:
     d e^a = sum_j L_ja d phi^j: the model's rows move into the frame like any
     other (2,0)- and (1,1)-forms, and L^T recombines them into the rows of e,
     whose blocks Q del Q^{-1} have the largest norm S = ``complex_scale(g)``.
+    When L is exactly the identity, e is phi: the frame is the model's own unit model.
     """
     if "frame" not in g._cache:
-        rows = [
-            g.cholesky.T @ _sandwich(_compounds(g, p)[0], _compounds(g, q)[0], d)
-            for d, (p, q) in ((g.model.d20, (2, 0)), (g.model.d11, (1, 1)))
-        ]
-        g._cache["frame"], g._cache["S"] = alg.unit_model(LieModel(g.model.name, g.n, *rows))
+        model = g.model
+        if not np.array_equal(g.cholesky, np.eye(g.n)):
+            model = LieModel(model.name, g.n, *(
+                g.cholesky.T @ _sandwich(_compounds(g, p)[0], _compounds(g, q)[0], d)
+                for d, (p, q) in ((model.d20, (2, 0)), (model.d11, (1, 1)))
+            ))
+        g._cache["frame"], g._cache["S"] = alg.unit_model(model)
     return g._cache["frame"]
 
 
@@ -587,15 +590,6 @@ def laplacian_delbar(g: HermitianMetric, p: int, q: int) -> np.ndarray:
 def laplacian_derham(g: HermitianMetric, k: int) -> np.ndarray:
     """de Rham Laplacian d* d + d d* on real k-forms, in the orthonormal real frame."""
     return laplacian(g, "derham", k)
-
-
-def derham_harmonic_dimension(g: HermitianMetric, k: int) -> int:
-    """Dimension of the de Rham harmonic k-forms, from eigenvalues only.
-
-    The frame pair of d is real (``alg.real_model``, float64), so Delta_d is
-    a real symmetric matrix and a real eigenvalue solve counts its kernel.
-    """
-    return kernel_dimension(laplacian(g, "derham", k))
 
 
 # ---------------------------------------------------------------------------

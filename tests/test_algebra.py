@@ -309,6 +309,15 @@ def test_form_document_accumulates_repeated_terms():
     assert alg.form_to_document(u)["terms"] == [{"holo": [1], "anti": [2], "coeff": [2.0, 4.0]}]
 
 
+def test_norm_is_exact_where_the_squares_leave_the_float_range(rng):
+    u = alg.random_form(3, 1, 1, rng)
+    plain = float(np.linalg.norm(u.vec))
+    assert u.norm() == plain
+    for t in (2.0**-600, 2.0**600):  # powers of two: the scaled norm is exact
+        assert (t * u).norm() == t * plain
+    assert alg.zero_form(3, 1, 1).norm() == 0.0
+
+
 def test_integrate_top_normalization():
     n = 2
     top = tuple(range(1, n + 1))

@@ -87,6 +87,21 @@ def test_scale_equivariance(models, rng):
             assert base == scaled
 
 
+@pytest.mark.parametrize("name", ["iwasawa", "kodaira_thurston", "iwasawa7"])
+def test_flags_hold_under_extreme_scalar_metrics(models, bench_module, name):
+    # |omega^{n-1}| is of size t^{n-1}: its squares leave the float range long
+    # before its entries do.  At n = 7 the entries t^6 themselves leave it
+    # past about t = 1e+-50, so the n = 7 model stops at the t = 1e+-30 rung.
+    if name == "iwasawa7":
+        model, scales = alg.parse_model(bench_module("inputs").iwasawa_type(7)), (1e-30, 1e30)
+    else:
+        model, scales = models[name], (1e-100, 1e-30, 1e30, 1e100)
+    base = classify.classify_metric(hodge.identity_metric(model)).flags()
+    for t in scales:
+        g = hodge.metric_from_matrix(model, t * np.eye(model.n))
+        assert classify.classify_metric(g).flags() == base, t
+
+
 def test_implication_chain_random_metrics(models, rng):
     for name in ("torus2", "torus3", "iwasawa", "kodaira_thurston", "double_kt"):
         model = models[name]

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from pluriclosed import algebra as alg
+from pluriclosed import cli
 from pluriclosed import cohomology as coh
 from pluriclosed import fixtures as fx
 from pluriclosed import hodge
 from pluriclosed.errors import CrossCheckError, PreconditionError
-from pluriclosed.linalg import hermitian_kernel, numeric_rank, rank_cut
+from pluriclosed.linalg import hermitian_kernel, kernel_dimension, numeric_rank, rank_cut
 
-from conftest import ExactModel, IWASAWA4_DOC
+from conftest import DOUBLE_KT_DOC, ExactModel, IWASAWA4_DOC
 
 
 def test_torus_bc_aeppli_dims_are_binomials(models):
@@ -135,6 +136,70 @@ def test_a_model_in_a_rotated_coframe_keeps_its_dimensions(models, coframe_oracl
                 if dimension != expected:
                     wrong.append((name, seed, key))
     assert (refused, wrong) == ([], [])
+
+
+# one unit complex per coframe: ``alg.unit_model`` assembles it on arrays of
+# its own, and the identity metric's frame is that same complex
+
+
+def _fresh_model(name: str) -> alg.LieModel:
+    return alg.parse_model(DOUBLE_KT_DOC) if name == "double_kt" else fx.load_model(name)
+
+
+@pytest.mark.parametrize("name", [*fx.available_models(), "double_kt"])
+def test_the_engine_never_edits_a_block_a_caller_holds(name):
+    model = _fresh_model(name)
+    n = model.n
+    held = [
+        op(model, p, q)
+        for op in (alg.del_matrix, alg.delbar_matrix)
+        for p in range(n + 1)
+        for q in range(n + 1)
+    ]
+    copies = [block.copy() for block in held]
+    for g in (hodge.identity_metric(model), _conditioned_metric(model, 10.0, seed=0)):
+        for key in _space_keys(n):
+            coh.cohomology_space(g, *key)
+    for block, copy in zip(held, copies):
+        assert np.array_equal(block, copy) and not block.flags.writeable
+
+
+@pytest.mark.parametrize("name", fx.available_models())
+def test_the_identity_metric_frame_is_the_models_unit_complex(name):
+    model = _fresh_model(name)
+    unit, scale = alg.unit_model(model)
+    metrics = [hodge.identity_metric(model)]
+    if model.n == 2:  # the bundled identity document is 2 x 2
+        metrics.append(hodge.metric_from_document(model, fx.load_document("metric_identity")))
+    for g in metrics:
+        assert hodge.frame_model(g) is unit
+        assert hodge.complex_scale(g) == scale
+    other = hodge.metric_from_matrix(model, np.diag(np.geomspace(10.0, 1.0, model.n)))
+    assert hodge.frame_model(other) is not unit
+
+
+def test_a_command_without_metric_assembles_one_unit_complex(monkeypatch, capsys):
+    # every del and delbar block of the n = 3 unit complex once: 2 (n + 1)^2
+    differential, unit_model = alg._differential, alg.unit_model
+    building, assembled = [False], []
+
+    def count(model, kind, p, q):
+        if building[0] and (kind, p, q) not in model._cache:
+            assembled.append((kind, p, q))
+        return differential(model, kind, p, q)
+
+    def unit(model):
+        building[0] = "unit" not in model._cache
+        try:
+            return unit_model(model)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(alg, "_differential", count)
+    monkeypatch.setattr(alg, "unit_model", unit)
+    assert cli.main(["cohomology", "--model", "iwasawa"]) == 0
+    capsys.readouterr()
+    assert len(assembled) == len(set(assembled)) == 2 * 4**2
 
 
 # bench/reference.py is an exact mod-p rank of the same complex, on its own
@@ -467,7 +532,7 @@ def test_real_derham_count_matches_the_complex_kernel(mirror_metrics, name):
     for k in range(2 * g.n + 1):
         reference = _complex_derham_laplacian(g, k)
         complex_kernel = hermitian_kernel(reference)
-        assert hodge.derham_harmonic_dimension(g, k) == complex_kernel.shape[1], k
+        assert kernel_dimension(hodge.laplacian(g, "derham", k)) == complex_kernel.shape[1], k
 
 
 def _complex_lefschetz_power(n: int, k: int, degree: int) -> np.ndarray:
@@ -531,14 +596,16 @@ def test_kahler_lefschetz_maps_match_the_complex_frame_off_unimodular_models(h):
 
 
 def _direct_derham_degrees(monkeypatch) -> list[int]:
+    """Records the degree of every de Rham ``hodge.laplacian`` call."""
     called = []
-    original = hodge.derham_harmonic_dimension
+    original = hodge.laplacian
 
-    def record(g, k):
-        called.append(k)
-        return original(g, k)
+    def record(g, theory, p, q=None):
+        if theory == "derham":
+            called.append(p)
+        return original(g, theory, p, q)
 
-    monkeypatch.setattr(hodge, "derham_harmonic_dimension", record)
+    monkeypatch.setattr(hodge, "laplacian", record)
     return called
 
 
@@ -583,7 +650,7 @@ def test_derham_count_peaks_below_three_complex_laplacians(bench_module):
     size = sum(alg.space_dim(6, p, 6 - p) for p in range(7))
     tracemalloc.start()
     try:
-        assert hodge.derham_harmonic_dimension(g, 6) == 490
+        assert kernel_dimension(hodge.laplacian(g, "derham", 6)) == 490
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
