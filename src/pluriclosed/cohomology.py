@@ -34,13 +34,32 @@ own and checked against it.
   permutation in the unitary frame) maps the Bott-Chern harmonic
   (n-q,n-p) space onto the Aeppli (p,q) space (Schweitzer), and conj star
   maps the Dolbeault harmonic (n-p,n-q) space onto the (p,q) space (Serre
-  duality).  So no Aeppli space needs a Laplacian, and a Dolbeault space
-  needs one only when (p,q) <= (n-p,n-q).  A non-unimodular model, where
-  both dualities fail, computes Aeppli with p <= q directly, takes p > q by
-  conjugation, and computes every Dolbeault space.
+  duality).  So no Aeppli space needs a Laplacian, and no Dolbeault space
+  with (p,q) > (n-p,n-q) does.  A non-unimodular model, where both
+  dualities fail, computes Aeppli with p <= q directly, takes p > q by
+  conjugation, and mirrors no Dolbeault space.
 - Poincare duality: on a unimodular model b_k = b_{2n-k}, so a de Rham
   degree k > n takes its harmonic dimension from degree 2n - k.  A
-  non-unimodular model computes every degree.
+  non-unimodular model mirrors no degree.
+
+The Euler characteristic fixes one more space in each complex.  The
+complex (Lambda^*, d) and each Dolbeault row (Lambda^{p,*}, delbar) are
+finite, and their cochain dimensions have alternating sum 0, so
+sum_k (-1)^k b_k = 0 and sum_q (-1)^q h^{p,q} = 0 on every model,
+unimodular or not (Nomizu; Console-Fino).  An Euler space takes its
+harmonic dimension from the rest of its complex, or row, with no Laplacian
+(``_euler_partners``): de Rham degree n, and Dolbeault (p, n // 2) where no
+duality mirrors it (2p <= n on a unimodular model, every row on a
+non-unimodular one).  Its quotient rank is still computed and checked.  No
+check is lost: the checks of the other spaces, read from the bottom degree
+up and from the top down (through Poincare or Serre duality where it
+applies), fix every rank of the complex in turn, so the Euler space's
+quotient dimension is forced, and its Laplacian could only repeat checks
+that have already passed.  It costs three things.  A lone request for an
+Euler space computes its whole complex.  A refusal anywhere in a complex
+also refuses its Euler space, with a message that names both.  And a read
+of a Dolbeault Euler space's basis builds its Laplacian, checked against
+the Euler dimension.
 
 The de Rham pair is d on real forms of the underlying real Lie algebra
 (``alg.real_model``; Chevalley-Eilenberg), assembled in float64, so both
@@ -178,6 +197,21 @@ def _mirror(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
     return None
 
 
+def _euler_partners(g: hodge.HermitianMetric, theory: str, p: int, q: int | None):
+    """(sign, space) pairs whose signed dimensions sum to an Euler space's, None for any other space.
+
+    The Euler spaces are de Rham degree n and Dolbeault (p, n // 2): their
+    complex, or Dolbeault row, has Euler characteristic 0.  ``_mirror`` is
+    asked first, so a mirrored space is never an Euler space.
+    """
+    n = g.n
+    if theory == "derham" and p == n:
+        return [((-1) ** (k - n + 1), ("derham", k, None)) for k in range(2 * n + 1) if k != n]
+    if theory == "dolbeault" and q == n // 2:
+        return [((-1) ** (j - q + 1), (theory, p, j)) for j in range(n + 1) if j != q]
+    return None
+
+
 def _dimension(g: hodge.HermitianMetric, theory: str, p: int, q: int | None) -> int:
     """Dimension of one space by both routes, cached on the metric.
 
@@ -193,6 +227,17 @@ def _dimension(g: hodge.HermitianMetric, theory: str, p: int, q: int | None) -> 
         mirror = _mirror(g, theory, p, q)
         if mirror is not None:
             hdim = _dimension(g, *mirror[0])
+        elif partners := _euler_partners(g, theory, p, q):
+            hdim = 0
+            for sign, partner in partners:
+                try:
+                    hdim += sign * _dimension(g, *partner)
+                except CrossCheckError as exc:
+                    what = "complex" if q is None else "row"
+                    raise CrossCheckError(
+                        f"{theory} ({p},{q}): dimension fixed by the Euler characteristic of its {what}, "
+                        "and {} ({},{}) was refused: {}".format(*partner, exc)
+                    ) from exc
         else:
             hdim = kernel_dimension(hodge.laplacian(g, theory, p, q))
         if qdim != hdim:

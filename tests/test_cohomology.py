@@ -413,6 +413,8 @@ def test_only_unmirrored_spaces_build_a_laplacian(models, exact_models, monkeypa
     else:  # no star or Serre mirror: Aeppli with p <= q and all of Dolbeault as well
         expected = [(theory, *pq) for theory in ("bc", "aeppli") for pq in below]
         expected += [("dolbeault", p, q) for p in range(n + 1) for q in range(n + 1)]
+    # less the middle of each Dolbeault row, which takes its dimension from the row
+    expected = [key for key in expected if key[0] != "dolbeault" or key[2] != n // 2]
     assert sorted(built) == sorted(expected)
     assert dims == {key: exact_models[name].dim(*key) for key in dims}
 
@@ -616,10 +618,11 @@ def test_derham_mirrors_only_unimodular_models(models, exact_models, monkeypatch
     n = g.n
     betti = [coh.cohomology_space(g, "derham", k).dimension for k in range(2 * n + 1)]
     assert betti == [exact_models[name].dim("derham", k, None) for k in range(2 * n + 1)]
+    # degree n takes its dimension from the Euler characteristic of the others
     if alg.is_unimodular(g.model):
-        assert sorted(called) == list(range(n + 1))
-    else:  # Poincare duality fails, and every degree takes the direct route
-        assert sorted(called) == list(range(2 * n + 1))
+        assert sorted(called) == list(range(n))
+    else:  # Poincare duality fails, and every other degree takes the direct route
+        assert sorted(called) == [k for k in range(2 * n + 1) if k != n]
         assert betti != betti[::-1]
 
 
@@ -638,6 +641,116 @@ def test_poincare_mirrored_degree_keeps_its_cross_check(models, monkeypatch):
         coh.cohomology_space(g, "derham", mirrored)
     with pytest.raises(CrossCheckError):  # and computed on demand
         coh.cohomology_space(_conditioned_metric(model, 10.0, seed=2), "derham", mirrored)
+
+
+# ---------------------------------------------------------------------------
+# Euler characteristic: de Rham degree n and Dolbeault (p, n // 2) take their
+# dimension from the rest of their complex, or row
+
+# (model, Euler space, a partner space of it)
+EULER_SPACES = {
+    "derham": ("iwasawa", ("derham", 3, None), ("derham", 4, None)),  # a Poincare-mirrored partner
+    "derham_nonunimodular": ("nonunimodular", ("derham", 2, None), ("derham", 1, None)),
+    "dolbeault": ("kodaira_thurston", ("dolbeault", 1, 1), ("dolbeault", 1, 0)),
+    "dolbeault_serre": ("iwasawa", ("dolbeault", 0, 1), ("dolbeault", 0, 3)),  # a Serre-mirrored partner
+    "dolbeault_nonunimodular": ("nonunimodular", ("dolbeault", 2, 1), ("dolbeault", 2, 2)),
+}
+
+
+def _off_by_one(monkeypatch, space: tuple) -> None:
+    """Adds one to the quotient dimension of ``space``."""
+    quotient = coh.quotient_dimension
+
+    def off_by_one(model, theory, p, q, ranks=None):
+        return quotient(model, theory, p, q, ranks) + ((theory, p, q) == space)
+
+    monkeypatch.setattr(coh, "quotient_dimension", off_by_one)
+
+
+@pytest.mark.parametrize("case", EULER_SPACES)
+def test_euler_space_keeps_its_cross_check(models, monkeypatch, case):
+    name, euler, partner = EULER_SPACES[case]
+    _off_by_one(monkeypatch, euler)
+    model = models[name]
+    g = _conditioned_metric(model, 10.0, seed=2)
+    assert partner in [key for _, key in coh._euler_partners(g, *euler)]
+    coh.cohomology_space(g, *partner)  # a partner is cached first
+    with pytest.raises(CrossCheckError, match="quotient rank"):
+        coh.cohomology_space(g, *euler)
+    with pytest.raises(CrossCheckError, match="quotient rank"):  # and computed on demand
+        coh.cohomology_space(_conditioned_metric(model, 10.0, seed=2), *euler)
+
+
+@pytest.mark.parametrize("case", EULER_SPACES)
+def test_a_refused_partner_refuses_its_euler_space(models, monkeypatch, case):
+    name, euler, partner = EULER_SPACES[case]
+    _off_by_one(monkeypatch, partner)
+    model = models[name]
+    g = _conditioned_metric(model, 10.0, seed=2)
+    with pytest.raises(CrossCheckError):  # the partner is requested first, and refused
+        coh.cohomology_space(g, *partner)
+    with pytest.raises(CrossCheckError):
+        coh.cohomology_space(g, *euler)
+    with pytest.raises(CrossCheckError):  # and on a fresh metric
+        coh.cohomology_space(_conditioned_metric(model, 10.0, seed=2), *euler)
+    assert ("cohomology", *euler) not in g._cache
+
+
+def test_a_refused_partner_is_named_with_its_euler_space(models, monkeypatch):
+    _off_by_one(monkeypatch, ("dolbeault", 1, 0))
+    g = _conditioned_metric(models["kodaira_thurston"], 10.0, seed=2)
+    with pytest.raises(CrossCheckError) as refused:
+        coh.cohomology_space(g, "dolbeault", 1, 1)
+    cause = refused.value.__cause__
+    assert isinstance(cause, CrossCheckError)
+    assert str(cause).startswith("dolbeault (1,0): quotient rank")
+    assert str(refused.value) == (
+        "dolbeault (1,1): dimension fixed by the Euler characteristic of its row, "
+        f"and dolbeault (1,0) was refused: {cause}"
+    )
+    _off_by_one(monkeypatch, ("derham", 1, None))
+    with pytest.raises(CrossCheckError, match=r"^derham \(2,None\): .* its complex, and derham \(1,None\)"):
+        coh.cohomology_space(g, "derham", 2)
+
+
+def test_a_command_refused_through_an_euler_space_exits_3(monkeypatch, capsys):
+    # the command reads Dolbeault (1,1) before its partner (1,2), the Serre mirror of (1,0)
+    _off_by_one(monkeypatch, ("dolbeault", 1, 2))
+    assert cli.main(["cohomology", "--model", "kodaira_thurston"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal cross-check failure: dolbeault (1,1): dimension fixed by")
+    assert "and dolbeault (1,2) was refused: dolbeault (1,2): quotient rank" in err
+
+
+@pytest.mark.parametrize("name", [*fx.available_models(), "double_kt"])
+def test_a_lone_euler_space_request_has_the_exact_dimension(models, exact_models, monkeypatch, name):
+    built = []
+    original = hodge.laplacian
+
+    def record(g, theory, p, q=None):
+        built.append((theory, p, q))
+        return original(g, theory, p, q)
+
+    monkeypatch.setattr(hodge, "laplacian", record)
+    n = models[name].n
+    for key in [("derham", n, None)] + [("dolbeault", p, n // 2) for p in range(n + 1)]:
+        g = _conditioned_metric(models[name], 10.0, seed=5)  # nothing cached yet
+        assert coh.cohomology_space(g, *key).dimension == exact_models[name].dim(*key), key
+        assert key not in built, key
+
+
+@pytest.mark.parametrize("name", [*fx.available_models(), "double_kt"])
+def test_a_dolbeault_middle_basis_has_its_euler_dimension(models, exact_models, name):
+    g = _conditioned_metric(models[name], 10.0, seed=6)
+    n = g.n
+    for p in range(n + 1):
+        space = coh.cohomology_space(g, "dolbeault", p, n // 2)
+        assert space.dimension == exact_models[name].dim("dolbeault", p, n // 2)
+        basis = space.basis
+        assert basis.shape == (alg.space_dim(n, p, n // 2), space.dimension), p
+        lap = hodge.laplacian(g, "dolbeault", p, n // 2)
+        assert np.linalg.norm(lap @ basis) <= rank_cut(lap.shape, np.linalg.norm(lap)), p
 
 
 def test_derham_count_peaks_below_three_complex_laplacians(bench_module):
