@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError
+from .linalg import SparseBatch
 
 __all__ = [
     "MultiIndex",
@@ -60,6 +61,7 @@ __all__ = [
     "deldelbar_matrix",
     "d_matrix",
     "unit_model",
+    "unit_operators",
     "real_model",
     "theory_operators",
     "closed_and_exact",
@@ -488,14 +490,31 @@ def _differential_table(n: int, kind: str, p: int, q: int) -> tuple[np.ndarray, 
 # differentials
 
 
+def _constants(model: LieModel) -> np.ndarray:
+    """The structure constants d20 and d11 laid end to end: what a table's coefficient indexes."""
+    return np.concatenate([model.d20.ravel(), model.d11.ravel()])
+
+
+@lru_cache(maxsize=None)
+def _operator_shape(n: int, kind: str, p: int, q: int | None) -> tuple[int, int]:
+    """Shape of the operator of the key (kind, p, q) (``operator_matrix``)."""
+    if kind == "d":
+        return space_dim(n, p + 1, q) + space_dim(n, p, q + 1), space_dim(n, p, q)
+    if kind == "del+delbar":
+        return space_dim(n, p, q), space_dim(n, p - 1, q) + space_dim(n, p, q - 1)
+    if kind == "real_d":
+        return space_dim(2 * n, p + 1, 0), space_dim(2 * n, p, 0)
+    return space_dim(n, p + (kind != "delbar"), q + (kind != "del")), space_dim(n, p, q)
+
+
 def _differential(model: LieModel, kind: str, p: int, q: int) -> np.ndarray:
     """del or delbar on Lambda^{p,q}, cached: ``_differential_table`` summed over the dg_k."""
     if (kind, p, q) in model._cache:
         return model._cache[kind, p, q]
     n = model.n
     entry, index, re_sign, im_sign = _differential_table(n, kind, p, q)
-    coeffs = np.concatenate([model.d20.ravel(), model.d11.ravel()])[index]
-    shape = (space_dim(n, p + (kind == "del"), q + (kind == "delbar")), space_dim(n, p, q))
+    coeffs = _constants(model)[index]
+    shape = _operator_shape(n, kind, p, q)
     size = shape[0] * shape[1]
     out = np.bincount(entry, coeffs.real * re_sign, minlength=size).astype(coeffs.dtype, copy=False)
     if np.iscomplexobj(out):
@@ -566,7 +585,10 @@ def unit_model(model: LieModel) -> tuple[LieModel, float]:
     block is assembled once, on a private model of the same constants, to
     find S, then divided in place and cached on the unit model only: a block
     a caller read from ``model`` is never changed.  A torus has S = 0 and
-    keeps its rows.  The pair is cached on ``model``.
+    keeps its rows.  The pair is cached on ``model``.  Only frames read it
+    now (``hodge.frame_model``: the identity metric's frame is this unit
+    model), because their dense blocks feed the Laplacians; the quotient
+    route reads the same complex by its nonzero entries (``unit_operators``).
     """
     if "unit" not in model._cache:
         source = LieModel(model.name, model.n, model.d20, model.d11)
@@ -608,6 +630,223 @@ def real_model(model: LieModel) -> LieModel:
         rows = math.sqrt(2) * (two - two.transpose(0, 2, 1))[(slice(None), *np.triu_indices(2 * n, 1))]
         model._cache["real"] = _frozen(np.vstack([rows.real, rows.imag]))
     return LieModel(model.name, 2 * n, model._cache["real"], np.zeros((2 * n, 4 * n * n)))
+
+
+def _summed(cells: np.ndarray, real: np.ndarray, imag: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, values): each distinct cell once, its terms summed in input order, zero sums dropped.
+
+    ``np.bincount`` adds the terms of a cell one at a time, from 0, in input
+    order.  ``imag`` is None for real terms.
+    """
+    cells, slot = np.unique(cells, return_inverse=True)
+    values = np.bincount(slot, real, minlength=cells.size).astype(float if imag is None else complex)
+    if imag is not None:
+        values.imag = np.bincount(slot, imag, minlength=cells.size)
+    keep = values != 0
+    return cells[keep], values[keep]
+
+
+def _offsets(shapes: np.ndarray) -> np.ndarray:
+    """Where each operator of these shapes starts when their entries are laid end to end, row by row."""
+    sizes = shapes[:, 0] * shapes[:, 1]
+    return np.cumsum(sizes) - sizes
+
+
+def _entries(cells: np.ndarray, shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, rows, cols) of cells laid out by ``_offsets``; an empty operator owns no cell."""
+    offsets = _offsets(shapes)
+    owner = np.searchsorted(offsets, cells, side="right") - 1
+    rows, cols = np.divmod(cells - offsets[owner], shapes[owner, 1])
+    return owner, rows, cols
+
+
+def _shapes(n: int, keys) -> np.ndarray:
+    """The (rows, columns) of each operator key, one row each."""
+    return np.array([_operator_shape(n, *key) for key in keys], dtype=np.int64).reshape(-1, 2)
+
+
+def _nonzero_blocks(model: LieModel, keys: list[tuple], unit: bool = False) -> tuple[tuple, float]:
+    """((owner, rows, cols, values), S): the del or delbar blocks of ``keys`` by their nonzero entries.
+
+    Entry k is ``values[k]`` at (``rows[k]``, ``cols[k]``) of block
+    ``keys[owner[k]]``, and a block is ``_differential`` without its zeros.
+    Only the table rows whose structure constant is nonzero are kept; the
+    rest add zeros, which change no partial sum, and ``np.bincount`` adds the
+    rows of a cell in table order in both, so each value equals the dense
+    block's bit for bit.  S is the largest 2-norm of a block's values, and
+    with ``unit`` every value is divided by it (a torus, S = 0, keeps its
+    values).
+    """
+    n, constants = model.n, _constants(model)
+    live = constants != 0
+    shapes = _shapes(n, keys)
+    cells, index = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.intp)]
+    re_signs, im_signs = [np.zeros(0, dtype=np.int8)], [np.zeros(0, dtype=np.int8)]
+    for key, offset in zip(keys, _offsets(shapes).tolist()):
+        entry, coeff, re_sign, im_sign = _differential_table(n, *key)
+        keep = live[coeff].nonzero()[0]
+        if keep.size:
+            cells.append(entry[keep] + np.int64(offset))
+            index.append(coeff[keep])
+            re_signs.append(re_sign[keep])
+            im_signs.append(im_sign[keep])
+    coeffs = constants[np.concatenate(index)]
+    imag = coeffs.imag * np.concatenate(im_signs) if np.iscomplexobj(coeffs) else None
+    cells, values = _summed(np.concatenate(cells), coeffs.real * np.concatenate(re_signs), imag)
+    owner, rows, cols = _entries(cells, shapes)
+    scale = float(np.sqrt(np.bincount(owner, (values * values.conj()).real).max(initial=0.0)))
+    if unit:
+        values /= scale or 1.0
+    return (owner, rows, cols, values), scale
+
+
+@lru_cache(maxsize=None)
+def _family_keys(n: int, family: str) -> dict[tuple, int]:
+    """The keys of the operators that one family of the unit complex holds, each to its place.
+
+    The family "del" holds every del block and then every delbar block on
+    Lambda^{p,q}, 0 <= p, q <= n; "d" and "del+delbar" one stack on each
+    Lambda^{p,q}; "deldelbar" the products on Lambda^{p,q} for p, q < n (the
+    others map to or from 0); "real_d" d in each real degree 0..2n.
+    """
+    span = range(n + 1)
+    if family == "del":
+        keys = [(kind, p, q) for kind in ("del", "delbar") for p in span for q in span]
+    elif family in ("d", "del+delbar"):
+        keys = [(family, p, q) for p in span for q in span]
+    elif family == "deldelbar":
+        keys = [(family, p, q) for p in range(n) for q in range(n)]
+    elif family == "real_d":
+        keys = [(family, k, None) for k in range(2 * n + 1)]
+    else:
+        raise ValueError(f"unknown operator kind {family!r}")
+    return {key: place for place, key in enumerate(keys)}
+
+
+@lru_cache(maxsize=None)
+def _stack_maps(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(target, shift): the stack of ``kind`` that each block of the family "del" goes to, and its offset.
+
+    d = (del;delbar) on Lambda^{p,q} shifts the rows of delbar by dim
+    Lambda^{p+1,q}; del+delbar = [del | delbar] into Lambda^{p,q} shifts the
+    columns of delbar, from Lambda^{p,q-1}, by dim Lambda^{p-1,q}.  A block
+    into bidegree n + 1 goes nowhere; it holds no entries.
+    """
+    places = _family_keys(n, kind)
+    target, shift = [], []
+    for block, p, q in _family_keys(n, "del"):
+        if kind == "d":
+            key, offset = (kind, p, q), space_dim(n, p + 1, q) if block == "delbar" else 0
+        elif block == "del":
+            key, offset = (kind, p + 1, q), 0
+        else:
+            key, offset = (kind, p, q + 1), space_dim(n, p - 1, q + 1)
+        target.append(places.get(key, 0))
+        shift.append(offset)
+    return _frozen(np.array(target, dtype=np.int64)), _frozen(np.array(shift, dtype=np.int64))
+
+
+@lru_cache(maxsize=None)
+def _factor_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right): the deldelbar each block of the family "del" is the left or right factor of, or -1.
+
+    deldelbar on Lambda^{p,q} is del on Lambda^{p,q+1} times delbar on Lambda^{p,q}.
+    """
+    places = _family_keys(n, "deldelbar")
+    blocks = list(_family_keys(n, "del"))
+    left = [places.get(("deldelbar", p, q - 1), -1) if kind == "del" else -1 for kind, p, q in blocks]
+    right = [places.get(("deldelbar", p, q), -1) if kind == "delbar" else -1 for kind, p, q in blocks]
+    return _frozen(np.array(left, dtype=np.int64)), _frozen(np.array(right, dtype=np.int64))
+
+
+def _products(n: int, entries: tuple) -> tuple:
+    """The family "deldelbar" from the entries of the family "del", in one join.
+
+    Entry del[i, k] meets every delbar[k, j] of its pair, and the products of
+    a cell sum in join order.
+    """
+    owner, rows, cols, values = entries
+    left, right = _factor_maps(n)
+    shapes = _shapes(n, _family_keys(n, "deldelbar"))
+    stride = 4**n  # above every index of a space, so (pair, index) is one key
+    a = np.flatnonzero(left[owner] >= 0)
+    a_key = left[owner[a]] * stride + cols[a]
+    order = np.argsort(a_key, kind="stable")
+    a, a_key = a[order], a_key[order]
+    b = np.flatnonzero(right[owner] >= 0)
+    b_key = right[owner[b]] * stride + rows[b]
+    first = np.searchsorted(a_key, b_key, side="left")
+    count = np.searchsorted(a_key, b_key, side="right") - first
+    b = np.repeat(b, count)
+    a = a[np.arange(b.size) - np.repeat(np.cumsum(count) - count - first, count)]
+    pair, products = left[owner[a]], values[a] * values[b]
+    cells = _offsets(shapes)[pair] + rows[a] * shapes[pair, 1] + cols[b]
+    cells, products = _summed(cells, products.real, products.imag if np.iscomplexobj(products) else None)
+    return (*_entries(cells, shapes), products)
+
+
+def _unit_blocks(model: LieModel) -> tuple[tuple, float]:
+    """(entries, S): the del and delbar blocks of the unit model (``unit_model``) by their nonzero entries.
+
+    They are the model's own blocks divided by S, with ``owner`` indexing the
+    family "del" (``_family_keys``), built in one pass and cached on
+    ``model``.
+    """
+    if "unit nonzero" not in model._cache:
+        keys = list(_family_keys(model.n, "del"))
+        model._cache["unit nonzero"] = _nonzero_blocks(model, keys, unit=True)
+    return model._cache["unit nonzero"]
+
+
+def _unit_family(model: LieModel, family: str) -> tuple:
+    """(owner, rows, cols, values): one family of operators of the unit complex by their nonzero entries.
+
+    ``owner`` indexes the family's keys (``_family_keys``).  "del" is the
+    cached blocks (``_unit_blocks``); the rest are formed from them on each
+    request: "d" and "del+delbar" by an offset of rows or columns,
+    "deldelbar" by one join, and "real_d" as d on the real model
+    (``real_model``) of the unit model.
+    """
+    n, (blocks, scale) = model.n, _unit_blocks(model)
+    owner, rows, cols, values = blocks
+    if family in ("d", "del+delbar"):
+        target, shift = _stack_maps(n, family)
+        if family == "d":
+            return target[owner], rows + shift[owner], cols, values
+        return target[owner], rows, cols + shift[owner], values
+    if family == "deldelbar":
+        return _products(n, blocks)
+    if family == "real_d":
+        divisor = scale or 1.0
+        real = real_model(LieModel(model.name, n, model.d20 / divisor, model.d11 / divisor))
+        return _nonzero_blocks(real, [("del", k, 0) for k in range(2 * n + 1)])[0]
+    return blocks
+
+
+def unit_operators(model: LieModel, keys: list[tuple]) -> SparseBatch:
+    """The operators of ``keys`` on the model's unit complex, by their nonzero entries, in one batch.
+
+    Operator i is ``operator_matrix(unit_model(model)[0], *keys[i])`` with no
+    dense block.  Each kind is read from its family (``_unit_family``),
+    formed once per call from the blocks cached on the model; an operator
+    off the range of its family has no entries.
+    """
+    n, wanted = model.n, {}
+    for i, key in enumerate(keys):
+        family = "del" if key[0] == "delbar" else key[0]
+        place = _family_keys(n, family).get(key)
+        if place is not None:
+            wanted.setdefault(family, []).append((place, i))
+    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
+    for family, pairs in wanted.items():
+        owner, rows, cols, values = _unit_family(model, family)
+        lookup = np.full(len(_family_keys(n, family)), -1)
+        places, positions = np.array(pairs).T
+        lookup[places] = positions
+        position = lookup[owner]
+        keep = np.flatnonzero(position >= 0)
+        parts.append((position[keep], rows[keep], cols[keep], values[keep]))
+    return SparseBatch(*(np.concatenate(column) for column in zip(*parts)), _shapes(n, keys))
 
 
 def theory_operators(theory: str, p: int, q: int | None) -> tuple[tuple, tuple]:
@@ -655,7 +894,8 @@ def operator_matrix(model: LieModel, kind: str, p: int, q: int | None) -> np.nda
     del, delbar and deldelbar act on Lambda^{p,q}, and d stacks del over
     delbar there; del+delbar is [del | delbar] from Lambda^{p-1,q} +
     Lambda^{p,q-1} into Lambda^{p,q}; real_d is d on real p-forms
-    (``real_model``), and q is unused.
+    (``real_model``), and q is unused.  ``unit_operators`` gives the
+    operators of a model's unit complex by their nonzero entries instead.
     """
     if kind == "del":
         return del_matrix(model, p, q)

@@ -2,23 +2,29 @@
 
 A theory is a pair (closed, exact) of operators, each named by a key
 (``alg.theory_operators``), and every space is computed twice from it: once
-as the quotient rank columns - rank closed - rank exact of the matrices of
-the model's unit complex (``alg.unit_model``, metric-free), and once as the
-kernel dimension of the frame Laplacian closed* closed + exact exact*
-(``hodge.laplacian``) for a chosen metric, counted from its eigenvalues
-alone (``linalg.kernel_dimension``).  Both are unit complexes under one
-rank cut, so a model in a rotated coframe decides the ranks it does in its own.
+as the quotient rank columns - rank closed - rank exact of the operators of
+the model's unit complex, read by their nonzero entries
+(``alg.unit_operators``, metric-free), and once as the kernel dimension of
+the frame Laplacian closed* closed + exact exact* (``hodge.laplacian``) for
+a chosen metric, counted from its eigenvalues alone
+(``linalg.kernel_dimension``).  Both are unit complexes under one rank cut,
+so a model in a rotated coframe decides the ranks it does in its own.
 Under the identity metric the two are one complex: the frame is the model's
-own unit model (``hodge.frame_model``).
+own unit model (``hodge.frame_model``), in dense blocks, and each form sums
+its own S, the largest block norm (on dense constants the two sums may part
+in the last bits).
 The finite Hodge isomorphism makes the two dimensions equal exactly; a
 mismatch is a numerical-threshold failure and raises CrossCheckError.
 Neighbouring spaces share operators (deldelbar on (p,q) is Aeppli (p,q)'s
 closed map and Bott-Chern (p+1,q+1)'s exact one), so the metric keeps one
 table of ranks by operator key: each operator is ranked once per metric,
 and every space that reads a rank still checks it against its own harmonic
-dimension.  A harmonic basis costs eigenvectors, so it is built only when
-``CohomologySpace.basis`` is first read, and it must have as many columns
-as the space's dimension.
+dimension.  The quotient route ranks a theory at a time: a space whose
+operators the table lacks ranks, in one batch (``linalg.numeric_ranks``),
+every operator of its theory's spaces still missing, so a lone request
+ranks its whole theory.  A harmonic basis costs eigenvectors, so it is
+built only when ``CohomologySpace.basis`` is first read, and it must have
+as many columns as the space's dimension.
 
 Dualities do most of the harmonic work.  A mirrored space takes its
 harmonic dimension from another space with no Laplacian, and on demand its
@@ -77,6 +83,7 @@ H^{n-1,n-1}_BC with its lambda coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,7 +91,7 @@ from . import algebra as alg
 from . import hodge
 from .algebra import Form, LieModel
 from .errors import CrossCheckError, PreconditionError
-from .linalg import kernel_dimension, nullspace, numeric_rank
+from .linalg import kernel_dimension, nullspace, numeric_ranks
 
 __all__ = [
     "THEORIES",
@@ -159,21 +166,32 @@ def quotient_dimension(
     """Cohomology dimension by rank-nullity on the invariant complex.
 
     For the theory's pair (closed, exact) of the model's unit operators
-    (``alg.theory_operators``, ``alg.unit_model``) the kernel is counted as
-    columns minus rank, from singular values only (``linalg.numeric_rank``).
-    ``ranks`` maps operator keys to their ranks: a key it lacks is built,
-    ranked and stored as an int, the matrix dropped, so spaces that share a
-    ``ranks`` table rank each shared operator once.  Without one, the space
-    ranks both its operators.
+    (``alg.theory_operators``, ``alg.unit_operators``) the kernel is counted
+    as columns minus rank, from singular values only (``linalg.numeric_ranks``).
+    ``ranks`` maps operator keys to their ranks.  When it lacks a key of this
+    space, every operator of the theory's spaces that it lacks is ranked in
+    one batch and stored as an int, so spaces that share a ``ranks`` table
+    rank each shared operator once.  Without one, the space ranks its own
+    two operators.
     """
-    ranks = {} if ranks is None else ranks
+    table = {} if ranks is None else ranks
     keys = alg.theory_operators(theory, p, q)
-    for key in keys:
-        if key not in ranks:
-            ranks[key] = numeric_rank(alg.operator_matrix(alg.unit_model(model)[0], *key))
+    if any(key not in table for key in keys):
+        wanted = [key for key in (keys if ranks is None else _theory_keys(model.n, theory)) if key not in table]
+        table.update(zip(wanted, numeric_ranks(alg.unit_operators(model, wanted))))
     n = model.n
     columns = alg.space_dim(n, p, q) if q is not None else alg.space_dim(2 * n, p, 0)
-    return columns - sum(ranks[key] for key in keys)
+    return columns - sum(table[key] for key in keys)
+
+
+@lru_cache(maxsize=None)
+def _theory_keys(n: int, theory: str) -> tuple[tuple, ...]:
+    """The operator keys of every space of a theory, each once: de Rham's degrees 0..2n, else each (p,q)."""
+    if theory == "derham":
+        spaces = [(k, None) for k in range(2 * n + 1)]
+    else:
+        spaces = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    return tuple(dict.fromkeys(key for space in spaces for key in alg.theory_operators(theory, *space)))
 
 
 def cohomology_space(

@@ -2,28 +2,37 @@
 
 Every rank, kernel and span decision of the package cuts at
 tau = max(shape) * machine-eps * max(|M|, 1) (``rank_cut``), |M| the
-Frobenius norm, and ``numeric_rank``, ``nullspace``, ``column_space``,
-``hermitian_kernel`` and ``kernel_dimension`` (eigenvalues only) apply it
-themselves, with |M| read off the values they compute anyway.  The matrices
-are those of a unit complex (``alg.unit_model``): one that vanishes in exact
-arithmetic is left at rounding size, eps, under the floor 1, where a cut
-relative to the matrix alone would count that noise as rank.
+Frobenius norm, and ``numeric_rank``, ``numeric_ranks``, ``nullspace``,
+``column_space``, ``hermitian_kernel`` and ``kernel_dimension`` (eigenvalues
+only) apply it themselves, with |M| read off the values they compute anyway.
+The matrices are those of a unit complex (``alg.unit_model``,
+``alg.unit_operators``): one that vanishes in exact arithmetic is left at
+rounding size, eps, under the floor 1, where a cut relative to the matrix
+alone would count that noise as rank.
 
-Ranks come from singular values alone (``singular_values``), and those are
-found block by block.  The rows and columns of a matrix split into the
-connected components of its nonzero pattern; the singular values of the
-matrix are the union of those of its blocks, padded with zeros.  The model
-matrices of del, delbar and d on a nilmanifold fall into many tiny blocks
-(on KT^3, d from degree 5 to degree 6 is 924 x 792 and splits into 208
-blocks, none above 9 x 12), so blocks of one shape go through one stacked
-call.  The cut is unchanged: tau still uses max(shape) and the norm of the
-whole matrix, so every rank decision follows the same rule as one dense
-call.  Below ``_SPLIT_MIN_ENTRIES`` entries finding the blocks costs more
-than it saves (measured crossover near 5000 entries), and one dense call is
-made.  Real matrices (de Rham's d) stay in real arithmetic throughout.
+Ranks come from singular values alone, and those are found block by block.
+The rows and columns of a matrix split into the connected components of its
+nonzero pattern; the singular values of the matrix are the union of those
+of its blocks, padded with zeros.  The model matrices of del, delbar and d
+on a nilmanifold fall into many tiny blocks (on KT^3, d from degree 5 to
+degree 6 is 924 x 792 and splits into 208 blocks, none above 9 x 12).  The
+splitter runs across a batch of operators given by their nonzero entries
+(``SparseBatch``, ``numeric_ranks``): it lays them along the diagonal of one
+pattern, finds the components of all of them in one pass, and sends the
+blocks of one shape, whichever operator they come from, through one stacked
+SVD.  Each operator's singular values are counted against its own cut, from
+max(shape) and the norm of that whole operator, so every rank decision
+follows the same rule as one dense call.  A lone dense matrix
+(``singular_values``, ``numeric_rank``) is the one-operator case, read off
+its nonzero entries, and a gate still decides for it: below
+``_SPLIT_MIN_ENTRIES`` entries finding the blocks costs more than it saves
+(measured crossover near 5000 entries), and one dense call is made.  Real
+matrices (de Rham's d) stay in real arithmetic throughout.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +73,67 @@ def _components(rows: np.ndarray, cols: np.ndarray, m: int, n: int) -> np.ndarra
             label = jumped
 
 
+class SparseBatch(NamedTuple):
+    """Operators by their nonzero entries, each entry once.
+
+    Operator ``owner[k]`` holds ``values[k]`` at (``rows[k]``, ``cols[k]``),
+    and ``shapes[i]`` is the (rows, columns) of operator i.
+    """
+
+    owner: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shapes: np.ndarray
+
+
+def _block_singular_values(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, m: int, n: int, whole: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, root): the nonzero singular values of the blocks of an m x n pattern, and each one's block.
+
+    A block is named by its smallest node, one of its rows.  Its rows and
+    columns keep their order, its entries are scattered into one buffer
+    that holds the blocks of one shape end to end, and each shape is one
+    stacked SVD; a block of one row or one column has its 2-norm as its
+    singular value.  ``whole``, the dense matrix of the pattern, is taken in
+    one SVD instead when the pattern is a single block.
+    """
+    label = _components(rows, cols, m, n)
+    row_count = np.bincount(label[:m], minlength=m + n)
+    col_count = np.bincount(label[m:], minlength=m + n)
+    blocks = np.flatnonzero(row_count * col_count)  # an empty row or column is no block
+    if whole is not None and blocks.size <= 1:
+        sigma = np.linalg.svd(whole, compute_uv=False)
+        return sigma, np.zeros(sigma.size, dtype=np.int64)
+    nodes = np.argsort(label, kind="stable")  # by component, its rows before its columns
+    size = row_count + col_count
+    local = np.empty(m + n, dtype=np.int64)  # place of a node among its block's rows or columns
+    local[nodes] = np.arange(m + n) - (np.cumsum(size) - size)[label[nodes]]
+    local[m:] -= row_count[label[m:]]
+    shape_key = row_count[blocks] * (n + 1) + col_count[blocks]
+    by_shape = np.argsort(shape_key, kind="stable")
+    blocks, shape_key = blocks[by_shape], shape_key[by_shape]
+    cells = row_count[blocks] * col_count[blocks]
+    base = np.zeros(m + n, dtype=np.int64)
+    base[blocks] = np.cumsum(cells) - cells
+    buffer = np.zeros(int(cells.sum()), dtype=values.dtype)
+    block = label[rows]
+    buffer[base[block] + local[rows] * col_count[block] + local[cols + m]] = values
+    sigma, root = [np.zeros(0)], [np.zeros(0, dtype=np.int64)]
+    for members in np.split(blocks, np.flatnonzero(np.diff(shape_key)) + 1):
+        if members.size:
+            nr, nc = row_count[members[0]], col_count[members[0]]
+            first = base[members[0]]
+            stack = buffer[first : first + members.size * nr * nc].reshape(-1, nr, nc)
+            if min(nr, nc) == 1:  # a single row or column: its one singular value is its 2-norm
+                sigma.append(np.linalg.norm(stack, axis=(1, 2)))
+            else:
+                sigma.append(np.linalg.svd(stack, compute_uv=False).ravel())
+            root.append(np.repeat(members, min(nr, nc)))
+    return np.concatenate(sigma), np.concatenate(root)
+
+
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """All min(shape) singular values in descending order, one block at a time."""
     matrix = np.atleast_2d(matrix)
@@ -76,29 +146,11 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     flags = parts.reshape(-1) != 0
     if np.iscomplexobj(matrix):
         flags = flags[::2] | flags[1::2]
-    rows, cols = np.divmod(np.flatnonzero(flags), n)
-    label = _components(rows, cols, m, n)
-    row_count = np.bincount(label[:m], minlength=m + n)
-    col_count = np.bincount(label[m:], minlength=m + n)
-    blocks = np.flatnonzero(row_count * col_count)  # an empty row or column is no block
-    if blocks.size <= 1:
-        return np.linalg.svd(matrix, compute_uv=False)
-    nodes = np.argsort(label, kind="stable")  # by component, its rows before its columns
-    size = row_count + col_count
-    start = np.cumsum(size) - size
-    shape_key = row_count[blocks] * (n + 1) + col_count[blocks]
-    by_shape = np.argsort(shape_key, kind="stable")
-    blocks, shape_key = blocks[by_shape], shape_key[by_shape]
-    values = []
-    for members in np.split(blocks, np.flatnonzero(np.diff(shape_key)) + 1):
-        nr, nc = row_count[members[0]], col_count[members[0]]
-        first = start[members][:, None]
-        r = nodes[first + np.arange(nr)]
-        c = nodes[first + nr + np.arange(nc)] - m
-        values.append(np.linalg.svd(matrix[r[:, :, None], c[:, None, :]], compute_uv=False).ravel())
+    entries = np.flatnonzero(flags)
+    rows, cols = np.divmod(entries, n)
+    sigma, _ = _block_singular_values(rows, cols, matrix.reshape(-1)[entries], m, n, whole=matrix)
     s = np.zeros(min(m, n))
-    found = np.sort(np.concatenate(values))[::-1]
-    s[: found.size] = found
+    s[: sigma.size] = np.sort(sigma)[::-1]
     return s
 
 
@@ -108,6 +160,36 @@ def numeric_rank(matrix: np.ndarray) -> int:
         return 0
     s = singular_values(matrix)
     return int(np.count_nonzero(s > _cut(s, matrix.shape)))
+
+
+def _renumbered(indices: np.ndarray, size: int) -> tuple[int, np.ndarray]:
+    """(held, place): how many of range(size) ``indices`` holds, and each index's place among those."""
+    flags = np.zeros(size, dtype=bool)
+    flags[indices] = True
+    place = np.cumsum(flags) - 1
+    return int(place[-1]) + 1, place[indices]
+
+
+def numeric_ranks(batch: SparseBatch) -> list[int]:
+    """The rank of each operator of a batch, each under its own ``rank_cut``, from one block split of all.
+
+    The operators sit along the diagonal of one pattern, rows and columns
+    offset, so no block spans two of them.  Only the rows and columns that
+    hold an entry are numbered in it: the rest add zero singular values.
+    """
+    shapes = batch.shapes
+    if not batch.values.size:
+        return [0] * len(shapes)
+    start = np.cumsum(shapes, axis=0) - shapes
+    m, rows = _renumbered(batch.rows + start[batch.owner, 0], int(shapes[:, 0].sum()))
+    n, cols = _renumbered(batch.cols + start[batch.owner, 1], int(shapes[:, 1].sum()))
+    row_owner = np.empty(m, dtype=np.int64)
+    row_owner[rows] = batch.owner
+    sigma, root = _block_singular_values(rows, cols, batch.values, m, n)
+    owner = row_owner[root]  # a block's root is one of its rows
+    norms = np.sqrt(np.bincount(owner, sigma * sigma, minlength=len(shapes)))
+    cuts = np.array([rank_cut(shape, norm) for shape, norm in zip(shapes.tolist(), norms.tolist())])
+    return np.bincount(owner[sigma > cuts[owner]], minlength=len(shapes)).tolist()
 
 
 def nullspace(matrix: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from pluriclosed import cohomology as coh
 from pluriclosed import fixtures as fx
 from pluriclosed import hodge
 from pluriclosed.errors import CrossCheckError, PreconditionError
-from pluriclosed.linalg import hermitian_kernel, kernel_dimension, numeric_rank, rank_cut
+from pluriclosed.linalg import hermitian_kernel, kernel_dimension, numeric_rank, numeric_ranks, rank_cut
 
 from conftest import DOUBLE_KT_DOC, ExactModel, IWASAWA4_DOC
 
@@ -248,21 +248,37 @@ def test_spaces_share_their_operators():
     assert [2 * len(_space_keys(n)) for n in (3, 5)] == [110, 238]
 
 
+def _ranked_batches(monkeypatch) -> tuple[list, list]:
+    """(batches, ranked): the keys of each batch the quotient route builds, and the size of each it ranks."""
+    batches, ranked = [], []
+    unit_operators, numeric_ranks = alg.unit_operators, coh.numeric_ranks
+
+    def built(model, keys):
+        batches.append(list(keys))
+        return unit_operators(model, keys)
+
+    def counted(batch):
+        ranked.append(len(batch.shapes))
+        return numeric_ranks(batch)
+
+    monkeypatch.setattr(alg, "unit_operators", built)
+    monkeypatch.setattr(coh, "numeric_ranks", counted)
+    return batches, ranked
+
+
 @pytest.mark.parametrize("name", ["iwasawa", "kodaira_thurston", "nonunimodular"])
 def test_each_operator_is_ranked_once_per_metric(models, exact_models, monkeypatch, name):
-    ranked = []
-
-    def counted(matrix):
-        ranked.append(matrix.shape)
-        return numeric_rank(matrix)
-
-    monkeypatch.setattr(coh, "numeric_rank", counted)
+    # the quotient route ranks a theory at a time: one batch per theory, and
+    # every operator key in exactly one batch
+    batches, ranked = _ranked_batches(monkeypatch)
     g = _conditioned_metric(models[name], 10.0, seed=0)
     dims = {key: coh.cohomology_space(g, *key).dimension for key in _space_keys(g.n)}
     assert dims == {key: exact_models[name].dim(*key) for key in dims}
     ranks = g._cache["ranks"]
     assert set(ranks) == _operator_keys(g.n)
-    assert len(ranked) == len(ranks)
+    assert len(batches) == len(coh.THEORIES) and ranked == [len(batch) for batch in batches]
+    keys = [key for batch in batches for key in batch]
+    assert len(keys) == len(set(keys)) == len(ranks)
     assert all(type(rank) is int for rank in ranks.values())  # no operator matrix is kept
 
 
@@ -285,6 +301,91 @@ def test_a_shared_rank_is_checked_by_every_space_that_reads_it(models, case, rev
         assert key in alg.theory_operators(*space)
         with pytest.raises(CrossCheckError):
             coh.cohomology_space(g, *space)
+
+
+# the quotient route reads the model's unit complex by its nonzero entries
+# (``alg.unit_operators``) and ranks a theory in one batch (``linalg.numeric_ranks``)
+
+NONZERO_MODELS = (*fx.available_models(), "double_kt", "kt2_t1", "iwasawa5")
+
+
+def _nonzero_model(bench_module, name: str) -> alg.LieModel:
+    if name in ("kt2_t1", "iwasawa5"):
+        inputs = bench_module("inputs")
+        return alg.parse_model(inputs.kt_product(2, 1) if name == "kt2_t1" else inputs.iwasawa_type(5))
+    return _fresh_model(name)
+
+
+def _scattered(owner, rows, cols, values, shape, i: int, dtype) -> np.ndarray:
+    """Operator i of entries laid out as a batch's, as a dense matrix."""
+    out = np.zeros(shape, dtype=dtype)
+    mine = owner == i
+    out[rows[mine], cols[mine]] = values[mine]
+    return out
+
+
+@pytest.mark.parametrize("name", NONZERO_MODELS)
+def test_batched_ranks_equal_the_dense_ranks(bench_module, name):
+    # every operator of every theory, against the dense matrix of the unit model
+    model = _nonzero_model(bench_module, name)
+    unit = alg.unit_model(model)[0]
+    keys = sorted(_operator_keys(model.n), key=repr)
+    batch = alg.unit_operators(model, keys)
+    dense = [alg.operator_matrix(unit, *key) for key in keys]
+    assert [tuple(shape) for shape in batch.shapes.tolist()] == [matrix.shape for matrix in dense]
+    cells = set(zip(batch.owner.tolist(), batch.rows.tolist(), batch.cols.tolist()))
+    assert len(cells) == batch.values.size and np.all(batch.values != 0)
+    for i, (key, matrix) in enumerate(zip(keys, dense)):
+        operator = _scattered(*batch[:4], matrix.shape, i, complex)
+        # deldelbar sums its products in another order than the dense one
+        assert np.max(np.abs(operator - matrix), initial=0.0) <= 1e-14, key
+    assert numeric_ranks(batch) == [numeric_rank(matrix) for matrix in dense]
+    # de Rham's d stays real
+    assert alg.unit_operators(model, [key for key in keys if key[0] == "real_d"]).values.dtype == float
+
+
+@pytest.mark.parametrize("name", fx.available_models())
+def test_nonzero_blocks_scatter_to_the_dense_blocks_bit_for_bit(name):
+    # on the model and on the coframe of a condition-10 metric, whose constants are dense floats
+    model = _fresh_model(name)
+    frame = hodge.frame_model(_conditioned_metric(model, 10.0, seed=0))
+    span = range(model.n + 1)
+    keys = [(kind, p, q) for kind in ("del", "delbar") for p in span for q in span]
+    for seed, source in enumerate((model, alg.LieModel(name, model.n, frame.d20, frame.d11))):
+        entries, _ = alg._nonzero_blocks(source, keys)
+        assert np.all(entries[3] != 0)
+        for i, key in enumerate(keys):
+            dense = alg.operator_matrix(source, *key)
+            block = _scattered(*entries, dense.shape, i, dense.dtype)
+            assert block.tobytes() == dense.tobytes(), (seed, key)
+        # the unit blocks are those divided by the largest block norm, S of ``unit_model``
+        _, scale = alg._nonzero_blocks(source, keys, unit=True)
+        assert abs(scale - alg.unit_model(source)[1]) <= 4 * np.finfo(float).eps * scale
+
+
+def test_a_lone_request_ranks_its_theory_without_dense_or_real_blocks(exact_models, monkeypatch):
+    model = _fresh_model("iwasawa")
+    g = _conditioned_metric(model, 10.0, seed=0)
+    alg.is_unimodular(model)  # validation assembles dense blocks of d of its own
+    cached = set(model._cache)
+    batches, ranked = _ranked_batches(monkeypatch)
+    assembled, differential = [], alg._differential
+
+    def recorded(source, kind, p, q):
+        if source is model and (kind, p, q) not in model._cache:
+            assembled.append((kind, p, q))
+        return differential(source, kind, p, q)
+
+    monkeypatch.setattr(alg, "_differential", recorded)
+    real, real_model = [], alg.real_model
+    monkeypatch.setattr(alg, "real_model", lambda m: real.append(m) or real_model(m))
+    assert coh.cohomology_space(g, "bc", 1, 1).dimension == exact_models["iwasawa"].dim("bc", 1, 1)
+    span = range(model.n + 1)
+    theory = {key for p in span for q in span for key in alg.theory_operators("bc", p, q)}
+    assert len(batches) == 1 and ranked == [len(theory)] and set(batches[0]) == theory
+    assert set(g._cache["ranks"]) == theory
+    assert assembled == [] and real == []
+    assert set(model._cache) - cached == {"unit nonzero"}  # no dense unit model
 
 
 # ---------------------------------------------------------------------------

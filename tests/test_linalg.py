@@ -128,6 +128,46 @@ def test_the_floor_cuts_rounding_noise():
         assert linalg.numeric_rank(scale * _signed_permutation([1.0, 1e-3, 0.0])) == rank
 
 
+def as_batch(matrices):
+    """The matrices as one ``SparseBatch``, by their nonzero entries."""
+    entries = [np.nonzero(matrix) for matrix in matrices]
+    return linalg.SparseBatch(
+        np.repeat(np.arange(len(matrices)), [rows.size for rows, _ in entries]),
+        np.concatenate([np.zeros(0, dtype=np.int64), *(rows for rows, _ in entries)]),
+        np.concatenate([np.zeros(0, dtype=np.int64), *(cols for _, cols in entries)]),
+        np.concatenate([np.zeros(0), *(matrix[rows, cols] for matrix, (rows, cols) in zip(matrices, entries))]),
+        np.array([matrix.shape for matrix in matrices], dtype=np.int64).reshape(-1, 2),
+    )
+
+
+def test_a_batch_ranks_each_operator_under_its_own_cut():
+    # one block split of many operators: empty and all-zero ones, mixed block
+    # shapes, real and complex, and the rounding-noise spectra of the floor test
+    rng = np.random.default_rng(23)
+    mixed = [(1, 1), (2, 5), (5, 2), (4, 4), (4, 4), (9, 12), (1, 6), (7, 1)]
+    noise = _signed_permutation([3.9e-31, 1.2e-47, 0.0])
+    steps = [scale * _signed_permutation([1.0, 1e-3, 0.0]) for scale in (1e-20, 1.0, 1e20)]
+    matrices = [
+        np.zeros((0, 5), dtype=complex),
+        np.zeros((4, 0), dtype=complex),
+        np.zeros((0, 0), dtype=complex),
+        np.zeros((30, 40), dtype=complex),
+        scattered_blocks(rng, mixed * 3, zero_rows=11, zero_cols=7, rank_drop=5),
+        scattered_blocks(rng, [(3, 4)] * 30, rank_drop=10),
+        scattered_blocks(rng, [(4, 6)] * 20, rank_drop=4).real.copy(),
+        scattered_blocks(rng, [(50, 40)], zero_rows=3, zero_cols=2),
+        noise,
+        noise / 3.9e-31,
+        *steps,
+    ]
+    dense = [dense_rank(matrix) if matrix.size else 0 for matrix in matrices]
+    assert dense == [0, 0, 0, 0, 3 * 24 - 5, 30 * 3 - 10, 80, 40, 0, 1, 0, 2, 2]
+    assert linalg.numeric_ranks(as_batch(matrices)) == dense == [linalg.numeric_rank(m) for m in matrices]
+    assert linalg.numeric_ranks(as_batch(matrices[::-1])) == dense[::-1]
+    assert linalg.numeric_ranks(as_batch(matrices[:4])) == [0] * 4  # no entries at all
+    assert linalg.numeric_ranks(as_batch([])) == []
+
+
 def test_real_matrix_splits_too():
     rng = np.random.default_rng(17)
     matrix = scattered_blocks(rng, [(4, 6)] * 20, rank_drop=4).real.copy()
