@@ -586,9 +586,9 @@ def unit_model(model: LieModel) -> tuple[LieModel, float]:
     find S, then divided in place and cached on the unit model only: a block
     a caller read from ``model`` is never changed.  A torus has S = 0 and
     keeps its rows.  The pair is cached on ``model``.  Only frames read it
-    now (``hodge.frame_model``: the identity metric's frame is this unit
-    model), because their dense blocks feed the Laplacians; the quotient
-    route reads the same complex by its nonzero entries (``unit_operators``).
+    (``hodge.frame_model``), because their dense blocks feed the Laplacians;
+    the quotient route reads a model's unit complex by its nonzero entries
+    (``unit_operators``).
     """
     if "unit" not in model._cache:
         source = LieModel(model.name, model.n, model.d20, model.d11)
@@ -665,7 +665,7 @@ def _shapes(n: int, keys) -> np.ndarray:
     return np.array([_operator_shape(n, *key) for key in keys], dtype=np.int64).reshape(-1, 2)
 
 
-def _nonzero_blocks(model: LieModel, keys: list[tuple], unit: bool = False) -> tuple[tuple, float]:
+def _nonzero_blocks(model: LieModel, keys: list[tuple]) -> tuple[tuple, float]:
     """((owner, rows, cols, values), S): the del or delbar blocks of ``keys`` by their nonzero entries.
 
     Entry k is ``values[k]`` at (``rows[k]``, ``cols[k]``) of block
@@ -673,9 +673,7 @@ def _nonzero_blocks(model: LieModel, keys: list[tuple], unit: bool = False) -> t
     Only the table rows whose structure constant is nonzero are kept; the
     rest add zeros, which change no partial sum, and ``np.bincount`` adds the
     rows of a cell in table order in both, so each value equals the dense
-    block's bit for bit.  S is the largest 2-norm of a block's values, and
-    with ``unit`` every value is divided by it (a torus, S = 0, keeps its
-    values).
+    block's bit for bit.  S is the largest 2-norm of a block's values.
     """
     n, constants = model.n, _constants(model)
     live = constants != 0
@@ -695,8 +693,6 @@ def _nonzero_blocks(model: LieModel, keys: list[tuple], unit: bool = False) -> t
     cells, values = _summed(np.concatenate(cells), coeffs.real * np.concatenate(re_signs), imag)
     owner, rows, cols = _entries(cells, shapes)
     scale = float(np.sqrt(np.bincount(owner, (values * values.conj()).real).max(initial=0.0)))
-    if unit:
-        values /= scale or 1.0
     return (owner, rows, cols, values), scale
 
 
@@ -788,13 +784,14 @@ def _products(n: int, entries: tuple) -> tuple:
 def _unit_blocks(model: LieModel) -> tuple[tuple, float]:
     """(entries, S): the del and delbar blocks of the unit model (``unit_model``) by their nonzero entries.
 
-    They are the model's own blocks divided by S, with ``owner`` indexing the
-    family "del" (``_family_keys``), built in one pass and cached on
-    ``model``.
+    They are the model's own blocks divided by S (a torus, S = 0, keeps its
+    values), with ``owner`` indexing the family "del" (``_family_keys``),
+    built in one pass and cached on ``model``.
     """
     if "unit nonzero" not in model._cache:
-        keys = list(_family_keys(model.n, "del"))
-        model._cache["unit nonzero"] = _nonzero_blocks(model, keys, unit=True)
+        entries, scale = _nonzero_blocks(model, list(_family_keys(model.n, "del")))
+        np.divide(entries[3], scale or 1.0, out=entries[3])
+        model._cache["unit nonzero"] = entries, scale
     return model._cache["unit nonzero"]
 
 
@@ -872,9 +869,8 @@ def theory_operators(theory: str, p: int, q: int | None) -> tuple[tuple, tuple]:
 def closed_and_exact(model: LieModel, theory: str, p: int, q: int | None):
     """The matrices of a theory's (closed, exact) pair (``theory_operators``).
 
-    The blocks are those of ``model``: the unit model of the model's own
-    coframe (``unit_model``), or of the unitary frame of a metric
-    (``hodge.frame_model``), alike.
+    The blocks are the dense ones of ``model``, a model or the unit model of
+    a metric's unitary frame (``hodge.frame_model``) alike.
     """
     closed, exact = theory_operators(theory, p, q)
     return operator_matrix(model, *closed), operator_matrix(model, *exact)

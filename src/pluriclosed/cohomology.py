@@ -9,10 +9,6 @@ the frame Laplacian closed* closed + exact exact* (``hodge.laplacian``) for
 a chosen metric, counted from its eigenvalues alone
 (``linalg.kernel_dimension``).  Both are unit complexes under one rank cut,
 so a model in a rotated coframe decides the ranks it does in its own.
-Under the identity metric the two are one complex: the frame is the model's
-own unit model (``hodge.frame_model``), in dense blocks, and each form sums
-its own S, the largest block norm (on dense constants the two sums may part
-in the last bits).
 The finite Hodge isomorphism makes the two dimensions equal exactly; a
 mismatch is a numerical-threshold failure and raises CrossCheckError.
 Neighbouring spaces share operators (deldelbar on (p,q) is Aeppli (p,q)'s

@@ -12,8 +12,7 @@ Every operator matrix of this module is written in unitary-frame
 coordinates, one complex per metric: del and delbar are the blocks of the
 unit model of the unitary coframe e (``frame_model``, ``alg.unit_model``),
 the model of S e, S the largest del or delbar block norm of e
-(``complex_scale``); under the identity metric e is phi, and that complex
-is the model's own unit complex.  On the frame coordinates of e they act
+(``complex_scale``).  On the frame coordinates of e they act
 as del / S and delbar / S, so the largest block has norm 1 and every
 operator, product and Laplacian of the complex is dimensionless, with the
 kernels and images of the true-scale ones.  Every adjoint is then a
@@ -290,17 +289,14 @@ def frame_model(g: HermitianMetric) -> LieModel:
     d e^a = sum_j L_ja d phi^j: the model's rows move into the frame like any
     other (2,0)- and (1,1)-forms, and L^T recombines them into the rows of e,
     whose blocks Q del Q^{-1} have the largest norm S = ``complex_scale(g)``.
-    When L is exactly the identity, e is phi: the frame is the model's own unit model.
     """
     if "frame" not in g._cache:
         model = g.model
-        if not np.array_equal(g.cholesky, np.eye(g.n)):
-            model = LieModel(model.name, g.n, *(
-                g.cholesky.T @ _sandwich(_compounds(g, p)[0], _compounds(g, q)[0], d)
-                for d, (p, q) in ((model.d20, (2, 0)), (model.d11, (1, 1)))
-            ))
-        g._cache["frame"], g._cache["S"] = alg.unit_model(model)
-    return g._cache["frame"]
+        g._cache["frame"] = alg.unit_model(LieModel(model.name, g.n, *(
+            g.cholesky.T @ _sandwich(_compounds(g, p)[0], _compounds(g, q)[0], d)
+            for d, (p, q) in ((model.d20, (2, 0)), (model.d11, (1, 1)))
+        )))
+    return g._cache["frame"][0]
 
 
 def del_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
@@ -316,7 +312,7 @@ def delbar_matrix(g: HermitianMetric, p: int, q: int) -> np.ndarray:
 def complex_scale(g: HermitianMetric) -> float:
     """S, the largest Frobenius norm of a del or delbar block of the unitary coframe e."""
     frame_model(g)
-    return g._cache["S"]
+    return g._cache["frame"][1]
 
 
 # ---------------------------------------------------------------------------

@@ -10,24 +10,21 @@ The matrices are those of a unit complex (``alg.unit_model``,
 rounding size, eps, under the floor 1, where a cut relative to the matrix
 alone would count that noise as rank.
 
-Ranks come from singular values alone, and those are found block by block.
-The rows and columns of a matrix split into the connected components of its
-nonzero pattern; the singular values of the matrix are the union of those
-of its blocks, padded with zeros.  The model matrices of del, delbar and d
-on a nilmanifold fall into many tiny blocks (on KT^3, d from degree 5 to
-degree 6 is 924 x 792 and splits into 208 blocks, none above 9 x 12).  The
-splitter runs across a batch of operators given by their nonzero entries
-(``SparseBatch``, ``numeric_ranks``): it lays them along the diagonal of one
-pattern, finds the components of all of them in one pass, and sends the
-blocks of one shape, whichever operator they come from, through one stacked
-SVD.  Each operator's singular values are counted against its own cut, from
-max(shape) and the norm of that whole operator, so every rank decision
-follows the same rule as one dense call.  A lone dense matrix
-(``singular_values``, ``numeric_rank``) is the one-operator case, read off
-its nonzero entries, and a gate still decides for it: below
-``_SPLIT_MIN_ENTRIES`` entries finding the blocks costs more than it saves
-(measured crossover near 5000 entries), and one dense call is made.  Real
-matrices (de Rham's d) stay in real arithmetic throughout.
+Ranks come from singular values alone, and those of a batch are found
+block by block.  The rows and columns of a matrix split into the connected
+components of its nonzero pattern; the singular values of the matrix are
+the union of those of its blocks, padded with zeros.  The model matrices
+of del, delbar and d on a nilmanifold fall into many tiny blocks (on KT^3,
+d from degree 5 to degree 6 is 924 x 792 and splits into 208 blocks, none
+above 9 x 12).  The splitter runs across a batch of operators given by
+their nonzero entries (``SparseBatch``, ``numeric_ranks``): it lays them
+along the diagonal of one pattern, finds the components of all of them in
+one pass, and sends the blocks of one shape, whichever operator they come
+from, through one stacked SVD.  Each operator's singular values are counted
+against its own cut, from max(shape) and the norm of that whole operator,
+so every rank decision follows the same rule as one dense call.  A lone
+dense matrix (``numeric_rank``) is one dense SVD.  Real matrices (de Rham's
+d) stay in real arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
-_SPLIT_MIN_ENTRIES = 4096
 
 
 def rank_cut(shape: tuple[int, ...], norm: float) -> float:
@@ -87,8 +83,8 @@ class SparseBatch(NamedTuple):
     shapes: np.ndarray
 
 
-def _block_singular_values(
-    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, m: int, n: int, whole: np.ndarray | None = None
+def _block_sigma(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, m: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sigma, root): the nonzero singular values of the blocks of an m x n pattern, and each one's block.
 
@@ -96,16 +92,12 @@ def _block_singular_values(
     columns keep their order, its entries are scattered into one buffer
     that holds the blocks of one shape end to end, and each shape is one
     stacked SVD; a block of one row or one column has its 2-norm as its
-    singular value.  ``whole``, the dense matrix of the pattern, is taken in
-    one SVD instead when the pattern is a single block.
+    singular value.
     """
     label = _components(rows, cols, m, n)
     row_count = np.bincount(label[:m], minlength=m + n)
     col_count = np.bincount(label[m:], minlength=m + n)
     blocks = np.flatnonzero(row_count * col_count)  # an empty row or column is no block
-    if whole is not None and blocks.size <= 1:
-        sigma = np.linalg.svd(whole, compute_uv=False)
-        return sigma, np.zeros(sigma.size, dtype=np.int64)
     nodes = np.argsort(label, kind="stable")  # by component, its rows before its columns
     size = row_count + col_count
     local = np.empty(m + n, dtype=np.int64)  # place of a node among its block's rows or columns
@@ -134,31 +126,12 @@ def _block_singular_values(
     return np.concatenate(sigma), np.concatenate(root)
 
 
-def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """All min(shape) singular values in descending order, one block at a time."""
-    matrix = np.atleast_2d(matrix)
-    m, n = matrix.shape
-    if matrix.size < _SPLIT_MIN_ENTRIES:
-        return np.linalg.svd(matrix, compute_uv=False)
-    # comparing float64 parts is several times faster than comparing complex128
-    # entries, and a complex entry is nonzero when its real or imaginary part is
-    parts = np.ascontiguousarray(matrix, dtype=np.result_type(matrix, float)).view(np.float64)
-    flags = parts.reshape(-1) != 0
-    if np.iscomplexobj(matrix):
-        flags = flags[::2] | flags[1::2]
-    entries = np.flatnonzero(flags)
-    rows, cols = np.divmod(entries, n)
-    sigma, _ = _block_singular_values(rows, cols, matrix.reshape(-1)[entries], m, n, whole=matrix)
-    s = np.zeros(min(m, n))
-    s[: sigma.size] = np.sort(sigma)[::-1]
-    return s
-
-
 def numeric_rank(matrix: np.ndarray) -> int:
+    """The rank of a dense matrix under its ``rank_cut``, from one SVD."""
     matrix = np.atleast_2d(matrix)
     if matrix.size == 0:
         return 0
-    s = singular_values(matrix)
+    s = np.linalg.svd(matrix, compute_uv=False)
     return int(np.count_nonzero(s > _cut(s, matrix.shape)))
 
 
@@ -185,7 +158,7 @@ def numeric_ranks(batch: SparseBatch) -> list[int]:
     n, cols = _renumbered(batch.cols + start[batch.owner, 1], int(shapes[:, 1].sum()))
     row_owner = np.empty(m, dtype=np.int64)
     row_owner[rows] = batch.owner
-    sigma, root = _block_singular_values(rows, cols, batch.values, m, n)
+    sigma, root = _block_sigma(rows, cols, batch.values, m, n)
     owner = row_owner[root]  # a block's root is one of its rows
     norms = np.sqrt(np.bincount(owner, sigma * sigma, minlength=len(shapes)))
     cuts = np.array([rank_cut(shape, norm) for shape, norm in zip(shapes.tolist(), norms.tolist())])

@@ -1,19 +1,29 @@
-"""Every public name the package declares resolves.
+"""Every public name the package declares, and every one its docs name, resolves.
 
 A module's ``__all__`` and the package's re-exports are the API a caller
 sees.  A deletion that left either one naming a missing object would fail
 only at a caller's first use (``from pluriclosed.hodge import *`` raises
-then), so both are resolved here.
+then), so both are resolved here.  The README and the docstrings name API
+as ``module.name``; a deletion that left one of those behind would mislead
+only a reader, so they are resolved too.
 """
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pluriclosed
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(pluriclosed.__path__))
+PACKAGE = Path(pluriclosed.__file__).parent
+ALIASES = {"alg": "algebra", "coh": "cohomology"}
+# a module or its alias, then a dotted name; not inside a longer name or a path
+REFERENCE = re.compile(
+    r"(?<![\w./])(?:pluriclosed\.)?(algebra|alg|hodge|linalg|cohomology|coh|cones|classify|cli)"
+    r"((?:\.[A-Za-z_]\w*)+)"
+)
 
 
 def test_every_module_all_name_resolves():
@@ -47,3 +57,29 @@ def test_every_package_export_is_its_module_api():
         elif name not in getattr(home, "__all__", (name,)):
             bad.append(f"pluriclosed.{name} is missing from pluriclosed.{module_name}.__all__")
     assert not bad, bad
+
+
+def _docs() -> list[tuple[str, str]]:
+    """(where, text): the README and every module, class and function docstring of the package."""
+    docs = [("README.md", (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8"))]
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                text = ast.get_docstring(node, clean=False)
+                if text:
+                    docs.append((f"{path.name}:{getattr(node, 'name', '<module>')}", text))
+    return docs
+
+
+def test_docs_name_only_existing_api():
+    references, missing = 0, []
+    for where, text in _docs():
+        for module, attrs in REFERENCE.findall(text):
+            references += 1
+            target = importlib.import_module(f"pluriclosed.{ALIASES.get(module, module)}")
+            for attr in attrs[1:].split("."):
+                target = getattr(target, attr, None)
+            if target is None:
+                missing.append(f"{where}: {module}{attrs}")
+    assert references >= 40  # the pattern still finds the references the docs hold
+    assert not missing, missing

@@ -1,11 +1,13 @@
 """The block-split singular values against one dense SVD, and the one rank cut.
 
-``linalg.singular_values`` finds the connected components of a matrix's
-nonzero pattern and runs one stacked SVD per block shape.  Every case
-scatters blocks over a row and column permutation, so the split has to
-recover them, and compares with ``np.linalg.svd`` of the whole matrix.
-Every rank, kernel and span decision cuts at max(shape) * eps * max(|M|, 1)
-(``linalg.rank_cut``); the spectra below sit on both sides of that cut.
+``linalg.numeric_ranks`` ranks a batch of operators given by their nonzero
+entries: the blocks of their patterns (``linalg._block_sigma``) go through
+one stacked SVD per block shape.  Every case scatters blocks over a row and
+column permutation, so the split has to recover them, and compares with
+``np.linalg.svd`` of the whole matrix: the sorted singular values of the
+split and the rank of a one-operator batch.  Every rank, kernel and span
+decision cuts at max(shape) * eps * max(|M|, 1) (``linalg.rank_cut``); the
+spectra below sit on both sides of that cut.
 """
 
 import subprocess
@@ -43,13 +45,34 @@ def dense_rank(matrix):
     return int(np.count_nonzero(s > cut))
 
 
+def as_batch(matrices):
+    """The matrices as one ``SparseBatch``, by their nonzero entries."""
+    entries = [np.nonzero(matrix) for matrix in matrices]
+    return linalg.SparseBatch(
+        np.repeat(np.arange(len(matrices)), [rows.size for rows, _ in entries]),
+        np.concatenate([np.zeros(0, dtype=np.int64), *(rows for rows, _ in entries)]),
+        np.concatenate([np.zeros(0, dtype=np.int64), *(cols for _, cols in entries)]),
+        np.concatenate([np.zeros(0), *(matrix[rows, cols] for matrix, (rows, cols) in zip(matrices, entries))]),
+        np.array([matrix.shape for matrix in matrices], dtype=np.int64).reshape(-1, 2),
+    )
+
+
+def split_singular_values(matrix):
+    """All min(shape) singular values of the block split, in descending order."""
+    rows, cols = np.nonzero(matrix)
+    sigma, _ = linalg._block_sigma(rows, cols, matrix[rows, cols], *matrix.shape)
+    s = np.zeros(min(matrix.shape))
+    s[: sigma.size] = np.sort(sigma)[::-1]
+    return s
+
+
 def assert_matches_dense(matrix):
     dense = np.linalg.svd(matrix, compute_uv=False)
-    split = linalg.singular_values(matrix)
-    assert split.shape == dense.shape
-    assert np.all(np.diff(split) <= 0)
+    split = split_singular_values(matrix)
     assert np.max(np.abs(split - dense), initial=0.0) <= 1e-12 * max(dense[0], 1.0)
-    assert linalg.numeric_rank(matrix) == dense_rank(matrix)
+    rank = dense_rank(matrix)
+    assert linalg.numeric_ranks(as_batch([matrix])) == [rank]
+    assert linalg.numeric_rank(matrix) == rank
 
 
 def unitary(rng, size):
@@ -57,18 +80,12 @@ def unitary(rng, size):
     return q
 
 
-def test_split_gate_sits_between_the_cases():
-    # the cases below must land on both sides of the size gate
-    assert 60 * 60 < linalg._SPLIT_MIN_ENTRIES < 70 * 70
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_many_blocks_of_one_shape(seed):
     rng = np.random.default_rng(seed)
     matrix = scattered_blocks(rng, [(3, 4)] * 30, rank_drop=10)
-    assert matrix.size >= linalg._SPLIT_MIN_ENTRIES
     assert_matches_dense(matrix)
-    assert linalg.numeric_rank(matrix) == 30 * 3 - 10
+    assert linalg.numeric_ranks(as_batch([matrix])) == [30 * 3 - 10]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -76,14 +93,14 @@ def test_mixed_blocks_with_zero_rows_and_columns(seed):
     rng = np.random.default_rng(100 + seed)
     shapes = [(1, 1), (2, 5), (5, 2), (4, 4), (4, 4), (9, 12), (1, 6), (7, 1)] * 3
     matrix = scattered_blocks(rng, shapes, zero_rows=11, zero_cols=7, rank_drop=5)
-    assert matrix.size >= linalg._SPLIT_MIN_ENTRIES
     assert_matches_dense(matrix)
 
 
 def test_all_zero_matrix():
     for shape in ((40, 30), (90, 80)):
         matrix = np.zeros(shape, dtype=complex)
-        assert np.array_equal(linalg.singular_values(matrix), np.zeros(min(shape)))
+        assert np.array_equal(split_singular_values(matrix), np.zeros(min(shape)))
+        assert linalg.numeric_ranks(as_batch([matrix])) == [0]
         assert linalg.numeric_rank(matrix) == 0
 
 
@@ -91,15 +108,6 @@ def test_single_dense_block():
     rng = np.random.default_rng(7)
     for shape in ((50, 40), (80, 70)):
         assert_matches_dense(scattered_blocks(rng, [shape], zero_rows=3, zero_cols=2))
-
-
-def test_both_sides_of_the_size_gate():
-    rng = np.random.default_rng(11)
-    for side in (60, 70):
-        shapes = [(5, 5)] * (side // 5 - 2)
-        matrix = scattered_blocks(rng, shapes, zero_rows=10, zero_cols=10, rank_drop=3)
-        assert matrix.shape == (side, side)
-        assert_matches_dense(matrix)
 
 
 def test_rank_cut_rule():
@@ -126,18 +134,6 @@ def test_the_floor_cuts_rounding_noise():
     # above norm 1 the cut grows with the matrix: the rank is scale-free there
     for scale, rank in ((1e-20, 0), (1.0, 2), (1e20, 2)):
         assert linalg.numeric_rank(scale * _signed_permutation([1.0, 1e-3, 0.0])) == rank
-
-
-def as_batch(matrices):
-    """The matrices as one ``SparseBatch``, by their nonzero entries."""
-    entries = [np.nonzero(matrix) for matrix in matrices]
-    return linalg.SparseBatch(
-        np.repeat(np.arange(len(matrices)), [rows.size for rows, _ in entries]),
-        np.concatenate([np.zeros(0, dtype=np.int64), *(rows for rows, _ in entries)]),
-        np.concatenate([np.zeros(0, dtype=np.int64), *(cols for _, cols in entries)]),
-        np.concatenate([np.zeros(0), *(matrix[rows, cols] for matrix, (rows, cols) in zip(matrices, entries))]),
-        np.array([matrix.shape for matrix in matrices], dtype=np.int64).reshape(-1, 2),
-    )
 
 
 def test_a_batch_ranks_each_operator_under_its_own_cut():
