@@ -47,6 +47,7 @@ __all__ = [
     "is_unimodular",
     "wedge",
     "conjugate",
+    "is_real_form",
     "del_form",
     "delbar_form",
     "d_form",
@@ -61,7 +62,8 @@ __all__ = [
     "deldelbar_matrix",
     "d_matrix",
     "unit_model",
-    "unit_operators",
+    "unit_family",
+    "family_places",
     "real_model",
     "theory_operators",
     "closed_and_exact",
@@ -587,8 +589,8 @@ def unit_model(model: LieModel) -> tuple[LieModel, float]:
     a caller read from ``model`` is never changed.  A torus has S = 0 and
     keeps its rows.  The pair is cached on ``model``.  Only frames read it
     (``hodge.frame_model``), because their dense blocks feed the Laplacians;
-    the quotient route reads a model's unit complex by its nonzero entries
-    (``unit_operators``).
+    the quotient route reads a model's unit complex by its nonzero entries,
+    a family at a time (``unit_family``).
     """
     if "unit" not in model._cache:
         source = LieModel(model.name, model.n, model.d20, model.d11)
@@ -720,6 +722,16 @@ def _family_keys(n: int, family: str) -> dict[tuple, int]:
 
 
 @lru_cache(maxsize=None)
+def family_places(n: int) -> dict[tuple, tuple[str, int]]:
+    """Each operator key that a family of the unit complex holds, to its (family, place).
+
+    A key outside every family (``_family_keys``) maps to or from 0.
+    """
+    families = ("del", "d", "del+delbar", "deldelbar", "real_d")
+    return {key: (family, place) for family in families for key, place in _family_keys(n, family).items()}
+
+
+@lru_cache(maxsize=None)
 def _stack_maps(n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(target, shift): the stack of ``kind`` that each block of the family "del" goes to, and its offset.
 
@@ -781,69 +793,38 @@ def _products(n: int, entries: tuple) -> tuple:
     return (*_entries(cells, shapes), products)
 
 
-def _unit_blocks(model: LieModel) -> tuple[tuple, float]:
-    """(entries, S): the del and delbar blocks of the unit model (``unit_model``) by their nonzero entries.
+def unit_family(model: LieModel, family: str) -> SparseBatch:
+    """One family of operators of the model's unit complex (``_family_keys``), by their nonzero entries.
 
-    They are the model's own blocks divided by S (a torus, S = 0, keeps its
-    values), with ``owner`` indexing the family "del" (``_family_keys``),
-    built in one pass and cached on ``model``.
+    Operator i is ``operator_matrix(unit_model(model)[0], *key)`` for the
+    family's key at place i, with no dense block.  The del and delbar blocks
+    are the model's own divided by S (``unit_model``; a torus, S = 0, keeps
+    its values), built in one pass and cached on ``model``; the other
+    families are formed from them on each call: "d" and "del+delbar" by an
+    offset of rows or columns, "deldelbar" by one join, and "real_d" as d on
+    the real model (``real_model``) of the unit model.
     """
+    n = model.n
+    shapes = _shapes(n, _family_keys(n, family))
     if "unit nonzero" not in model._cache:
-        entries, scale = _nonzero_blocks(model, list(_family_keys(model.n, "del")))
+        entries, scale = _nonzero_blocks(model, list(_family_keys(n, "del")))
         np.divide(entries[3], scale or 1.0, out=entries[3])
         model._cache["unit nonzero"] = entries, scale
-    return model._cache["unit nonzero"]
-
-
-def _unit_family(model: LieModel, family: str) -> tuple:
-    """(owner, rows, cols, values): one family of operators of the unit complex by their nonzero entries.
-
-    ``owner`` indexes the family's keys (``_family_keys``).  "del" is the
-    cached blocks (``_unit_blocks``); the rest are formed from them on each
-    request: "d" and "del+delbar" by an offset of rows or columns,
-    "deldelbar" by one join, and "real_d" as d on the real model
-    (``real_model``) of the unit model.
-    """
-    n, (blocks, scale) = model.n, _unit_blocks(model)
+    blocks, scale = model._cache["unit nonzero"]
     owner, rows, cols, values = blocks
     if family in ("d", "del+delbar"):
         target, shift = _stack_maps(n, family)
         if family == "d":
-            return target[owner], rows + shift[owner], cols, values
-        return target[owner], rows, cols + shift[owner], values
-    if family == "deldelbar":
-        return _products(n, blocks)
-    if family == "real_d":
+            blocks = target[owner], rows + shift[owner], cols, values
+        else:
+            blocks = target[owner], rows, cols + shift[owner], values
+    elif family == "deldelbar":
+        blocks = _products(n, blocks)
+    elif family == "real_d":
         divisor = scale or 1.0
         real = real_model(LieModel(model.name, n, model.d20 / divisor, model.d11 / divisor))
-        return _nonzero_blocks(real, [("del", k, 0) for k in range(2 * n + 1)])[0]
-    return blocks
-
-
-def unit_operators(model: LieModel, keys: list[tuple]) -> SparseBatch:
-    """The operators of ``keys`` on the model's unit complex, by their nonzero entries, in one batch.
-
-    Operator i is ``operator_matrix(unit_model(model)[0], *keys[i])`` with no
-    dense block.  Each kind is read from its family (``_unit_family``),
-    formed once per call from the blocks cached on the model; an operator
-    off the range of its family has no entries.
-    """
-    n, wanted = model.n, {}
-    for i, key in enumerate(keys):
-        family = "del" if key[0] == "delbar" else key[0]
-        place = _family_keys(n, family).get(key)
-        if place is not None:
-            wanted.setdefault(family, []).append((place, i))
-    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),)]
-    for family, pairs in wanted.items():
-        owner, rows, cols, values = _unit_family(model, family)
-        lookup = np.full(len(_family_keys(n, family)), -1)
-        places, positions = np.array(pairs).T
-        lookup[places] = positions
-        position = lookup[owner]
-        keep = np.flatnonzero(position >= 0)
-        parts.append((position[keep], rows[keep], cols[keep], values[keep]))
-    return SparseBatch(*(np.concatenate(column) for column in zip(*parts)), _shapes(n, keys))
+        blocks = _nonzero_blocks(real, [("del", k, 0) for k in range(2 * n + 1)])[0]
+    return SparseBatch(*blocks, shapes)
 
 
 def theory_operators(theory: str, p: int, q: int | None) -> tuple[tuple, tuple]:
@@ -890,7 +871,7 @@ def operator_matrix(model: LieModel, kind: str, p: int, q: int | None) -> np.nda
     del, delbar and deldelbar act on Lambda^{p,q}, and d stacks del over
     delbar there; del+delbar is [del | delbar] from Lambda^{p-1,q} +
     Lambda^{p,q-1} into Lambda^{p,q}; real_d is d on real p-forms
-    (``real_model``), and q is unused.  ``unit_operators`` gives the
+    (``real_model``), and q is unused.  ``unit_family`` gives a family of
     operators of a model's unit complex by their nonzero entries instead.
     """
     if kind == "del":

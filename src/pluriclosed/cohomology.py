@@ -3,8 +3,8 @@
 A theory is a pair (closed, exact) of operators, each named by a key
 (``alg.theory_operators``), and every space is computed twice from it: once
 as the quotient rank columns - rank closed - rank exact of the operators of
-the model's unit complex, read by their nonzero entries
-(``alg.unit_operators``, metric-free), and once as the kernel dimension of
+the model's unit complex, read by their nonzero entries a family at a time
+(``alg.unit_family``, metric-free), and once as the kernel dimension of
 the frame Laplacian closed* closed + exact exact* (``hodge.laplacian``) for
 a chosen metric, counted from its eigenvalues alone
 (``linalg.kernel_dimension``).  Both are unit complexes under one rank cut,
@@ -13,12 +13,12 @@ The finite Hodge isomorphism makes the two dimensions equal exactly; a
 mismatch is a numerical-threshold failure and raises CrossCheckError.
 Neighbouring spaces share operators (deldelbar on (p,q) is Aeppli (p,q)'s
 closed map and Bott-Chern (p+1,q+1)'s exact one), so the metric keeps one
-table of ranks by operator key: each operator is ranked once per metric,
-and every space that reads a rank still checks it against its own harmonic
-dimension.  The quotient route ranks a theory at a time: a space whose
-operators the table lacks ranks, in one batch (``linalg.numeric_ranks``),
-every operator of its theory's spaces still missing, so a lone request
-ranks its whole theory.  A harmonic basis costs eigenvectors, so it is
+table of ranks, a list per family of operators (``alg.family_places``):
+each family is ranked whole, in one batch (``linalg.numeric_ranks``), the
+first time a space reads one of its operators, so each operator is ranked
+once per metric, and every space that reads a rank still checks it
+against its own harmonic dimension.  A lone request ranks the families of
+its own two operators.  A harmonic basis costs eigenvectors, so it is
 built only when ``CohomologySpace.basis`` is first read, and it must have
 as many columns as the space's dimension.
 
@@ -79,7 +79,6 @@ H^{n-1,n-1}_BC with its lambda coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -162,38 +161,46 @@ def quotient_dimension(
     """Cohomology dimension by rank-nullity on the invariant complex.
 
     For the theory's pair (closed, exact) of the model's unit operators
-    (``alg.theory_operators``, ``alg.unit_operators``) the kernel is counted
-    as columns minus rank, from singular values only (``linalg.numeric_ranks``).
-    ``ranks`` maps operator keys to their ranks.  When it lacks a key of this
-    space, every operator of the theory's spaces that it lacks is ranked in
-    one batch and stored as an int, so spaces that share a ``ranks`` table
-    rank each shared operator once.  Without one, the space ranks its own
-    two operators.
+    (``alg.theory_operators``) the kernel is counted as columns minus rank,
+    from singular values only.  ``ranks`` maps a family of the unit complex
+    (``alg.family_places``) to the ranks of its operators, in place order.
+    A family that it lacks is ranked whole, in one batch
+    (``alg.unit_family``, ``linalg.numeric_ranks``), and stored as a list of
+    ints, so spaces that share a table rank each family once; a call without
+    one starts from an empty table.  An operator outside every family maps
+    to or from 0 and has rank 0.  A space off its theory's range
+    (``_check_space``) raises ValueError, before any rank is computed.
     """
-    table = {} if ranks is None else ranks
-    keys = alg.theory_operators(theory, p, q)
-    if any(key not in table for key in keys):
-        wanted = [key for key in (keys if ranks is None else _theory_keys(model.n, theory)) if key not in table]
-        table.update(zip(wanted, numeric_ranks(alg.unit_operators(model, wanted))))
     n = model.n
-    columns = alg.space_dim(n, p, q) if q is not None else alg.space_dim(2 * n, p, 0)
-    return columns - sum(table[key] for key in keys)
+    _check_space(n, theory, p, q)
+    table = {} if ranks is None else ranks
+    dimension = alg.space_dim(n, p, q) if q is not None else alg.space_dim(2 * n, p, 0)
+    places = alg.family_places(n)
+    for key in alg.theory_operators(theory, p, q):
+        if key in places:
+            family, place = places[key]
+            if family not in table:
+                table[family] = numeric_ranks(alg.unit_family(model, family))
+            dimension -= table[family][place]
+    return dimension
 
 
-@lru_cache(maxsize=None)
-def _theory_keys(n: int, theory: str) -> tuple[tuple, ...]:
-    """The operator keys of every space of a theory, each once: de Rham's degrees 0..2n, else each (p,q)."""
+def _check_space(n: int, theory: str, p: int, q: int | None) -> None:
+    """ValueError unless (theory, p, q) is a space: de Rham 0 <= p <= 2n, q None; else 0 <= p, q <= n."""
+    if theory not in THEORIES:
+        raise ValueError(f"unknown theory {theory!r}")
     if theory == "derham":
-        spaces = [(k, None) for k in range(2 * n + 1)]
+        valid = q is None and 0 <= p <= 2 * n
     else:
-        spaces = [(p, q) for p in range(n + 1) for q in range(n + 1)]
-    return tuple(dict.fromkeys(key for space in spaces for key in alg.theory_operators(theory, *space)))
+        valid = q is not None and 0 <= p <= n and 0 <= q <= n
+    if not valid:
+        raise ValueError(f"no {theory} space ({p},{q}) on a model of dimension {n}")
 
 
 def cohomology_space(
     g: hodge.HermitianMetric, theory: str, p: int, q: int | None = None
 ) -> CohomologySpace:
-    """Compute one space via both routes and insist that they agree."""
+    """Compute one space via both routes and insist that they agree; ValueError off its theory's range."""
     return CohomologySpace(theory=theory, p=p, q=q, metric=g, dimension=_dimension(g, theory, p, q))
 
 
@@ -229,7 +236,7 @@ def _euler_partners(g: hodge.HermitianMetric, theory: str, p: int, q: int | None
 def _dimension(g: hodge.HermitianMetric, theory: str, p: int, q: int | None) -> int:
     """Dimension of one space by both routes, cached on the metric.
 
-    Its quotient route reads and fills the metric's table of operator ranks
+    Its quotient route reads and fills the metric's table of family ranks
     (``"ranks"``), shared by every space of the metric.  The metric caches
     the dimension, not the space object, which points back at the
     metric: a cycle would keep every metric alive until a full

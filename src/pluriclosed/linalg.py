@@ -6,7 +6,7 @@ Frobenius norm, and ``numeric_rank``, ``numeric_ranks``, ``nullspace``,
 ``column_space``, ``hermitian_kernel`` and ``kernel_dimension`` (eigenvalues
 only) apply it themselves, with |M| read off the values they compute anyway.
 The matrices are those of a unit complex (``alg.unit_model``,
-``alg.unit_operators``): one that vanishes in exact arithmetic is left at
+``alg.unit_family``): one that vanishes in exact arithmetic is left at
 rounding size, eps, under the floor 1, where a cut relative to the matrix
 alone would count that noise as rank.
 

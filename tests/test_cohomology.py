@@ -225,10 +225,10 @@ def test_n6_quotient_dimensions_match_exact_reference(bench_module, name):
     model = alg.parse_model(doc)
     exact = reference.reference_dimensions(doc)
     got = {key: coh.quotient_dimension(model, *key) for key in _space_keys(6)}
-    ranks = {}  # and with one table of operator ranks shared by every space
+    ranks = {}  # and with one table of family ranks shared by every space
     shared = {key: coh.quotient_dimension(model, *key, ranks) for key in _space_keys(6)}
     assert got == shared == exact
-    assert len(ranks) == len(_operator_keys(6))
+    assert sorted(ranks) == sorted(_families(6))
 
 
 @pytest.mark.parametrize("name", ["kt2_t1", "iwasawa5"])
@@ -244,12 +244,21 @@ def test_n5_full_sweep_matches_exact_reference(bench_module, name):
 
 
 # ---------------------------------------------------------------------------
-# one rank per operator: the spaces of a metric share one table of operator
-# ranks, and each space that reads a rank still checks it
+# one rank per operator: the spaces of a metric share one table of ranks, a
+# list per family of operators, and each space that reads a rank still
+# checks it
 
 
 def _operator_keys(n: int) -> set[tuple]:
     return {key for space in _space_keys(n) for key in alg.theory_operators(*space)}
+
+
+def _families(n: int) -> dict[str, list[tuple]]:
+    """Each family of the unit complex to its operator keys, in place order."""
+    families = {}
+    for key, (family, _) in sorted(alg.family_places(n).items(), key=lambda item: item[1]):
+        families.setdefault(family, []).append(key)
+    return families
 
 
 def test_spaces_share_their_operators():
@@ -259,38 +268,47 @@ def test_spaces_share_their_operators():
     assert [2 * len(_space_keys(n)) for n in (3, 5)] == [110, 238]
 
 
-def _ranked_batches(monkeypatch) -> tuple[list, list]:
-    """(batches, ranked): the keys of each batch the quotient route builds, and the size of each it ranks."""
-    batches, ranked = [], []
-    unit_operators, numeric_ranks = alg.unit_operators, coh.numeric_ranks
+def test_every_operator_outside_the_families_maps_to_or_from_zero():
+    # so the quotient route counts it as rank 0
+    for n in (1, 3, 5):
+        places = alg.family_places(n)
+        assert all(places[key][1] == _families(n)[places[key][0]].index(key) for key in places)
+        outside = _operator_keys(n) - set(places)
+        assert outside and all(0 in alg._operator_shape(n, *key) for key in outside)
 
-    def built(model, keys):
-        batches.append(list(keys))
-        return unit_operators(model, keys)
+
+def _ranked_batches(monkeypatch) -> tuple[list, list]:
+    """(batches, ranked): the family of each batch the quotient route builds, and the size of each it ranks."""
+    batches, ranked = [], []
+    unit_family, numeric_ranks = alg.unit_family, coh.numeric_ranks
+
+    def built(model, family):
+        batches.append(family)
+        return unit_family(model, family)
 
     def counted(batch):
         ranked.append(len(batch.shapes))
         return numeric_ranks(batch)
 
-    monkeypatch.setattr(alg, "unit_operators", built)
+    monkeypatch.setattr(alg, "unit_family", built)
     monkeypatch.setattr(coh, "numeric_ranks", counted)
     return batches, ranked
 
 
 @pytest.mark.parametrize("name", ["iwasawa", "kodaira_thurston", "nonunimodular"])
 def test_each_operator_is_ranked_once_per_metric(models, exact_models, monkeypatch, name):
-    # the quotient route ranks a theory at a time: one batch per theory, and
-    # every operator key in exactly one batch
+    # the quotient route ranks a family at a time: one batch per family, and
+    # each of the five families in exactly one batch
     batches, ranked = _ranked_batches(monkeypatch)
     g = _conditioned_metric(models[name], 10.0, seed=0)
     dims = {key: coh.cohomology_space(g, *key).dimension for key in _space_keys(g.n)}
     assert dims == {key: exact_models[name].dim(*key) for key in dims}
-    ranks = g._cache["ranks"]
-    assert set(ranks) == _operator_keys(g.n)
-    assert len(batches) == len(coh.THEORIES) and ranked == [len(batch) for batch in batches]
-    keys = [key for batch in batches for key in batch]
-    assert len(keys) == len(set(keys)) == len(ranks)
-    assert all(type(rank) is int for rank in ranks.values())  # no operator matrix is kept
+    ranks, families = g._cache["ranks"], _families(g.n)
+    assert len(families) == 5 and sorted(batches) == sorted(ranks) == sorted(families)
+    assert ranked == [len(families[family]) for family in batches]
+    assert all(len(ranks[family]) == len(keys) for family, keys in families.items())
+    # no operator matrix is kept
+    assert all(type(rank) is int for family in ranks.values() for rank in family)
 
 
 # (operator key, the two spaces that read it)
@@ -307,15 +325,20 @@ def test_a_shared_rank_is_checked_by_every_space_that_reads_it(models, case, rev
     key, *spaces = SHARED_OPERATORS[case]
     model = models["kodaira_thurston"]
     g = _conditioned_metric(model, 10.0, seed=1)
-    g._cache["ranks"] = {key: numeric_rank(alg.operator_matrix(model, *key)) + 1}
+    family, place = alg.family_places(model.n)[key]
+    planted = numeric_ranks(alg.unit_family(model, family))
+    assert planted[place] == numeric_rank(alg.operator_matrix(model, *key))
+    planted[place] += 1
+    g._cache["ranks"] = {family: planted}
     for space in reversed(spaces) if reverse else spaces:
         assert key in alg.theory_operators(*space)
         with pytest.raises(CrossCheckError):
             coh.cohomology_space(g, *space)
 
 
-# the quotient route reads the model's unit complex by its nonzero entries
-# (``alg.unit_operators``) and ranks a theory in one batch (``linalg.numeric_ranks``)
+# the quotient route reads the model's unit complex by its nonzero entries,
+# a family at a time (``alg.unit_family``), and ranks a family in one batch
+# (``linalg.numeric_ranks``)
 
 NONZERO_MODELS = (*fx.available_models(), "double_kt", "kt2_t1", "iwasawa5")
 
@@ -337,22 +360,21 @@ def _scattered(owner, rows, cols, values, shape, i: int, dtype) -> np.ndarray:
 
 @pytest.mark.parametrize("name", NONZERO_MODELS)
 def test_batched_ranks_equal_the_dense_ranks(bench_module, name):
-    # every operator of every theory, against the dense matrix of the unit model
+    # every operator of every family, against the dense matrix of the unit model
     model = _nonzero_model(bench_module, name)
     unit = alg.unit_model(model)[0]
-    keys = sorted(_operator_keys(model.n), key=repr)
-    batch = alg.unit_operators(model, keys)
-    dense = [alg.operator_matrix(unit, *key) for key in keys]
-    assert [tuple(shape) for shape in batch.shapes.tolist()] == [matrix.shape for matrix in dense]
-    cells = set(zip(batch.owner.tolist(), batch.rows.tolist(), batch.cols.tolist()))
-    assert len(cells) == batch.values.size and np.all(batch.values != 0)
-    for i, (key, matrix) in enumerate(zip(keys, dense)):
-        operator = _scattered(*batch[:4], matrix.shape, i, complex)
-        # deldelbar sums its products in another order than the dense one
-        assert np.max(np.abs(operator - matrix), initial=0.0) <= 1e-14, key
-    assert numeric_ranks(batch) == [numeric_rank(matrix) for matrix in dense]
-    # de Rham's d stays real
-    assert alg.unit_operators(model, [key for key in keys if key[0] == "real_d"]).values.dtype == float
+    for family, keys in _families(model.n).items():
+        batch = alg.unit_family(model, family)
+        dense = [alg.operator_matrix(unit, *key) for key in keys]
+        assert [tuple(shape) for shape in batch.shapes.tolist()] == [matrix.shape for matrix in dense]
+        cells = set(zip(batch.owner.tolist(), batch.rows.tolist(), batch.cols.tolist()))
+        assert len(cells) == batch.values.size and np.all(batch.values != 0)
+        for i, (key, matrix) in enumerate(zip(keys, dense)):
+            operator = _scattered(*batch[:4], matrix.shape, i, complex)
+            # deldelbar sums its products in another order than the dense one
+            assert np.max(np.abs(operator - matrix), initial=0.0) <= 1e-14, key
+        assert numeric_ranks(batch) == [numeric_rank(matrix) for matrix in dense], family
+        assert (batch.values.dtype == float) == (family == "real_d")  # de Rham's d stays real
 
 
 @pytest.mark.parametrize("name", fx.available_models())
@@ -390,12 +412,57 @@ def test_a_lone_request_ranks_its_theory_without_dense_or_real_blocks(exact_mode
     real, real_model = [], alg.real_model
     monkeypatch.setattr(alg, "real_model", lambda m: real.append(m) or real_model(m))
     assert coh.cohomology_space(g, "bc", 1, 1).dimension == exact_models["iwasawa"].dim("bc", 1, 1)
-    span = range(model.n + 1)
-    theory = {key for p in span for q in span for key in alg.theory_operators("bc", p, q)}
-    assert len(batches) == 1 and ranked == [len(theory)] and set(batches[0]) == theory
-    assert set(g._cache["ranks"]) == theory
+    families = _families(model.n)
+    assert sorted(batches) == sorted(g._cache["ranks"]) == ["d", "deldelbar"]
+    assert ranked == [len(families[family]) for family in batches]
     assert assembled == [] and real == []
     assert set(model._cache) - cached == {"unit nonzero"}  # no dense unit model
+
+
+# (space, the families its quotient rank reads): only those are ranked
+LONE_REQUESTS = {
+    "bc": (("bc", 1, 1), {"d", "deldelbar"}),
+    "bc_bottom": (("bc", 0, 0), {"d"}),  # its exact operator maps from 0
+    "aeppli": (("aeppli", 1, 2), {"deldelbar", "del+delbar"}),
+    "dolbeault": (("dolbeault", 2, 1), {"del"}),
+    "derham": (("derham", 3, None), {"real_d"}),
+}
+
+
+@pytest.mark.parametrize("case", LONE_REQUESTS)
+def test_a_lone_quotient_request_ranks_only_the_families_of_its_operators(exact_models, monkeypatch, case):
+    space, families = LONE_REQUESTS[case]
+    batches, _ = _ranked_batches(monkeypatch)
+    ranks, exact = {}, exact_models["iwasawa"].dim(*space)
+    assert coh.quotient_dimension(_fresh_model("iwasawa"), *space, ranks) == exact
+    assert sorted(batches) == sorted(ranks) == sorted(families)
+    # a call without a table runs the same path
+    assert coh.quotient_dimension(_fresh_model("iwasawa"), *space) == exact
+    assert sorted(batches) == sorted(2 * sorted(families))
+
+
+# spaces off their theory's range, on iwasawa (n = 3)
+INVALID_SPACES = {
+    "bc": [("bc", 1, None), ("bc", 4, 0), ("bc", 0, -1)],
+    "aeppli": [("aeppli", 4, 1), ("aeppli", 1, None), ("aeppli", -1, 2)],
+    "dolbeault": [("dolbeault", 0, 4), ("dolbeault", 2, None), ("dolbeault", 3, -1)],
+    "derham": [("derham", 2, 0), ("derham", 7, None), ("derham", -1, None)],
+}
+
+
+@pytest.mark.parametrize("theory", coh.THEORIES)
+def test_a_space_off_its_theorys_range_is_a_value_error(models, theory):
+    g = _conditioned_metric(models["iwasawa"], 10.0, seed=0)
+    for space in INVALID_SPACES[theory]:
+        with pytest.raises(ValueError, match=rf"no {theory} space \({space[1]},{space[2]}\)"):
+            coh.cohomology_space(g, *space)
+        with pytest.raises(ValueError, match=theory):
+            coh.quotient_dimension(g.model, *space)
+    assert not g._cache.get("ranks")  # refused before any rank is computed
+    # the edges of the range are spaces
+    n, top = g.n, (2 * g.n, None) if theory == "derham" else (g.n, g.n)
+    assert coh.cohomology_space(g, theory, *top).dimension == 1
+    assert coh.cohomology_space(g, theory, 0, None if theory == "derham" else 0).dimension == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A module's ``__all__`` and the package's re-exports are the API a caller
 sees.  A deletion that left either one naming a missing object would fail
 only at a caller's first use (``from pluriclosed.hodge import *`` raises
-then), so both are resolved here.  The README and the docstrings name API
+then), so both are resolved here, and a module's public definitions must
+all be in its ``__all__``.  The README and the docstrings name API
 as ``module.name``; a deletion that left one of those behind would mislead
 only a reader, so they are resolved too.
 """
@@ -36,6 +37,27 @@ def test_every_module_all_name_resolves():
             if not hasattr(module, attr)
         ]
     assert not missing, missing
+
+
+def test_every_public_definition_is_in_its_module_all():
+    # a public top-level def or class left out of __all__ is API that
+    # ``import *`` and the export checks above never see
+    unlisted, modules = [], 0
+    for name in MODULES:
+        module = importlib.import_module(f"pluriclosed.{name}")
+        if not hasattr(module, "__all__"):
+            continue
+        modules += 1
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        unlisted += [
+            f"pluriclosed.{name}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in module.__all__
+        ]
+    assert modules >= 5
+    assert not unlisted, unlisted
 
 
 def test_every_package_export_is_its_module_api():
